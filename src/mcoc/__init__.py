@@ -22,7 +22,6 @@ from .losses import (  # noqa: F401
     margin_one_class_loss,
     oc_softmax_loss,
     quality_loss,
-    similarity_distance,
     wce_loss,
 )
 from .model import (  # noqa: F401

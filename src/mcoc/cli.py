@@ -29,10 +29,11 @@ from .data import (
 from .errors import ConfigError, DivergenceDetected, IoError, McocError
 from .model import load_checkpoint, save_checkpoint
 from .scoring import (
+    STRATEGIES,
     compute_eer,
+    embed,
     export_distributions,
     export_embeddings,
-    head_score,
     read_scores_csv,
     score_dataset,
     write_scores_csv,
@@ -147,27 +148,9 @@ def _cmd_train(args):
     return 0
 
 
-def _score_records(records, ckpt, strategy):
-    if strategy == "head":
-        if ckpt.head is None:
-            raise ConfigError("checkpoint has no binary head")
-        from .scoring import ScoreReport
-        ids, scores, labels = [], [], []
-        for r in records:
-            ids.append(r.id)
-            scores.append(head_score(ckpt.encoder.encode(r.features), ckpt.head))
-            labels.append(r.label)
-        report = ScoreReport(strategy="head", ids=ids, scores=scores,
-                             labels=labels)
-        arr = np.asarray(scores)
-        lab = np.asarray(labels)
-        bona, spoof = arr[lab == 0], arr[lab != 0]
-        if bona.size and spoof.size:
-            report.eer, report.threshold = compute_eer(bona, spoof)
-        return report
-    if ckpt.bank is None:
-        raise ConfigError("checkpoint has no centroid bank")
-    return score_dataset(records, ckpt.encoder, ckpt.bank, strategy, ckpt.policy)
+def _score_records(records, ckpt, strategy, embeddings=None):
+    return score_dataset(records, ckpt.encoder, ckpt.bank, strategy,
+                         ckpt.policy, head=ckpt.head, embeddings=embeddings)
 
 
 def _cmd_score(args):
@@ -254,12 +237,13 @@ def _cmd_ablate(args):
 def _cmd_export(args):
     ckpt = load_checkpoint(args.checkpoint)
     records = load_jsonl(args.data, ckpt.policy)
-    report = _score_records(records, ckpt, args.strategy)
+    E = embed(records, ckpt.encoder)
+    report = _score_records(records, ckpt, args.strategy, embeddings=E)
     outdir = _outdir(args, "export")
     export_distributions(report, os.path.join(outdir, "histogram.csv"),
                          bins=args.bins)
-    export_embeddings(records, ckpt.encoder, os.path.join(outdir,
-                                                          "embeddings.csv"))
+    export_embeddings(records, ckpt.encoder,
+                      os.path.join(outdir, "embeddings.csv"), embeddings=E)
     _write_manifest(outdir, "export",
                     {"checkpoint": args.checkpoint, "data": args.data,
                      "strategy": args.strategy, "bins": args.bins})
@@ -296,8 +280,7 @@ def build_parser():
     p = sub.add_parser("score", help="score a dataset with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--strategy", default="ensemble",
-                   choices=["labeled", "max", "ensemble", "head"])
+    p.add_argument("--strategy", default="ensemble", choices=STRATEGIES)
     common(p)
     p.set_defaults(func=_cmd_score)
 
@@ -316,8 +299,7 @@ def build_parser():
     p = sub.add_parser("export", help="export histogram and embedding CSVs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--strategy", default="ensemble",
-                   choices=["labeled", "max", "ensemble", "head"])
+    p.add_argument("--strategy", default="ensemble", choices=STRATEGIES)
     p.add_argument("--bins", type=int, default=30)
     common(p)
     p.set_defaults(func=_cmd_export)

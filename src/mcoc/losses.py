@@ -83,18 +83,6 @@ class LossOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def similarity_distance(embedding, label, quality, bank: CentroidBank):
-    """Per-sample distance: own-quality similarity for bona fide, max over
-    centroids for spoof. Returns (distance, centroid_index)."""
-    sims = bank.similarities(np.asarray(embedding, dtype=np.float64))[0]
-    if label == 0:
-        if quality is None or quality == QUALITY_ABSENT:
-            raise MissingQuality("bona fide sample without a quality level")
-        return float(sims[quality]), int(quality)
-    idx = int(np.argmax(sims))  # argmax takes the first max, our tie-break
-    return float(sims[idx]), idx
-
-
 def _select(batch: Batch, bank: CentroidBank):
     sims = bank.similarities(batch.embeddings)  # (N, Q)
     spoof = batch.labels == 1

@@ -18,15 +18,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def as_vector(values) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise DimMismatch(f"expected 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite components")
-    return v
-
-
 def unit_normalize(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = np.linalg.norm(v)

@@ -12,30 +12,70 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import BONAFIDE, QualityPolicy, UtteranceRecord, quality_label
-from .errors import EmptyClass, MissingQuality
+from .errors import ConfigError, EmptyClass, MissingQuality
 from .model import BinaryHead, CentroidBank, Encoder
 
-STRATEGIES = ("labeled", "max", "ensemble")
+STRATEGIES = ("labeled", "max", "ensemble", "head")
+# Rows per encoder forward pass. The forward's activations are held for one
+# block at a time, so scoring memory is bounded by the block size rather
+# than by the number of records.
+BLOCK_ROWS = 256
+
+
+def embed(records: Sequence[UtteranceRecord], encoder: Encoder) -> np.ndarray:
+    """Unit embeddings of the records, one row each, encoded in blocks of
+    BLOCK_ROWS rows."""
+    E = np.empty((len(records), encoder.embed_dim))
+    for k in range(0, len(records), BLOCK_ROWS):
+        block = records[k:k + BLOCK_ROWS]
+        X = np.stack([r.features for r in block])
+        E[k:k + len(block)], _ = encoder.forward(X)
+    return E
+
+
+def score_matrix(E, strategy: str, bank: Optional[CentroidBank] = None,
+                 head: Optional[BinaryHead] = None, quality=None) -> np.ndarray:
+    """CM score of every row of E (unit embeddings, one per record).
+
+    `labeled` reads the similarity to each row's own quality centroid, so it
+    needs `quality` (one level per row); `max` and `ensemble` take the max
+    or the mean over the centroids; `head` negates the binary head's spoof
+    logit.
+    """
+    if strategy == "head":
+        if head is None:
+            raise ConfigError("head strategy needs a binary head")
+        return -head.logits(E)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if bank is None:
+        raise ConfigError(f"{strategy} strategy needs a centroid bank")
+    sims = bank.similarities(E)
+    if strategy == "max":
+        return np.max(sims, axis=1)
+    if strategy == "ensemble":
+        return np.mean(sims, axis=1)
+    if quality is None:
+        raise MissingQuality("labeled strategy needs a quality level")
+    quality = np.asarray(quality, dtype=np.int64)
+    outside = (quality < 0) | (quality >= bank.num_centroids)
+    if np.any(outside):
+        raise ConfigError(
+            f"labeled strategy: quality level {int(quality[outside][0])} has "
+            f"no centroid (the bank has {bank.num_centroids})")
+    return sims[np.arange(sims.shape[0]), quality]
 
 
 def score(embedding, bank: CentroidBank, strategy: str,
           quality: Optional[int] = None) -> float:
     """CM score of one unit embedding against the centroid bank."""
-    sims = bank.similarities(np.asarray(embedding, dtype=np.float64))[0]
-    if strategy == "labeled":
-        if quality is None:
-            raise MissingQuality("labeled strategy needs a quality level")
-        return float(sims[quality])
-    if strategy == "max":
-        return float(np.max(sims))
-    if strategy == "ensemble":
-        return float(np.mean(sims))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return float(score_matrix(np.atleast_2d(embedding), strategy, bank,
+                              quality=None if quality is None else [quality])[0])
 
 
 def head_score(embedding, head: BinaryHead) -> float:
     """CM score from the binary head: negated spoof logit."""
-    return float(-head.logits(np.asarray(embedding, dtype=np.float64))[0])
+    return float(score_matrix(np.atleast_2d(embedding), "head", head=head)[0])
 
 
 def _rates_at(thresholds, bona_sorted, spoof_sorted):
@@ -96,35 +136,30 @@ class ScoreReport:
         }
 
 
-def score_dataset(records: Sequence[UtteranceRecord], encoder: Encoder,
-                  bank: CentroidBank, strategy: str,
-                  policy: QualityPolicy = QualityPolicy()) -> ScoreReport:
-    """Encode and score every record; EER is filled in when both classes are
-    present."""
-    ids, scores, labels = [], [], []
+def _quality_levels(records, policy):
+    """Inference-time quality of each record for the labeled strategy: its
+    own level, or else the level of its MOS, for either class."""
+    levels = []
     for r in records:
-        emb = encoder.encode(r.features)
-        if strategy == "labeled":
-            # inference-time quality comes from the MOS field, for either class
-            if r.quality is not None:
-                q = r.quality
-            elif r.mos is not None:
-                q = quality_label(r.mos, policy)
-            else:
-                raise MissingQuality(
-                    f"record {r.id}: labeled strategy needs mos or quality"
-                )
-            s = score(emb, bank, "labeled", quality=q)
+        if r.quality is not None:
+            levels.append(r.quality)
+        elif r.mos is not None:
+            levels.append(quality_label(r.mos, policy))
         else:
-            s = score(emb, bank, strategy)
-        ids.append(r.id)
-        scores.append(s)
-        labels.append(r.label)
-    report = ScoreReport(strategy=strategy, ids=ids, scores=scores, labels=labels)
-    arr = np.asarray(scores)
-    lab = np.asarray(labels)
-    bona = arr[lab == BONAFIDE]
-    spoof = arr[lab != BONAFIDE]
+            raise MissingQuality(
+                f"record {r.id}: labeled strategy needs mos or quality")
+    return levels
+
+
+def build_report(records: Sequence[UtteranceRecord], scores: np.ndarray,
+                 strategy: str) -> ScoreReport:
+    """Score report of the records; EER is filled in when both classes are
+    present, and class_stats for each class that is."""
+    labels = [r.label for r in records]
+    report = ScoreReport(strategy=strategy, ids=[r.id for r in records],
+                         scores=scores.tolist(), labels=labels)
+    bona_mask = np.asarray(labels) == BONAFIDE
+    bona, spoof = scores[bona_mask], scores[~bona_mask]
     if bona.size and spoof.size:
         report.eer, report.threshold = compute_eer(bona, spoof)
     for name, part in (("bonafide", bona), ("spoof", spoof)):
@@ -135,6 +170,19 @@ def score_dataset(records: Sequence[UtteranceRecord], encoder: Encoder,
                 "count": int(part.size),
             }
     return report
+
+
+def score_dataset(records: Sequence[UtteranceRecord], encoder: Encoder,
+                  bank: Optional[CentroidBank], strategy: str,
+                  policy: QualityPolicy = QualityPolicy(),
+                  head: Optional[BinaryHead] = None,
+                  embeddings: Optional[np.ndarray] = None) -> ScoreReport:
+    """Encode and score every record (see score_matrix and build_report).
+    `embeddings`, when given, are the rows of embed(records, encoder)."""
+    E = embed(records, encoder) if embeddings is None else embeddings
+    quality = _quality_levels(records, policy) if strategy == "labeled" else None
+    return build_report(records, score_matrix(E, strategy, bank, head, quality),
+                        strategy)
 
 
 def write_scores_csv(report: ScoreReport, path):
@@ -159,11 +207,12 @@ def read_scores_csv(path):
 
 
 def export_distributions(report: ScoreReport, path, bins: int = 30):
-    """Histogram CSV over [min, max] of all scores: bin_low, bin_high,
-    bona_count, spoof_count. Counts sum to the number of scored records."""
+    """Histogram CSV over [min, max] of all scores ([0, 1] when there are
+    none): bin_low, bin_high, bona_count, spoof_count. Counts sum to the
+    number of scored records."""
     arr = np.asarray(report.scores, dtype=np.float64)
     lab = np.asarray(report.labels)
-    lo, hi = float(np.min(arr)), float(np.max(arr))
+    lo, hi = (float(np.min(arr)), float(np.max(arr))) if arr.size else (0.0, 0.0)
     if lo == hi:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
@@ -177,15 +226,17 @@ def export_distributions(report: ScoreReport, path, bins: int = 30):
                         int(bona_counts[k]), int(spoof_counts[k])])
 
 
-def export_embeddings(records: Sequence[UtteranceRecord], encoder: Encoder, path):
+def export_embeddings(records: Sequence[UtteranceRecord], encoder: Encoder, path,
+                      embeddings: Optional[np.ndarray] = None):
     """Embedding CSV for external projection tools: id, label, quality, then
-    one column per embedding dimension."""
-    dim = encoder.embed_dim
+    one column per embedding dimension. `embeddings`, when given, are the
+    rows of embed(records, encoder)."""
+    E = embed(records, encoder) if embeddings is None else embeddings
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["id", "label", "quality"] + [f"e{k}" for k in range(dim)])
-        for r in records:
-            emb = encoder.encode(r.features)
+        w.writerow(["id", "label", "quality"]
+                   + [f"e{k}" for k in range(encoder.embed_dim)])
+        for r, emb in zip(records, E):
             name = "bonafide" if r.label == BONAFIDE else "spoof"
             q = "" if r.quality is None else r.quality
-            w.writerow([r.id, name, q] + [repr(float(v)) for v in emb])
+            w.writerow([r.id, name, q] + [repr(v) for v in emb.tolist()])

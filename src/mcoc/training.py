@@ -37,7 +37,7 @@ from .model import (
     init_head,
 )
 from .numerics import make_rng
-from .scoring import compute_eer, head_score, score
+from .scoring import compute_eer, score_matrix
 
 LOSS_KINDS = ("multi_centroid", "single_centroid", "wce", "wce_quality")
 DIVERGENCE_LIMIT = 1e6
@@ -267,17 +267,12 @@ def _val_eers(encoder, bank, head, X_val, y_val):
         return None, None, None
     emb, _ = encoder.forward(X_val)
     out = []
-    for strat in ("ensemble", "max"):
-        if bank is not None:
-            sc = np.array([score(e, bank, strat) for e in emb])
-            out.append(compute_eer(sc[bona], sc[~bona])[0])
-        else:
+    for strat, needed in (("ensemble", bank), ("max", bank), ("head", head)):
+        if needed is None:
             out.append(None)
-    if head is not None:
-        sc = np.array([head_score(e, head) for e in emb])
+            continue
+        sc = score_matrix(emb, strat, bank, head)
         out.append(compute_eer(sc[bona], sc[~bona])[0])
-    else:
-        out.append(None)
     return tuple(out)
 
 

@@ -149,3 +149,52 @@ def test_default_out_uses_env(workspace, monkeypatch, tmp_path):
     monkeypatch.setenv("MCOC_OUT", str(tmp_path / "root"))
     assert run("gen", "--spec", spec) == 0
     assert (tmp_path / "root" / "gen" / "data.jsonl").exists()
+
+
+def trained(workspace, *overrides):
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "data")
+    sets = [a for o in overrides for a in ("--set", o)]
+    assert run("train", "--config", cfg, "--data", tmp / "data" / "data.jsonl",
+               *sets, "--out", tmp / "run") == 0
+    return tmp, tmp / "data" / "data.jsonl", tmp / "run" / "checkpoint.json"
+
+
+def test_labeled_needs_a_centroid_per_level(workspace, capsys):
+    tmp, data, ckpt = trained(workspace, "loss=single_centroid")
+    # the spoof records carry no MOS, so keep the bona fide ones (both levels)
+    bona = tmp / "bona.jsonl"
+    bona.write_text("".join(line for line in data.read_text().splitlines(True)
+                            if '"bonafide"' in line))
+    rc = run("score", "--checkpoint", ckpt, "--data", bona,
+             "--strategy", "labeled", "--out", tmp / "sc")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_export_empty_jsonl(workspace):
+    tmp, _, ckpt = trained(workspace)
+    empty = tmp / "empty.jsonl"
+    empty.write_text("")
+    assert run("export", "--checkpoint", ckpt, "--data", empty,
+               "--out", tmp / "ex", "--bins", "5") == 0
+    with open(tmp / "ex" / "histogram.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert sum(int(r["bona_count"]) + int(r["spoof_count"]) for r in rows) == 0
+    with open(tmp / "ex" / "embeddings.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 0
+
+
+def test_head_report_matches_eval(workspace):
+    tmp, data, ckpt = trained(workspace, "loss=wce")
+    assert run("score", "--checkpoint", ckpt, "--data", data,
+               "--strategy", "head", "--out", tmp / "sc") == 0
+    assert run("eval", "--scores", tmp / "sc" / "scores.csv",
+               "--out", tmp / "ev") == 0
+    report = json.loads((tmp / "sc" / "report.json").read_text())
+    summary = json.loads((tmp / "ev" / "summary.json").read_text())
+    assert set(report["class_stats"]) == {"bonafide", "spoof"}
+    assert report["class_stats"]["bonafide"]["count"] == summary["num_bonafide"]
+    assert report["eer"] == summary["eer"]

@@ -12,7 +12,6 @@ from mcoc.losses import (
     margin_one_class_loss,
     oc_softmax_loss,
     quality_loss,
-    similarity_distance,
     wce_loss,
 )
 from mcoc.model import BinaryHead, CentroidBank, init_centroids
@@ -56,6 +55,18 @@ def rel_err(a, b):
 
 
 # ---- similarity distance ----
+
+def similarity_distance(embedding, label, quality, bank: CentroidBank):
+    """Per-sample distance oracle: own-quality similarity for bona fide, max
+    over centroids for spoof. Returns (distance, centroid_index)."""
+    sims = bank.similarities(np.asarray(embedding, dtype=np.float64))[0]
+    if label == 0:
+        if quality is None or quality == QUALITY_ABSENT:
+            raise MissingQuality("bona fide sample without a quality level")
+        return float(sims[quality]), int(quality)
+    idx = int(np.argmax(sims))  # argmax takes the first max, our tie-break
+    return float(sims[idx]), idx
+
 
 def test_similarity_distance_spoof_max():
     bank = CentroidBank(np.array([[1.0, 0.0], [0.0, 1.0]]))

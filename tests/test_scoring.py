@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mcoc.data import benchmark_spec, generate_synthetic, QualityPolicy
-from mcoc.errors import EmptyClass, MissingQuality
-from mcoc.model import CentroidBank, init_encoder
+from mcoc.data import (
+    QualityPolicy,
+    benchmark_spec,
+    generate_synthetic,
+    make_record,
+    quality_label,
+)
+from mcoc.errors import ConfigError, EmptyClass, MissingQuality
+from mcoc.model import CentroidBank, init_centroids, init_encoder, init_head
 from mcoc.numerics import make_rng
 from mcoc.scoring import (
+    BLOCK_ROWS,
+    STRATEGIES,
+    build_report,
     compute_eer,
+    embed,
     export_distributions,
     export_embeddings,
     read_scores_csv,
     score,
     score_dataset,
+    score_matrix,
     write_scores_csv,
 )
 
@@ -197,5 +208,98 @@ def test_export_embeddings(tmp_path, scored):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
-    emb = encoder.encode(records[0].features)
-    assert float(rows[0]["e0"]) == emb[0]
+    emb, _ = encoder.forward(np.stack([r.features for r in records[:10]]))
+    got = [[float(r[f"e{k}"]) for k in range(encoder.embed_dim)] for r in rows]
+    assert got == emb.tolist()
+
+
+# ---- the blocked array path against one-row references ----
+
+WIDE_ROWS = 2 * BLOCK_ROWS + 3  # the last block is partial
+
+
+@pytest.fixture(scope="module")
+def wide():
+    rng = make_rng(7)
+    policy = QualityPolicy()
+    records = [
+        make_record(f"r{i}", rng.normal(size=12), int(rng.integers(0, 2)),
+                    mos=float(rng.uniform(1.0, 5.0)), policy=policy)
+        for i in range(WIDE_ROWS)
+    ]
+    encoder = init_encoder(12, (256, 256), 16, rng)
+    bank = init_centroids(2, 16, "orthogonal", rng)
+    head = init_head(16, rng)
+    return records, encoder, bank, head, policy
+
+
+def one_row_reference(records, encoder, bank, head, policy, strategy):
+    out = []
+    for r in records:
+        e = encoder.forward(r.features[None, :])[0][0]
+        if strategy == "head":
+            out.append(-(e @ head.weight + head.bias))
+            continue
+        sims = bank.weights @ e
+        if strategy == "labeled":
+            q = r.quality if r.quality is not None else quality_label(r.mos, policy)
+            out.append(sims[q])
+        else:
+            out.append(sims.max() if strategy == "max" else sims.mean())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_blocked_scores_match_one_row_reference(wide, strategy):
+    records, encoder, bank, head, policy = wide
+    report = score_dataset(records, encoder, bank, strategy, policy, head=head)
+    ref = one_row_reference(records, encoder, bank, head, policy, strategy)
+    assert len(report.scores) == WIDE_ROWS
+    assert np.max(np.abs(np.array(report.scores) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_blocked_scores_repeat_bitwise(wide, strategy):
+    records, encoder, bank, head, policy = wide
+    a = score_dataset(records, encoder, bank, strategy, policy, head=head)
+    b = score_dataset(records, encoder, bank, strategy, policy, head=head)
+    assert a.scores == b.scores and a.eer == b.eer
+
+
+def test_embed_matches_one_row_forward(wide):
+    records, encoder, _, _, _ = wide
+    E = embed(records, encoder)
+    assert E.shape == (WIDE_ROWS, 16)
+    ref = np.stack([encoder.encode(r.features) for r in records])
+    assert np.max(np.abs(E - ref)) <= 1e-12
+
+
+def test_score_matrix_empty():
+    E = np.zeros((0, 2))
+    assert score_matrix(E, "max", BANK).shape == (0,)
+    assert score_matrix(E, "labeled", BANK, quality=[]).shape == (0,)
+
+
+def test_score_matrix_labeled_level_without_centroid():
+    one = CentroidBank(np.array([[1.0, 0.0]]))
+    with pytest.raises(ConfigError, match="quality level 1"):
+        score_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), "labeled", one,
+                     quality=[0, 1])
+
+
+def test_score_matrix_missing_bank_or_head():
+    E = np.array([[1.0, 0.0]])
+    with pytest.raises(ConfigError):
+        score_matrix(E, "ensemble")
+    with pytest.raises(ConfigError):
+        score_matrix(E, "head", BANK)
+
+
+def test_histogram_of_no_scores(tmp_path):
+    report = build_report([], np.zeros(0), "ensemble")
+    path = tmp_path / "hist.csv"
+    export_distributions(report, path, bins=4)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert sum(int(r["bona_count"]) + int(r["spoof_count"]) for r in rows) == 0
