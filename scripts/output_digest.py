@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Run a fixed small session through the CLI and print the sha256 of every
+deterministic output, one `<sha256>  <path>` line per file, sorted by path.
+
+The session: `gen` of the benchmark_spec(3) train and test sets, `ablate`
+with benchmark_train_config(3), `score` of the test set under `max` and
+`ensemble` (multi_centroid checkpoint) and `head` (wce checkpoint), and
+`export` with the multi_centroid checkpoint. `manifest.json` and
+`report.json` are left out because they embed paths. Two commits that
+print the same list wrote byte-identical checkpoints, metrics, scores,
+ablation table, histogram, embeddings and datasets.
+
+Usage: python3 scripts/output_digest.py --out DIR   (DIR must be empty or new)
+"""
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import sys
+
+from mcoc.cli import main as cli
+from mcoc.data import benchmark_spec
+from mcoc.training import benchmark_train_config
+
+SEED = 3
+SKIPPED = ("manifest.json", "report.json")
+
+
+def _dump(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+    return path
+
+
+def _steps(out):
+    inputs = os.path.join(out, "inputs")
+    os.makedirs(inputs)
+    train_spec = _dump(benchmark_spec(SEED, train=True).to_dict(),
+                       os.path.join(inputs, "train_spec.json"))
+    test_spec = _dump(benchmark_spec(SEED, train=False).to_dict(),
+                      os.path.join(inputs, "test_spec.json"))
+    config = _dump(benchmark_train_config(SEED).to_dict(),
+                   os.path.join(inputs, "config.json"))
+    train = os.path.join(out, "train", "data.jsonl")
+    test = os.path.join(out, "test", "data.jsonl")
+    ablate = os.path.join(out, "ablate")
+    mc = os.path.join(ablate, "multi_centroid", "checkpoint.json")
+    wce = os.path.join(ablate, "wce", "checkpoint.json")
+    return [
+        ["gen", "--spec", train_spec, "--out", os.path.dirname(train)],
+        ["gen", "--spec", test_spec, "--out", os.path.dirname(test)],
+        ["ablate", "--config", config, "--data", train, "--test", test,
+         "--out", ablate],
+        ["score", "--checkpoint", mc, "--data", test, "--strategy", "max",
+         "--out", os.path.join(out, "score_max")],
+        ["score", "--checkpoint", mc, "--data", test, "--strategy", "ensemble",
+         "--out", os.path.join(out, "score_ensemble")],
+        ["score", "--checkpoint", wce, "--data", test, "--strategy", "head",
+         "--out", os.path.join(out, "score_head")],
+        ["export", "--checkpoint", mc, "--data", test,
+         "--out", os.path.join(out, "export")],
+    ]
+
+
+def _digests(out):
+    lines = []
+    for root, _, files in os.walk(out):
+        for name in files:
+            if name in SKIPPED:
+                continue
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append((os.path.relpath(path, out), digest))
+    return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        print(f"{args.out} is not empty", file=sys.stderr)
+        return 2
+    os.makedirs(args.out, exist_ok=True)
+    for argv in _steps(args.out):
+        # the commands' own messages go to stderr; stdout is the digest list
+        with contextlib.redirect_stdout(sys.stderr):
+            rc = cli(argv)
+        if rc != 0:
+            print(f"mcoc {argv[0]} exited {rc}", file=sys.stderr)
+            return rc
+    print("\n".join(_digests(args.out)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

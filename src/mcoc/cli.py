@@ -26,7 +26,13 @@ from .data import (
     load_jsonl,
     save_jsonl,
 )
-from .errors import ConfigError, DivergenceDetected, IoError, McocError
+from .errors import (
+    ConfigError,
+    DivergenceDetected,
+    IoError,
+    McocError,
+    MissingQuality,
+)
 from .model import load_checkpoint, save_checkpoint
 from .scoring import (
     STRATEGIES,
@@ -311,7 +317,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MissingQuality) as exc:
+        # a missing quality level means the data does not fit the
+        # configured loss or strategy
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IoError, OSError) as exc:

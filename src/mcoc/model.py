@@ -202,6 +202,9 @@ class CentroidBank:
         return cls(weights=np.asarray(d["weights"], dtype=np.float64))
 
 
+CENTROID_INITS = ("orthogonal", "random-unit")
+
+
 def init_centroids(num_centroids, dim, scheme, rng) -> CentroidBank:
     """'orthogonal': mutually orthogonal unit rows (needs Q <= D).
     'random-unit': independent Gaussian rows, normalized."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ from .losses import (
     wce_loss,
 )
 from .model import (
+    CENTROID_INITS,
     Checkpoint,
     init_centroids,
     init_encoder,
@@ -40,6 +42,7 @@ from .numerics import make_rng
 from .scoring import compute_eer, score_matrix
 
 LOSS_KINDS = ("multi_centroid", "single_centroid", "wce", "wce_quality")
+OPTIMIZER_KINDS = ("adam", "sgd-momentum")
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -50,6 +53,10 @@ class OptimizerConfig:
     betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
     momentum: float = 0.9
+
+    def __post_init__(self):
+        if self.kind not in OPTIMIZER_KINDS:
+            raise ConfigError(f"unknown optimizer {self.kind!r}")
 
     def to_dict(self):
         return {"kind": self.kind, "lr": self.lr, "betas": list(self.betas),
@@ -88,6 +95,15 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.optimizer.lr <= 0:
             raise ConfigError("learning rate must be > 0")
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass; it is rejected, not read as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.centroid_init not in CENTROID_INITS:
+            raise ConfigError(f"unknown centroid_init {self.centroid_init!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -157,46 +173,59 @@ def benchmark_train_config(seed: int, lam: float = 0.1,
     )
 
 
-def make_batches(records, batch_size, rng):
-    """Seeded shuffle, then contiguous chunks; the last partial batch stays."""
-    order = rng.permutation(len(records))
-    return [
-        [records[i] for i in order[k:k + batch_size]]
-        for k in range(0, len(records), batch_size)
-    ]
+def make_batches(n, batch_size, rng):
+    """Row indices of one epoch: a seeded shuffle of range(n) (one
+    ``rng.permutation(n)`` call), cut into contiguous chunks; the last
+    partial chunk stays."""
+    order = rng.permutation(n)
+    return [order[k:k + batch_size] for k in range(0, n, batch_size)]
 
 
 class _Optimizer:
-    """Per-array SGD-momentum or Adam state. Updates are in place."""
+    """SGD-momentum or Adam over every parameter at once.
+
+    The moments live in one flat buffer each; a step concatenates the
+    gradients and runs each update op once over the flat array, in the same
+    floating-point order as a per-array update, so the result is bitwise the
+    same. Parameters are updated in place through slices of the update.
+    """
 
     def __init__(self, params, config: OptimizerConfig):
-        if config.kind not in ("adam", "sgd-momentum"):
-            raise ConfigError(f"unknown optimizer {config.kind!r}")
         self.config = config
         self.params = params
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        ends = list(accumulate(p.size for p in params))
+        self.spans = list(zip([0] + ends[:-1], ends))
+        self.m = np.zeros(ends[-1])
+        self.v = np.zeros_like(self.m)
         self.t = 0
 
     def step(self, grads):
         c = self.config
         self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if g is None:
-                continue
-            if c.kind == "sgd-momentum":
-                m *= c.momentum
-                m += g
-                p -= c.lr * m
-            else:
-                b1, b2 = c.betas
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * g * g
-                mh = m / (1 - b1 ** self.t)
-                vh = v / (1 - b2 ** self.t)
-                p -= c.lr * mh / (np.sqrt(vh) + c.eps)
+        # g and a are this step's own scratch, not kept between steps so
+        # that peak memory stays low; g ends up holding the update
+        g = np.concatenate(grads, axis=None)
+        if c.kind == "sgd-momentum":
+            self.m *= c.momentum
+            self.m += g
+            np.multiply(c.lr, self.m, out=g)
+        else:
+            b1, b2 = c.betas
+            a = np.multiply(1 - b1, g)
+            self.m *= b1
+            self.m += a
+            np.multiply(1 - b2, g, out=a)
+            a *= g
+            self.v *= b2
+            self.v += a
+            np.divide(self.m, 1 - b1 ** self.t, out=g)
+            g *= c.lr
+            np.divide(self.v, 1 - b2 ** self.t, out=a)
+            np.sqrt(a, out=a)
+            a += c.eps
+            g /= a
+        for p, (i, j) in zip(self.params, self.spans):
+            p -= g[i:j].reshape(p.shape)
 
 
 @dataclass
@@ -320,17 +349,14 @@ def train(records, config: TrainConfig):
         _records_to_arrays(val_recs) if val_recs else
         (np.zeros((0, input_dim)), np.zeros(0, dtype=np.int64), None)
     )
+    X_tr, y_tr, q_tr = _records_to_arrays(train_recs)
 
     report = TrainReport(config=config.to_dict())
     for epoch in range(1, config.epochs + 1):
-        batches = make_batches(train_recs, config.batch_size, rng)
         total, total_oc, total_ql, seen = 0.0, 0.0, 0.0, 0
-        for brecs in batches:
-            Xb, yb, qb = _records_to_arrays(brecs)
-            emb, cache = encoder.forward(Xb)
-            if config.loss == "single_centroid":
-                qb = np.zeros_like(qb)
-            batch = Batch(embeddings=emb, labels=yb, quality=qb)
+        for idx in make_batches(len(y_tr), config.batch_size, rng):
+            emb, cache = encoder.forward(X_tr[idx])
+            batch = Batch(embeddings=emb, labels=y_tr[idx], quality=q_tr[idx])
 
             if config.loss in ("multi_centroid", "single_centroid"):
                 if config.loss == "single_centroid":
@@ -368,7 +394,7 @@ def train(records, config: TrainConfig):
             if head is not None:
                 head.bias = float(head_bias[0])
 
-            nb = len(brecs)
+            nb = len(idx)
             total += out.value * nb
             total_oc += out.diagnostics.get("one_class",
                                             out.diagnostics.get("wce", 0.0)) * nb

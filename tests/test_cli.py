@@ -198,3 +198,46 @@ def test_head_report_matches_eval(workspace):
     assert set(report["class_stats"]) == {"bonafide", "spoof"}
     assert report["class_stats"]["bonafide"]["count"] == summary["num_bonafide"]
     assert report["eer"] == summary["eer"]
+
+
+@pytest.mark.parametrize("override", [
+    "batch_size=2.5", "epochs=1.5", 'seed="x"', "seed=-1", "batch_size=true",
+    'centroid_init="foo"', 'optimizer.kind="foo"',
+])
+def test_bad_train_config_exits_2_before_loading(workspace, capsys, override):
+    tmp, _, cfg = workspace
+    # the data path does not exist: a check that ran after loading would
+    # give the I/O exit code instead
+    rc = run("train", "--config", cfg, "--data", tmp / "absent.jsonl",
+             "--set", override, "--out", tmp / "x")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_labeled_on_spoof_without_mos_is_config_error(workspace, capsys):
+    tmp, data, ckpt = trained(workspace)
+    capsys.readouterr()
+    rc = run("score", "--checkpoint", ckpt, "--data", data,
+             "--strategy", "labeled", "--out", tmp / "sc")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: record spoof2_") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("loss", ["multi_centroid", "wce_quality"])
+def test_train_on_bonafide_without_mos_is_config_error(workspace, capsys, loss):
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "data")
+    rows = [json.loads(line) for line in
+            (tmp / "data" / "data.jsonl").read_text().splitlines()]
+    for r in rows:
+        r.pop("mos", None)
+    data = tmp / "no_mos.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    rc = run("train", "--config", cfg, "--data", data, "--set", f"loss={loss}",
+             "--out", tmp / "run")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

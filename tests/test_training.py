@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from mcoc import training
 from mcoc.data import benchmark_spec, generate_synthetic
 from mcoc.errors import ConfigError, DivergenceDetected
 from mcoc.losses import LossHyper
 from mcoc.numerics import make_rng
 from mcoc.training import (
+    LOSS_KINDS,
+    OPTIMIZER_KINDS,
     EncoderConfig,
     OptimizerConfig,
     TrainConfig,
@@ -32,14 +35,97 @@ def quick_config(**kw):
 
 def test_make_batches_sizes():
     rng = make_rng(0)
-    batches = make_batches(list(range(10)), 4, rng)
+    batches = make_batches(10, 4, rng)
     assert [len(b) for b in batches] == [4, 4, 2]
 
 
 def test_make_batches_seeded():
-    a = make_batches(list(range(20)), 6, make_rng(5))
-    b = make_batches(list(range(20)), 6, make_rng(5))
-    assert a == b
+    a = make_batches(20, 6, make_rng(5))
+    b = make_batches(20, 6, make_rng(5))
+    assert len(a) == len(b) == 4
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_make_batches_is_one_permutation():
+    # the batches are consecutive chunks of exactly one rng.permutation(n)
+    # call, and the generator is left where that call leaves it
+    rng, ref = make_rng(8), make_rng(8)
+    batches = make_batches(23, 5, rng)
+    order = ref.permutation(23)
+    assert np.array_equal(np.concatenate(batches), order)
+    assert np.array_equal(np.sort(order), np.arange(23))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _ReferenceOptimizer:
+    """Per-array SGD-momentum or Adam: the loop the fused _Optimizer must
+    match bit for bit."""
+
+    def __init__(self, params, config):
+        self.config = config
+        self.params = params
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        c = self.config
+        self.t += 1
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            if c.kind == "sgd-momentum":
+                m *= c.momentum
+                m += g
+                p -= c.lr * m
+            else:
+                b1, b2 = c.betas
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                mh = m / (1 - b1 ** self.t)
+                vh = v / (1 - b2 ** self.t)
+                p -= c.lr * mh / (np.sqrt(vh) + c.eps)
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_fused_optimizer_matches_reference(kind):
+    # encoder weights and biases, a (2, D) centroid bank, a head weight and
+    # its (1,) bias
+    shapes = [(12, 6), (12,), (5, 12), (5,), (2, 5), (5,), (1,)]
+    rng = make_rng(21)
+    fused = [rng.normal(size=s) for s in shapes]
+    ref = [p.copy() for p in fused]
+    cfg = OptimizerConfig(kind=kind, lr=0.05)
+    a, b = _Optimizer(fused, cfg), _ReferenceOptimizer(ref, cfg)
+    for step in range(25):
+        grads = [rng.normal(scale=10.0 ** (step % 7 - 3), size=s) for s in shapes]
+        # a transposed (non-C-contiguous) gradient must flatten in C order
+        grads[0] = np.ascontiguousarray(grads[0].T).T
+        a.step(grads)
+        b.step(grads)
+    assert all(np.array_equal(p, q) for p, q in zip(fused, ref))
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+@pytest.mark.parametrize("loss", LOSS_KINDS)
+def test_train_with_fused_optimizer_matches_reference(small_records,
+                                                      monkeypatch, loss, kind):
+    last_sizes = []
+
+    def batches(n, batch_size, rng):
+        out = make_batches(n, batch_size, rng)
+        last_sizes.append(len(out[-1]))
+        return out
+
+    cfg = quick_config(loss=loss, batch_size=23,
+                       optimizer=OptimizerConfig(kind=kind, lr=0.01))
+    monkeypatch.setattr(training, "make_batches", batches)
+    report, ckpt = train(small_records, cfg)
+    assert 0 < last_sizes[0] < 23  # a partial last batch
+    monkeypatch.setattr(training, "_Optimizer", _ReferenceOptimizer)
+    ref_report, ref_ckpt = train(small_records, cfg)
+    assert ckpt.to_dict() == ref_ckpt.to_dict()
+    assert report.to_dict() == ref_report.to_dict()
 
 
 def test_sgd_first_step():
@@ -74,6 +160,8 @@ def test_train_validates_config():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(optimizer=OptimizerConfig(lr=-1.0))
+    with pytest.raises(ConfigError):
+        OptimizerConfig(kind="nope")
 
 
 def test_config_round_trip_and_unknown_keys():
