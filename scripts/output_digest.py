@@ -3,9 +3,11 @@
 deterministic output, one `<sha256>  <path>` line per file, sorted by path.
 
 The session: `gen` of the benchmark_spec(3) train and test sets, `ablate`
-with benchmark_train_config(3), `score` of the test set under `max` and
-`ensemble` (multi_centroid checkpoint) and `head` (wce checkpoint), and
-`export` with the multi_centroid checkpoint. `manifest.json` and
+with benchmark_train_config(3), `train` of the `single_centroid` loss and of
+the default loss under `sgd-momentum` (the two arms `ablate` leaves out),
+`score` of the test set under `max` and `ensemble` (multi_centroid
+checkpoint) and `head` (wce checkpoint), and `export` with the
+multi_centroid checkpoint. `manifest.json` and
 `report.json` are left out because they embed paths. Two commits that
 print the same list wrote byte-identical checkpoints, metrics, scores,
 ablation table, histogram, embeddings and datasets.
@@ -53,6 +55,12 @@ def _steps(out):
         ["gen", "--spec", test_spec, "--out", os.path.dirname(test)],
         ["ablate", "--config", config, "--data", train, "--test", test,
          "--out", ablate],
+        ["train", "--config", config, "--data", train,
+         "--set", "loss=single_centroid",
+         "--out", os.path.join(out, "train_single_centroid")],
+        ["train", "--config", config, "--data", train,
+         "--set", 'optimizer.kind="sgd-momentum"',
+         "--out", os.path.join(out, "train_sgd_momentum")],
         ["score", "--checkpoint", mc, "--data", test, "--strategy", "max",
          "--out", os.path.join(out, "score_max")],
         ["score", "--checkpoint", mc, "--data", test, "--strategy", "ensemble",

@@ -23,6 +23,7 @@ from .losses import (  # noqa: F401
     oc_softmax_loss,
     quality_loss,
     wce_loss,
+    wce_quality_loss,
 )
 from .model import (  # noqa: F401
     BinaryHead,
@@ -34,6 +35,6 @@ from .model import (  # noqa: F401
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import cosine, finite_diff_grad, make_rng, unit_normalize  # noqa: F401
+from .numerics import finite_diff_grad, make_rng  # noqa: F401
 from .scoring import compute_eer, score, score_dataset  # noqa: F401
 from .training import TrainConfig, train  # noqa: F401

@@ -6,6 +6,8 @@ Conventions shared by every loss here:
   * labels: 0 = bonafide, 1 = spoof; quality = -1 marks "absent"
   * on exact similarity ties the lowest-index centroid wins, and the
     subgradient goes to that same centroid
+  * diagnostics hold the detection term (margin loss or WCE) under
+    "one_class" and the quality term, where there is one, under "quality"
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ class LossHyper:
             "alpha": self.alpha, "m0": self.m0, "m1": self.m1,
             "s": self.s, "m": self.m, "lam": self.lam,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -210,5 +208,22 @@ def wce_loss(batch: Batch, head: BinaryHead,
         grad_embeddings=grad_emb,
         grad_head_weight=batch.embeddings.T @ dlogit,
         grad_head_bias=float(np.sum(dlogit)),
-        diagnostics={"wce": value},
+        diagnostics={"one_class": value},
+    )
+
+
+def wce_quality_loss(batch: Batch, bank: CentroidBank, head: BinaryHead,
+                     hyper: LossHyper, class_weights=(1.0, 1.0)) -> LossOutput:
+    """WCE on the head plus lam * the quality term on the centroid bank, in
+    the same operation order as combined_loss. The bank gets only the
+    quality gradient and the head only the WCE one."""
+    ce = wce_loss(batch, head, class_weights)
+    ql = quality_loss(batch, bank, hyper)
+    return LossOutput(
+        value=ce.value + hyper.lam * ql.value,
+        grad_embeddings=ce.grad_embeddings + hyper.lam * ql.grad_embeddings,
+        grad_centroids=hyper.lam * ql.grad_centroids,
+        grad_head_weight=ce.grad_head_weight,
+        grad_head_bias=ce.grad_head_bias,
+        diagnostics={"one_class": ce.value, "quality": ql.value},
     )

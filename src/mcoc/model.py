@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .data import QualityPolicy
-from .errors import DimMismatch, InvalidScheme, ZeroNorm
+from .errors import ConfigError, DimMismatch, InvalidScheme, ZeroNorm
 from .numerics import ZERO_NORM_EPS
 
-_ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 def _act(name, Z):
@@ -45,7 +45,7 @@ class Layer:
     activation: str = "identity"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
@@ -54,6 +54,11 @@ class Encoder:
 
     def __init__(self, layers):
         self.layers = list(layers)
+        if not self.layers:
+            raise DimMismatch("encoder needs at least one layer")
+        for layer in self.layers:
+            if layer.weight.ndim != 2 or layer.bias.shape != layer.weight.shape[:1]:
+                raise DimMismatch("layer weight must be (out, in) and bias (out,)")
         for a, b in zip(self.layers, self.layers[1:]):
             if b.weight.shape[1] != a.weight.shape[0]:
                 raise DimMismatch("layer dims do not chain")
@@ -87,10 +92,6 @@ class Encoder:
         Xhat = V / norms[:, None]
         cache = (acts, pre, norms, Xhat)
         return Xhat, cache
-
-    def encode(self, features: np.ndarray) -> np.ndarray:
-        emb, _ = self.forward(np.asarray(features, dtype=np.float64)[None, :])
-        return emb[0]
 
     def backward(self, cache, grad_embed: np.ndarray):
         """Reverse-mode gradients for all parameters and the input.
@@ -272,16 +273,30 @@ class Checkpoint:
 
     @classmethod
     def from_dict(cls, d):
-        if d.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
-        return cls(
-            encoder=Encoder.from_dict(d["encoder"]),
-            bank=None if d["bank"] is None else CentroidBank.from_dict(d["bank"]),
-            head=None if d["head"] is None else BinaryHead.from_dict(d["head"]),
-            policy=QualityPolicy.from_dict(d["policy"]),
-            hyper=d["hyper"],
-            metadata=d.get("metadata", {}),
-        )
+        """Raises ConfigError for another version, a missing or malformed
+        part, or a bank or head whose dimension is not the encoder's."""
+        version = d.get("version") if isinstance(d, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version!r}")
+        try:
+            ckpt = cls(
+                encoder=Encoder.from_dict(d["encoder"]),
+                bank=None if d["bank"] is None else CentroidBank.from_dict(d["bank"]),
+                head=None if d["head"] is None else BinaryHead.from_dict(d["head"]),
+                policy=QualityPolicy.from_dict(d["policy"]),
+                hyper=d["hyper"],
+                metadata=d.get("metadata", {}),
+            )
+        except (KeyError, TypeError, ValueError, DimMismatch) as exc:
+            raise ConfigError(f"malformed checkpoint: {exc!r}") from exc
+        D = ckpt.encoder.embed_dim
+        if ckpt.bank is not None and ckpt.bank.weights.shape[1:] != (D,):
+            raise ConfigError(f"checkpoint bank has shape {ckpt.bank.weights.shape}, "
+                              f"the encoder embeds in {D} dimensions")
+        if ckpt.head is not None and ckpt.head.weight.shape != (D,):
+            raise ConfigError(f"checkpoint head has shape {ckpt.head.weight.shape}, "
+                              f"the encoder embeds in {D} dimensions")
+        return ckpt
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -296,4 +311,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
-        return Checkpoint.from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+            raise ConfigError(f"{path}: not a JSON checkpoint: {exc}") from exc
+    return Checkpoint.from_dict(d)

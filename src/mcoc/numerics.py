@@ -8,31 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, ZeroNorm
-
 ZERO_NORM_EPS = 1e-30
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator. Same seed, same draw sequence, any platform."""
     return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-def unit_normalize(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n < ZERO_NORM_EPS:
-        raise ZeroNorm(f"cannot normalize vector with norm {n!r}")
-    return v / n
-
-
-def cosine(a, b) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1] to absorb rounding."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape {a.shape} vs {b.shape}")
-    return float(np.clip(a @ b, -1.0, 1.0))
 
 
 def sigmoid(z):

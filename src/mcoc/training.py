@@ -1,6 +1,17 @@
 """Mini-batch training loop: batching, SGD-momentum/Adam, unit-sphere
-projection of centroids after every step, validation EER tracking, and the
-four loss arms (multi_centroid, single_centroid, wce, wce_quality).
+projection of centroids after every step, and validation EER tracking.
+
+The loss kinds are the rows of ``OBJECTIVES`` (multi_centroid,
+single_centroid, wce, wce_quality). A row gives the arm's centroid count
+(or no bank), whether it has a binary head, and its loss; ``train`` reads
+the row and has no per-arm branch.
+
+``TrainConfig`` and its sections check every value when they are built:
+known names for the loss, optimizer, activation and centroid init; JSON
+integers for batch_size, epochs, seed and the encoder widths; finite
+numbers in range for the optimizer settings, fractions, noise scale and
+class weights; and that orthogonal centroids fit in the embedding. A bad
+value is a ``ConfigError`` (CLI exit 2) before any data is read.
 
 Everything is driven by one seeded generator in a fixed call order, so a
 config plus seed pins the produced checkpoint byte for byte.
@@ -10,9 +21,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import accumulate
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,13 +38,15 @@ from .errors import ConfigError, DivergenceDetected
 from .losses import (
     Batch,
     LossHyper,
+    LossOutput,
     QUALITY_ABSENT,
     combined_loss,
     oc_softmax_loss,
-    quality_loss,
     wce_loss,
+    wce_quality_loss,
 )
 from .model import (
+    ACTIVATIONS,
     CENTROID_INITS,
     Checkpoint,
     init_centroids,
@@ -41,9 +56,53 @@ from .model import (
 from .numerics import make_rng
 from .scoring import compute_eer, score_matrix
 
-LOSS_KINDS = ("multi_centroid", "single_centroid", "wce", "wce_quality")
+
+class Objective(NamedTuple):
+    """One training arm. ``bank_size(policy)`` is its centroid count (None:
+    no bank); ``loss(batch, bank, head, config)`` returns the LossOutput."""
+
+    bank_size: Optional[Callable[[QualityPolicy], int]]
+    has_head: bool
+    loss: Callable[..., LossOutput]
+
+
+# The losses are looked up by their module-level names at call time, so a
+# wrapper installed on those names (a tracer, a test) sees every call.
+OBJECTIVES = {
+    "multi_centroid": Objective(
+        lambda policy: policy.num_levels, False,
+        lambda batch, bank, head, c: combined_loss(batch, bank, c.hyper)),
+    "single_centroid": Objective(
+        lambda policy: 1, False,
+        lambda batch, bank, head, c: oc_softmax_loss(batch, bank, c.hyper)),
+    "wce": Objective(
+        None, True,
+        lambda batch, bank, head, c: wce_loss(batch, head, c.class_weights)),
+    "wce_quality": Objective(
+        lambda policy: policy.num_levels, True,
+        lambda batch, bank, head, c: wce_quality_loss(
+            batch, bank, head, c.hyper, c.class_weights)),
+}
+LOSS_KINDS = tuple(OBJECTIVES)
 OPTIMIZER_KINDS = ("adam", "sgd-momentum")
 DIVERGENCE_LIMIT = 1e6
+
+
+def _is_int(value):
+    # bool is an int subclass; it is rejected, not read as 0 or 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    # a finite float, or an int that fits in one
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) <= sys.float_info.max
+
+
+def _require(ok, name, value, what):
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,10 +116,17 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown optimizer {self.kind!r}")
-
-    def to_dict(self):
-        return {"kind": self.kind, "lr": self.lr, "betas": list(self.betas),
-                "eps": self.eps, "momentum": self.momentum}
+        _require(_is_real(self.lr) and self.lr > 0,
+                 "optimizer.lr", self.lr, "a number > 0")
+        b = self.betas
+        _require(isinstance(b, (list, tuple)) and len(b) == 2
+                 and all(_is_real(x) and 0 <= x < 1 for x in b),
+                 "optimizer.betas", b, "two numbers in [0, 1)")
+        object.__setattr__(self, "betas", tuple(b))
+        _require(_is_real(self.eps) and self.eps > 0,
+                 "optimizer.eps", self.eps, "a number > 0")
+        _require(_is_real(self.momentum) and 0 <= self.momentum < 1,
+                 "optimizer.momentum", self.momentum, "a number in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -69,9 +135,16 @@ class EncoderConfig:
     embed_dim: int = 16
     activation: str = "relu"
 
-    def to_dict(self):
-        return {"hidden": list(self.hidden), "embed_dim": self.embed_dim,
-                "activation": self.activation}
+    def __post_init__(self):
+        h = self.hidden
+        _require(isinstance(h, (list, tuple))
+                 and all(_is_int(x) and x >= 1 for x in h),
+                 "encoder.hidden", h, "a list of integers >= 1")
+        object.__setattr__(self, "hidden", tuple(h))
+        _require(_is_int(self.embed_dim) and self.embed_dim >= 2,
+                 "encoder.embed_dim", self.embed_dim, "an integer >= 2")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -93,71 +166,59 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.optimizer.lr <= 0:
-            raise ConfigError("learning rate must be > 0")
         for name in ("batch_size", "epochs", "seed"):
             value = getattr(self, name)
-            # bool is an int subclass; it is rejected, not read as 0 or 1
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            _require(_is_int(value), name, value, "an integer")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.centroid_init not in CENTROID_INITS:
             raise ConfigError(f"unknown centroid_init {self.centroid_init!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in [0, 1)")
+        _require(_is_real(self.val_fraction) and 0 <= self.val_fraction < 1,
+                 "val_fraction", self.val_fraction, "a number in [0, 1)")
+        _require(_is_real(self.augment_fraction)
+                 and 0 <= self.augment_fraction <= 1,
+                 "augment_fraction", self.augment_fraction, "a number in [0, 1]")
+        _require(_is_real(self.noise_scale) and self.noise_scale >= 0,
+                 "noise_scale", self.noise_scale, "a number >= 0")
+        w = self.class_weights
+        _require(isinstance(w, (list, tuple)) and len(w) == 2
+                 and all(_is_real(x) and x > 0 for x in w),
+                 "class_weights", w, "two numbers > 0")
+        object.__setattr__(self, "class_weights", tuple(w))
+        bank_size = OBJECTIVES[self.loss].bank_size
+        if bank_size is not None and self.centroid_init == "orthogonal":
+            q, d = bank_size(self.policy), self.encoder.embed_dim
+            if q > d:
+                raise ConfigError(f"orthogonal centroid_init needs at most "
+                                  f"encoder.embed_dim ({d}) centroids, got {q}")
 
     def to_dict(self):
-        return {
-            "loss": self.loss,
-            "hyper": self.hyper.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "encoder": self.encoder.to_dict(),
-            "policy": self.policy.to_dict(),
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "augment_fraction": self.augment_fraction,
-            "noise_scale": self.noise_scale,
-            "val_fraction": self.val_fraction,
-            "centroid_init": self.centroid_init,
-            "class_weights": list(self.class_weights),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        known = {
-            "loss", "hyper", "optimizer", "encoder", "policy", "batch_size",
-            "epochs", "seed", "augment_fraction", "noise_scale",
-            "val_fraction", "centroid_init", "class_weights",
-        }
-        unknown = set(d) - known
+        """Inverse of to_dict; missing keys take their defaults."""
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(d) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        try:
-            if "hyper" in d:
-                kwargs["hyper"] = LossHyper.from_dict(d.pop("hyper"))
-            if "optimizer" in d:
-                od = d.pop("optimizer")
-                if "betas" in od:
-                    od["betas"] = tuple(od["betas"])
-                kwargs["optimizer"] = OptimizerConfig(**od)
-            if "encoder" in d:
-                ed = d.pop("encoder")
-                if "hidden" in ed:
-                    ed["hidden"] = tuple(ed["hidden"])
-                kwargs["encoder"] = EncoderConfig(**ed)
-            if "policy" in d:
-                kwargs["policy"] = QualityPolicy.from_dict(d.pop("policy"))
-            if "class_weights" in d:
-                d["class_weights"] = tuple(d.pop("class_weights"))
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-        return cls(**kwargs, **d)
+        kwargs = dict(d)
+        for name, value in d.items():
+            # a field with a default factory is a nested section; the
+            # factory is the section's class
+            section = known[name].default_factory
+            if section is MISSING:
+                continue
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be an object, got {value!r}")
+            try:
+                kwargs[name] = section(**value)
+            except (TypeError, ValueError) as exc:
+                # unknown section keys, and LossHyper/QualityPolicy checks
+                raise ConfigError(f"{name}: {exc}") from exc
+        return cls(**kwargs)
 
 
 def benchmark_train_config(seed: int, lam: float = 0.1,
@@ -325,24 +386,19 @@ def train(records, config: TrainConfig):
         input_dim, config.encoder.hidden, config.encoder.embed_dim, rng,
         config.encoder.activation,
     )
-    uses_bank = config.loss in ("multi_centroid", "single_centroid", "wce_quality")
-    num_centroids = 1 if config.loss == "single_centroid" else config.policy.num_levels
+    objective = OBJECTIVES[config.loss]
     bank = None
-    if uses_bank:
-        bank = init_centroids(
-            num_centroids, config.encoder.embed_dim, config.centroid_init, rng
-        )
-    head = None
-    if config.loss in ("wce", "wce_quality"):
-        head = init_head(config.encoder.embed_dim, rng)
+    if objective.bank_size is not None:
+        bank = init_centroids(objective.bank_size(config.policy),
+                              config.encoder.embed_dim, config.centroid_init, rng)
+    head = init_head(config.encoder.embed_dim, rng) if objective.has_head else None
 
     params = encoder.parameters()
     if bank is not None:
         params.append(bank.weights)
     if head is not None:
-        params.append(head.weight)
         head_bias = np.array([head.bias])
-        params.append(head_bias)
+        params += [head.weight, head_bias]
     opt = _Optimizer(params, config.optimizer)
 
     X_val, y_val, _ = (
@@ -358,37 +414,18 @@ def train(records, config: TrainConfig):
             emb, cache = encoder.forward(X_tr[idx])
             batch = Batch(embeddings=emb, labels=y_tr[idx], quality=q_tr[idx])
 
-            if config.loss in ("multi_centroid", "single_centroid"):
-                if config.loss == "single_centroid":
-                    out = oc_softmax_loss(batch, bank, config.hyper)
-                else:
-                    out = combined_loss(batch, bank, config.hyper)
-                grads_extra = [out.grad_centroids]
-            elif config.loss == "wce":
-                out = wce_loss(batch, head, config.class_weights)
-                grads_extra = [out.grad_head_weight,
-                               np.array([out.grad_head_bias])]
-            else:  # wce_quality
-                out = wce_loss(batch, head, config.class_weights)
-                ql = quality_loss(batch, bank, config.hyper)
-                lam = config.hyper.lam
-                out.value = out.value + lam * ql.value
-                out.grad_embeddings = out.grad_embeddings + lam * ql.grad_embeddings
-                out.diagnostics["quality"] = ql.value
-                grads_extra = [lam * ql.grad_centroids,
-                               out.grad_head_weight,
-                               np.array([out.grad_head_bias])]
-
+            out = objective.loss(batch, bank, head, config)
             if not np.isfinite(out.value) or abs(out.value) > DIVERGENCE_LIMIT:
                 raise DivergenceDetected(
                     f"epoch {epoch}: loss {out.value!r} out of bounds"
                 )
             param_grads, _ = encoder.backward(cache, out.grad_embeddings)
-            flat = []
-            for gw, gb in param_grads:
-                flat.extend([gw, gb])
-            flat.extend(grads_extra)
-            opt.step(flat)
+            grads = [g for pair in param_grads for g in pair]
+            if bank is not None:
+                grads.append(out.grad_centroids)
+            if head is not None:
+                grads += [out.grad_head_weight, np.array([out.grad_head_bias])]
+            opt.step(grads)
             if bank is not None:
                 bank.renormalize()
             if head is not None:
@@ -396,8 +433,7 @@ def train(records, config: TrainConfig):
 
             nb = len(idx)
             total += out.value * nb
-            total_oc += out.diagnostics.get("one_class",
-                                            out.diagnostics.get("wce", 0.0)) * nb
+            total_oc += out.diagnostics["one_class"] * nb
             total_ql += out.diagnostics.get("quality", 0.0) * nb
             seen += nb
 

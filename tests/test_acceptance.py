@@ -26,6 +26,7 @@ from mcoc.losses import (
     oc_softmax_loss,
     quality_loss,
     wce_loss,
+    wce_quality_loss,
 )
 from mcoc.model import BinaryHead, CentroidBank, init_centroids, init_encoder
 from mcoc.numerics import finite_diff_grad, make_rng
@@ -141,6 +142,25 @@ def test_gradient_suite_100_configs_each():
                               (np.array([out.grad_head_bias]), fb)])
 
     for _ in range(100):
+        batch, bank = config([1, 2, 4])
+        d = batch.embeddings.shape[1]
+        head = BinaryHead(weight=rng.normal(size=d), bias=float(rng.normal()))
+        weights = (1.0, float(rng.uniform(0.5, 3.0)))
+
+        def f(E=batch.embeddings, W=bank.weights, w=head.weight, b=head.bias):
+            return wce_quality_loss(Batch(E, batch.labels, batch.quality),
+                                    CentroidBank(W), BinaryHead(w, float(b)),
+                                    HYPER, weights).value
+
+        out = wce_quality_loss(batch, bank, head, HYPER, weights)
+        fe = finite_diff_grad(lambda E: f(E=E), batch.embeddings)
+        fc = finite_diff_grad(lambda W: f(W=W), bank.weights)
+        fw = finite_diff_grad(lambda w: f(w=w), head.weight)
+        fb = finite_diff_grad(lambda b: f(b=b[0]), np.array([head.bias]))
+        check(out, fe, fc, extra=[(out.grad_head_weight, fw),
+                                  (np.array([out.grad_head_bias]), fb)])
+
+    for _ in range(100):
         din = int(rng.integers(2, 7))
         dout = int(rng.integers(2, 7))
         enc = init_encoder(din, (int(rng.integers(3, 9)),), dout, rng,
@@ -163,7 +183,7 @@ def test_gradient_suite_100_configs_each():
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
-    ok(f"gradient suite: 6 families x 100 configs, rel err < 1e-4 "
+    ok(f"gradient suite: 7 families x 100 configs, rel err < 1e-4 "
        f"({elapsed:.1f}s)")
 
 

@@ -113,6 +113,15 @@ def test_unknown_config_key_exit_code(workspace):
     assert rc == 2
 
 
+def test_config_not_an_object_exit_code(workspace, capsys):
+    tmp, _, cfg = workspace
+    cfg.write_text("[]")
+    rc = run("train", "--config", cfg, "--data", tmp / "absent.jsonl",
+             "--set", "epochs=1", "--out", tmp / "x")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_missing_file_exit_code(tmp_path):
     rc = run("score", "--checkpoint", tmp_path / "none.json",
              "--data", tmp_path / "none.jsonl", "--out", tmp_path / "o")
@@ -203,6 +212,14 @@ def test_head_report_matches_eval(workspace):
 @pytest.mark.parametrize("override", [
     "batch_size=2.5", "epochs=1.5", 'seed="x"', "seed=-1", "batch_size=true",
     'centroid_init="foo"', 'optimizer.kind="foo"',
+    'optimizer.lr="x"', "optimizer.lr=1e999", "optimizer.lr=1" + "0" * 400,
+    "optimizer.betas=[0.9]", "optimizer.eps=0", "optimizer.momentum=1",
+    'val_fraction="x"', "augment_fraction=-1", 'noise_scale="x"',
+    'encoder.activation="foo"', "encoder.hidden=[0]", "encoder.embed_dim=1",
+    "hyper.m0=0.1", 'hyper.lam="x"', "hyper.foo=1", "policy.num_levels=3",
+    "policy=3", "class_weights=[1]", "class_weights=[1, 0]",
+    # seven orthogonal centroids do not fit in the config's 6-d embedding
+    'policy={"num_levels": 7, "thresholds": [1.5, 2, 2.5, 3, 3.5, 4]}',
 ])
 def test_bad_train_config_exits_2_before_loading(workspace, capsys, override):
     tmp, _, cfg = workspace
@@ -210,6 +227,35 @@ def test_bad_train_config_exits_2_before_loading(workspace, capsys, override):
     # give the I/O exit code instead
     rc = run("train", "--config", cfg, "--data", tmp / "absent.jsonl",
              "--set", override, "--out", tmp / "x")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def _edit_json(change):
+    def apply(text):
+        d = json.loads(text)
+        change(d)
+        return json.dumps(d)
+    return apply
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(_edit_json(lambda d: d.update(version=2)), id="version-2"),
+    pytest.param(lambda text: text[:len(text) // 2], id="truncated-json"),
+    pytest.param(_edit_json(lambda d: [row.pop() for row in d["bank"]["weights"]]),
+                 id="bank-dim"),
+    pytest.param(_edit_json(lambda d: d.update(head={"weight": [0.5] * 5,
+                                                     "bias": 0.0})),
+                 id="head-dim"),
+    pytest.param(_edit_json(lambda d: d.pop("policy")), id="missing-part"),
+])
+def test_bad_checkpoint_exits_2(workspace, capsys, damage):
+    tmp, data, ckpt = trained(workspace)
+    bad = tmp / "bad.json"
+    bad.write_text(damage(ckpt.read_text()))
+    capsys.readouterr()
+    rc = run("score", "--checkpoint", bad, "--data", data, "--out", tmp / "sc")
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1

@@ -13,6 +13,7 @@ from mcoc.losses import (
     oc_softmax_loss,
     quality_loss,
     wce_loss,
+    wce_quality_loss,
 )
 from mcoc.model import BinaryHead, CentroidBank, init_centroids
 from mcoc.numerics import finite_diff_grad, make_rng
@@ -321,6 +322,28 @@ def test_wce_gradients_match_finite_differences():
         batch.embeddings)
     assert rel_err(out.grad_head_weight, gw) < 1e-4
     assert rel_err(out.grad_embeddings, ge) < 1e-4
+
+
+# ---- wce plus the quality term ----
+
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_wce_quality_equals_inline_composition_bitwise(lam):
+    # the composition the training loop used to spell out by hand
+    rng = make_rng(19)
+    batch, bank = random_batch(rng, 9, 2, 6)
+    assert 0 < np.sum(batch.labels) < batch.size
+    head = BinaryHead(weight=rng.normal(size=6), bias=-0.3)
+    hyper = LossHyper(lam=lam)
+    out = wce_quality_loss(batch, bank, head, hyper, (1.0, 2.0))
+    ce = wce_loss(batch, head, (1.0, 2.0))
+    ql = quality_loss(batch, bank, hyper)
+    assert out.value == ce.value + lam * ql.value
+    assert np.array_equal(out.grad_embeddings,
+                          ce.grad_embeddings + lam * ql.grad_embeddings)
+    assert np.array_equal(out.grad_centroids, lam * ql.grad_centroids)
+    assert np.array_equal(out.grad_head_weight, ce.grad_head_weight)
+    assert out.grad_head_bias == ce.grad_head_bias
+    assert out.diagnostics == {"one_class": ce.value, "quality": ql.value}
 
 
 # ---- gradient spot checks (the full 100-config sweep lives in acceptance) ----

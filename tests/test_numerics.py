@@ -3,14 +3,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcoc.errors import DimMismatch, ZeroNorm
-from mcoc.numerics import (
-    cosine,
-    finite_diff_grad,
-    make_rng,
-    sigmoid,
-    softplus,
-    unit_normalize,
-)
+from mcoc.model import CentroidBank
+from mcoc.numerics import ZERO_NORM_EPS, finite_diff_grad, make_rng, sigmoid, softplus
+
+
+# One-vector reference helpers: the oracles for CentroidBank's row-wise
+# renormalize and pairwise_cosines.
+def unit_normalize(v) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    n = np.linalg.norm(v)
+    if n < ZERO_NORM_EPS:
+        raise ZeroNorm(f"cannot normalize vector with norm {n!r}")
+    return v / n
+
+
+def cosine(a, b) -> float:
+    """Dot product of two unit vectors, clamped to [-1, 1] to absorb rounding."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimMismatch(f"shape {a.shape} vs {b.shape}")
+    return float(np.clip(a @ b, -1.0, 1.0))
+
 
 finite_vec = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -29,6 +43,8 @@ def test_unit_normalize_already_unit():
 def test_unit_normalize_zero_raises():
     with pytest.raises(ZeroNorm):
         unit_normalize([0, 0])
+    with pytest.raises(ZeroNorm):
+        CentroidBank(np.zeros((1, 2))).renormalize()
 
 
 @given(finite_vec)
@@ -36,6 +52,9 @@ def test_unit_normalize_idempotent(v):
     u = unit_normalize(v)
     assert np.linalg.norm(unit_normalize(u) - u) < 1e-12
     assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+    bank = CentroidBank(np.array([v], dtype=np.float64))
+    bank.renormalize()
+    assert np.max(np.abs(bank.weights[0] - u)) < 1e-14
 
 
 def test_cosine_examples():
@@ -65,6 +84,8 @@ def test_cosine_symmetry_and_clamp(pair):
     ua, ub = unit_normalize(a), unit_normalize(b)
     assert cosine(ua, ub) == cosine(ub, ua)
     assert -1.0 <= cosine(ua, ub) <= 1.0
+    pair_cos = CentroidBank(np.stack([ua, ub])).pairwise_cosines()
+    assert abs(pair_cos[0] - cosine(ua, ub)) < 1e-14
 
 
 def test_finite_diff_quadratic():

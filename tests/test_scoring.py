@@ -270,7 +270,8 @@ def test_embed_matches_one_row_forward(wide):
     records, encoder, _, _, _ = wide
     E = embed(records, encoder)
     assert E.shape == (WIDE_ROWS, 16)
-    ref = np.stack([encoder.encode(r.features) for r in records])
+    ref = np.concatenate([encoder.forward(r.features[None, :])[0]
+                          for r in records])
     assert np.max(np.abs(E - ref)) <= 1e-12
 
 

@@ -128,6 +128,22 @@ def test_train_with_fused_optimizer_matches_reference(small_records,
     assert report.to_dict() == ref_report.to_dict()
 
 
+@pytest.mark.parametrize("loss, name", [
+    ("multi_centroid", "combined_loss"), ("single_centroid", "oc_softmax_loss"),
+    ("wce", "wce_loss"), ("wce_quality", "wce_quality_loss"),
+])
+def test_objectives_look_losses_up_by_name(small_records, monkeypatch,
+                                           loss, name):
+    # a wrapper installed on the module attribute (as a tracer does) must
+    # see every step's loss call
+    calls = []
+    fn = getattr(training, name)
+    monkeypatch.setattr(training, name,
+                        lambda *a: calls.append(1) or fn(*a))
+    train(small_records, quick_config(loss=loss, epochs=1))
+    assert len(calls) == 5  # 160 training rows in batches of 32
+
+
 def test_sgd_first_step():
     p = np.array([1.0, 2.0])
     opt = _Optimizer([p], OptimizerConfig(kind="sgd-momentum", lr=0.1,
