@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 from .data import (  # noqa: F401
     BONAFIDE,
     SPOOF,
+    Dataset,
     QualityPolicy,
     SyntheticSpec,
-    UtteranceRecord,
     benchmark_spec,
     generate_synthetic,
     load_jsonl,

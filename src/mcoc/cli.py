@@ -20,6 +20,8 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    BONAFIDE,
+    SPOOF,
     QualityPolicy,
     SyntheticSpec,
     generate_synthetic,
@@ -121,8 +123,7 @@ def _cmd_gen(args):
     if args.seed is not None:
         spec_dict["seed"] = args.seed
     spec = SyntheticSpec.from_dict(spec_dict)
-    policy = QualityPolicy.from_dict(spec_dict.get("policy", {})) \
-        if "policy" in spec_dict else QualityPolicy()
+    policy = QualityPolicy.from_dict(spec_dict.get("policy", {}))
     records = generate_synthetic(spec, policy)
     outdir = _outdir(args, "gen")
     save_jsonl(records, os.path.join(outdir, "data.jsonl"))
@@ -183,9 +184,9 @@ def _cmd_score(args):
 def _cmd_eval(args):
     _, scores, labels = read_scores_csv(args.scores)
     scores = np.asarray(scores)
-    labels = np.asarray([-1 if l is None else l for l in labels])
-    bona = scores[labels == 0]
-    spoof = scores[labels == 1]
+    labels = np.array(labels, dtype=object)  # None where a row has none
+    bona = scores[labels == BONAFIDE]
+    spoof = scores[labels == SPOOF]
     eer, threshold = compute_eer(bona, spoof)
     summary = {
         "eer": eer,

@@ -1,27 +1,33 @@
-"""Dataset records, JSONL ingestion, MOS thresholding, synthetic generation, augmentation.
+"""Columnar datasets, JSONL I/O, MOS thresholding, synthetic data, augmentation.
 
 Detection labels: 0 = bonafide, 1 = spoof. Quality levels exist only for bona
-fide records; spoof records carry ``quality=None`` throughout.
+fide records; spoof records carry ``QUALITY_ABSENT`` throughout.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+import math
+from array import array
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     MissingField,
     MosOutOfRange,
-    NonFiniteFeature,
     ParseError,
+    is_int,
+    is_real,
+    require,
 )
 from .numerics import make_rng
 
 BONAFIDE = 0
 SPOOF = 1
+QUALITY_ABSENT = -1
 
 _LABEL_NAMES = {BONAFIDE: "bonafide", SPOOF: "spoof"}
 _LABEL_CODES = {v: k for k, v in _LABEL_NAMES.items()}
@@ -36,21 +42,25 @@ class QualityPolicy:
     thresholds: tuple = ()
 
     def __post_init__(self):
-        if self.num_levels < 1:
-            raise ValueError("num_levels must be >= 1")
-        cuts = tuple(float(t) for t in self.thresholds)
+        require(is_real(self.tau), "policy.tau", self.tau, "a number")
+        require(is_int(self.num_levels) and self.num_levels >= 1,
+                "policy.num_levels", self.num_levels, "an integer >= 1")
+        t = self.thresholds
+        require(isinstance(t, (list, tuple)) and all(map(is_real, t)),
+                "policy.thresholds", t, "a list of numbers")
+        cuts = tuple(float(x) for x in t)
         if not cuts and self.num_levels == 2:
             cuts = (float(self.tau),)
         if not cuts and self.num_levels > 2:
-            raise ValueError("num_levels > 2 requires explicit thresholds")
+            raise ConfigError("policy: num_levels > 2 requires explicit thresholds")
         if len(cuts) != self.num_levels - 1:
-            raise ValueError(
-                f"need {self.num_levels - 1} thresholds, got {len(cuts)}"
+            raise ConfigError(
+                f"policy: need {self.num_levels - 1} thresholds, got {len(cuts)}"
             )
-        if any(not (1.0 < t < 5.0) for t in cuts):
-            raise ValueError("thresholds must lie strictly inside (1, 5)")
+        if any(not (1.0 < x < 5.0) for x in cuts):
+            raise ConfigError("policy: thresholds must lie strictly inside (1, 5)")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
-            raise ValueError("thresholds must be strictly ascending")
+            raise ConfigError("policy: thresholds must be strictly ascending")
         object.__setattr__(self, "thresholds", cuts)
 
     def to_dict(self):
@@ -62,71 +72,88 @@ class QualityPolicy:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            tau=d.get("tau", 2.5),
-            num_levels=d.get("num_levels", 2),
-            thresholds=tuple(d.get("thresholds", ())),
+        """Inverse of to_dict; missing keys take their defaults."""
+        require(isinstance(d, dict), "policy", d, "an object")
+        try:
+            return cls(**d)
+        except TypeError as exc:  # an unknown key
+            raise ConfigError(f"policy: {exc}") from exc
+
+
+def quality_label(mos, policy: QualityPolicy):
+    """Bucket index of a MOS value (an int) or of each value of an array (an
+    int64 array); a value exactly on a cut goes to the upper bucket."""
+    m = np.asarray(mos, dtype=np.float64)
+    outside = ~((m >= 1.0) & (m <= 5.0))  # NaN is outside too
+    if np.any(outside):
+        raise MosOutOfRange(f"mos={float(m[outside][0])!r} outside [1, 5]")
+    levels = np.searchsorted(policy.thresholds, m, side="right")
+    return levels.astype(np.int64) if m.ndim else int(levels)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """N utterances as columns, one row per record.
+
+    ids: N strings; X: (N, d) float64 features; y: (N,) int64 labels;
+    mos: (N,) float64, NaN where absent; quality: (N,) int64 level,
+    QUALITY_ABSENT where absent; augmented: (N,) bool.
+    """
+
+    ids: list
+    X: np.ndarray
+    y: np.ndarray
+    mos: np.ndarray
+    quality: np.ndarray
+    augmented: np.ndarray
+
+    def __len__(self):
+        return len(self.ids)
+
+    def take(self, rows):
+        """The records at the integer indices `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Dataset(
+            ids=np.array(self.ids, dtype=object)[rows].tolist(),
+            X=self.X[rows],
+            y=self.y[rows],
+            mos=self.mos[rows],
+            quality=self.quality[rows],
+            augmented=self.augmented[rows],
         )
 
 
-def quality_label(mos: float, policy: QualityPolicy) -> int:
-    """Bucket index for a MOS value; a value exactly on a cut goes to the upper bucket."""
-    mos = float(mos)
-    if not (1.0 <= mos <= 5.0) or not np.isfinite(mos):
-        raise MosOutOfRange(f"mos={mos!r} outside [1, 5]")
-    return int(np.searchsorted(policy.thresholds, mos, side="right"))
+def make_dataset(ids, X, y, mos, augmented, policy: QualityPolicy) -> Dataset:
+    """Dataset of the given columns with quality derived from them: level 0
+    for augmented bona fide records, the MOS level for other bona fide
+    records with a MOS, absent for the rest."""
+    y = np.asarray(y, dtype=np.int64)
+    mos = np.asarray(mos, dtype=np.float64)
+    augmented = np.asarray(augmented, dtype=bool)
+    bona = y == BONAFIDE
+    rated = bona & ~augmented & ~np.isnan(mos)
+    quality = np.full(y.shape, QUALITY_ABSENT, dtype=np.int64)
+    quality[rated] = quality_label(mos[rated], policy)
+    quality[bona & augmented] = 0
+    return Dataset(list(ids), np.asarray(X, dtype=np.float64), y, mos,
+                   quality, augmented)
 
 
-@dataclass(eq=False)
-class UtteranceRecord:
-    id: str
-    features: np.ndarray
-    label: int
-    mos: Optional[float] = None
-    quality: Optional[int] = None
-    augmented: bool = False
+def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
+    """Parse one record per line. Quality is always recomputed, never read.
 
-    def __eq__(self, other):
-        if not isinstance(other, UtteranceRecord):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and np.array_equal(self.features, other.features)
-            and self.label == other.label
-            and self.mos == other.mos
-            and self.quality == other.quality
-            and self.augmented == other.augmented
-        )
-
-
-def _derive_quality(label, mos, augmented, policy):
-    if label != BONAFIDE:
-        return None
-    if augmented:
-        return 0
-    if mos is None:
-        return None
-    return quality_label(mos, policy)
-
-
-def make_record(id, features, label, mos=None, augmented=False,
-                policy: QualityPolicy = QualityPolicy()) -> UtteranceRecord:
-    feats = np.asarray(features, dtype=np.float64)
-    if not np.all(np.isfinite(feats)):
-        raise NonFiniteFeature(f"record {id!r} has non-finite features")
-    return UtteranceRecord(
-        id=str(id),
-        features=feats,
-        label=int(label),
-        mos=None if mos is None else float(mos),
-        quality=_derive_quality(int(label), mos, augmented, policy),
-        augmented=bool(augmented),
-    )
-
-
-def load_jsonl(path, policy: QualityPolicy = QualityPolicy()):
-    """Parse one record per line. Quality is always recomputed, never read."""
-    records = []
+    Each line is a JSON object with a string `id` not seen before, a known
+    `label`, `features` as a non-empty list of finite numbers as long as the
+    first record's, and optionally `mos` (a number or null) and `augmented`
+    (true or false). Anything else is a ParseError or MissingField naming
+    the line.
+    """
+    ids, labels, mos, augmented = [], [], [], []
+    # features go straight into one flat buffer of doubles: holding the
+    # parsed lists of Python floats instead would take about four times
+    # the memory of the final array
+    features, dim = array("d"), 0
+    first_seen = {}  # id -> line number
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -135,39 +162,57 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(line_no, "expected a JSON object")
             for key in ("id", "features", "label"):
                 if key not in obj:
                     raise MissingField(f"line {line_no}: missing {key!r}")
-            if obj["label"] not in _LABEL_CODES:
-                raise ParseError(line_no, f"unknown label {obj['label']!r}")
-            try:
-                records.append(
-                    make_record(
-                        obj["id"],
-                        obj["features"],
-                        _LABEL_CODES[obj["label"]],
-                        mos=obj.get("mos"),
-                        augmented=obj.get("augmented", False),
-                        policy=policy,
-                    )
-                )
-            except NonFiniteFeature:
-                raise NonFiniteFeature(f"line {line_no}: non-finite feature value")
-    return records
+            rid, feats, label = obj["id"], obj["features"], obj["label"]
+            m, aug = obj.get("mos"), obj.get("augmented", False)
+            if not isinstance(rid, str):
+                raise ParseError(line_no, f"id must be a string, got {rid!r}")
+            if rid in first_seen:
+                raise ParseError(line_no, f"duplicate id {rid!r} "
+                                          f"(first on line {first_seen[rid]})")
+            if not (isinstance(label, str) and label in _LABEL_CODES):
+                raise ParseError(line_no, f"unknown label {label!r}")
+            if not (isinstance(feats, list) and feats
+                    and all(map(is_real, feats))):
+                raise ParseError(line_no, "features must be a non-empty list "
+                                          "of finite numbers")
+            if not ids:
+                dim = len(feats)
+            elif len(feats) != dim:
+                raise ParseError(line_no, f"{len(feats)} features, the first "
+                                          f"record has {dim}")
+            if m is not None and not is_real(m):
+                raise ParseError(line_no, f"mos must be a number or null, got {m!r}")
+            if not isinstance(aug, bool):
+                raise ParseError(line_no, f"augmented must be true or false, "
+                                          f"got {aug!r}")
+            first_seen[rid] = line_no
+            ids.append(rid)
+            features.extend(feats)
+            labels.append(_LABEL_CODES[label])
+            mos.append(np.nan if m is None else m)
+            augmented.append(aug)
+    X = np.frombuffer(features).reshape(len(ids), dim)
+    return make_dataset(ids, X, labels, mos, augmented, policy)
 
 
-def save_jsonl(records: Sequence[UtteranceRecord], path):
+def save_jsonl(records: Dataset, path):
     """Inverse of load_jsonl. Quality is derived state and is not serialized."""
+    # features are converted row by row, so that the Python floats of only
+    # one row exist at a time
+    columns = zip(records.ids, records.X, records.y.tolist(),
+                  records.mos.tolist(), records.augmented.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            obj = {
-                "id": r.id,
-                "features": [float(x) for x in r.features],
-                "label": _LABEL_NAMES[r.label],
-            }
-            if r.mos is not None:
-                obj["mos"] = float(r.mos)
-            if r.augmented:
+        for rid, x, label, mos, aug in columns:
+            obj = {"id": rid, "features": x.tolist(),
+                   "label": _LABEL_NAMES[label]}
+            if not math.isnan(mos):
+                obj["mos"] = mos
+            if aug:
                 obj["augmented"] = True
             fh.write(json.dumps(obj) + "\n")
 
@@ -183,12 +228,17 @@ class ClusterSpec:
     quality_band: Optional[str] = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.spread <= 0:
-            raise ValueError("spread must be > 0")
-        if self.label == BONAFIDE and self.quality_band not in ("low", "high"):
-            raise ValueError("bonafide cluster needs quality_band 'low' or 'high'")
+        require(is_int(self.count) and self.count >= 1,
+                "count", self.count, "an integer >= 1")
+        require(isinstance(self.mean, (list, tuple))
+                and all(map(is_real, self.mean)),
+                "mean", self.mean, "a list of numbers")
+        object.__setattr__(self, "mean", tuple(self.mean))
+        require(is_real(self.spread) and self.spread > 0,
+                "spread", self.spread, "a number > 0")
+        if self.label == BONAFIDE:
+            require(self.quality_band in ("low", "high"), "quality_band",
+                    self.quality_band, "'low' or 'high' for a bonafide cluster")
 
 
 @dataclass(frozen=True)
@@ -196,6 +246,18 @@ class SyntheticSpec:
     dim: int
     clusters: tuple
     seed: int = 0
+
+    def __post_init__(self):
+        require(is_int(self.dim) and self.dim >= 1,
+                "dim", self.dim, "an integer >= 1")
+        require(is_int(self.seed) and self.seed >= 0,
+                "seed", self.seed, "an integer >= 0")
+        require(len(self.clusters) >= 1, "clusters", self.clusters,
+                "a non-empty list")
+        for i, c in enumerate(self.clusters):
+            if len(c.mean) != self.dim:
+                raise ConfigError(f"cluster {i}: mean has {len(c.mean)} "
+                                  f"values, dim is {self.dim}")
 
     def to_dict(self):
         return {
@@ -215,17 +277,28 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d):
-        clusters = tuple(
-            ClusterSpec(
-                count=c["count"],
-                mean=tuple(c["mean"]),
-                spread=c["spread"],
-                label=_LABEL_CODES[c.get("label", "bonafide")],
-                quality_band=c.get("quality_band"),
-            )
-            for c in d["clusters"]
-        )
-        return cls(dim=d["dim"], clusters=clusters, seed=d.get("seed", 0))
+        """Inverse of to_dict; a missing or malformed value is a ConfigError."""
+        clusters = d.get("clusters")
+        require(isinstance(clusters, list)
+                and all(isinstance(c, dict) for c in clusters),
+                "clusters", clusters, "a list of objects")
+        specs = []
+        try:
+            for c in clusters:
+                label = c.get("label", "bonafide")
+                require(isinstance(label, str) and label in _LABEL_CODES,
+                        "label", label, "'bonafide' or 'spoof'")
+                specs.append(ClusterSpec(
+                    count=c["count"],
+                    mean=c["mean"],
+                    spread=c["spread"],
+                    label=_LABEL_CODES[label],
+                    quality_band=c.get("quality_band"),
+                ))
+            return cls(dim=d["dim"], clusters=tuple(specs),
+                       seed=d.get("seed", 0))
+        except KeyError as exc:
+            raise ConfigError(f"spec is missing {exc}") from exc
 
 
 def _mos_band(band: str, policy: QualityPolicy):
@@ -235,69 +308,54 @@ def _mos_band(band: str, policy: QualityPolicy):
 
 
 def generate_synthetic(spec: SyntheticSpec,
-                       policy: QualityPolicy = QualityPolicy()):
+                       policy: QualityPolicy = QualityPolicy()) -> Dataset:
     """Sample the configured Gaussian clusters with a seeded generator.
 
     Bona fide records get a synthetic MOS drawn uniformly inside their
     cluster's quality band, so only the bucket is meaningful.
     """
     rng = make_rng(spec.seed)
-    records = []
+    ids, X, y, mos = [], [], [], []
     for ci, c in enumerate(spec.clusters):
-        mean = np.asarray(c.mean, dtype=np.float64)
-        if mean.shape != (spec.dim,):
-            raise ValueError(f"cluster {ci}: mean dim {mean.shape} != {spec.dim}")
-        feats = rng.normal(0.0, c.spread, size=(c.count, spec.dim)) + mean
+        X.append(rng.normal(0.0, c.spread, size=(c.count, spec.dim))
+                 + np.asarray(c.mean, dtype=np.float64))
         if c.label == BONAFIDE:
             lo, hi = _mos_band(c.quality_band, policy)
             # keep a margin off the cut so the band assignment is unambiguous
             width = hi - lo
-            mos = rng.uniform(lo + 0.02 * width, hi - 0.02 * width, size=c.count)
+            mos.append(rng.uniform(lo + 0.02 * width, hi - 0.02 * width,
+                                   size=c.count))
         else:
-            mos = [None] * c.count
+            mos.append(np.full(c.count, np.nan))
+        y.append(np.full(c.count, c.label))
         tag = f"{_LABEL_NAMES[c.label]}{ci}"
-        for i in range(c.count):
-            records.append(
-                make_record(
-                    f"{tag}_{i:04d}",
-                    feats[i],
-                    c.label,
-                    mos=mos[i],
-                    policy=policy,
-                )
-            )
-    return records
+        ids += [f"{tag}_{i:04d}" for i in range(c.count)]
+    return make_dataset(ids, np.concatenate(X), np.concatenate(y),
+                        np.concatenate(mos), np.zeros(len(ids), dtype=bool),
+                        policy)
 
 
-def augment(record: UtteranceRecord, noise_scale: float,
-            rng: np.random.Generator) -> UtteranceRecord:
-    """Additive Gaussian feature noise. Bona fide quality drops to level 0
-    unconditionally, even at noise_scale=0."""
-    noise = rng.normal(0.0, 1.0, size=record.features.shape) * float(noise_scale)
-    new_quality = 0 if record.label == BONAFIDE else None
-    return replace(
-        record,
-        features=record.features + noise,
-        quality=new_quality,
-        augmented=True,
-    )
-
-
-def balance_augmentation(records, fraction: float, noise_scale: float,
-                         rng: np.random.Generator):
-    """Augment a seeded random subset of exactly round(fraction * N) records.
+def balance_augmentation(records: Dataset, fraction: float, noise_scale: float,
+                         rng: np.random.Generator) -> Dataset:
+    """Augment a seeded random subset of exactly round(fraction * N) records:
+    additive Gaussian feature noise, drawn in one call for the chosen rows
+    in row order, and bona fide quality dropped to level 0 unconditionally,
+    even at noise_scale=0.
 
     Meant for training splits only; never call this on validation data.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
     n = len(records)
-    k = int(round(fraction * n))
-    chosen = set(rng.permutation(n)[:k].tolist())
-    return [
-        augment(r, noise_scale, rng) if i in chosen else r
-        for i, r in enumerate(records)
-    ]
+    rows = np.sort(rng.permutation(n)[:int(round(fraction * n))])
+    X = records.X.copy()
+    noise = rng.normal(0.0, 1.0, size=(len(rows), X.shape[1]))
+    X[rows] += noise * float(noise_scale)
+    quality = records.quality.copy()
+    quality[rows] = np.where(records.y[rows] == BONAFIDE, 0, QUALITY_ABSENT)
+    augmented = records.augmented.copy()
+    augmented[rows] = True
+    return replace(records, X=X, quality=quality, augmented=augmented)
 
 
 def benchmark_spec(seed: int, train: bool = True) -> SyntheticSpec:

@@ -1,4 +1,8 @@
-"""Exception hierarchy for the package. Every error raised on purpose is a McocError."""
+"""Exception hierarchy for the package, and the value checks that raise
+ConfigError. Every error raised on purpose is a McocError."""
+
+import math
+import sys
 
 
 class McocError(Exception):
@@ -27,10 +31,6 @@ class MissingField(McocError):
     pass
 
 
-class NonFiniteFeature(McocError):
-    pass
-
-
 class MissingQuality(McocError):
     """Bona fide sample used in a quality-dependent path without a quality level."""
 
@@ -53,3 +53,21 @@ class ConfigError(McocError):
 
 class IoError(McocError):
     pass
+
+
+def is_int(value):
+    """A JSON integer: bool is an int subclass and is rejected, not read as
+    0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """A finite float, or an int that fits in one."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return is_int(value) and abs(value) <= sys.float_info.max
+
+
+def require(ok, name, value, what):
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")

@@ -17,11 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimMismatch, MissingQuality
+from .data import QUALITY_ABSENT
+from .errors import ConfigError, DimMismatch, MissingQuality, is_real, require
 from .model import BinaryHead, CentroidBank
 from .numerics import logsumexp_rows, sigmoid, softmax_rows, softplus
-
-QUALITY_ABSENT = -1
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,14 @@ class LossHyper:
     lam: float = 0.1  # weight of the quality term in the combined objective
 
     def __post_init__(self):
+        for name, value in self.to_dict().items():
+            require(is_real(value), f"hyper.{name}", value, "a number")
         if self.alpha <= 0 or self.s <= 0:
-            raise ValueError("scales must be positive")
+            raise ConfigError("hyper: scales must be positive")
         if not (-1.0 <= self.m1 < self.m0 <= 1.0):
-            raise ValueError("margins must satisfy -1 <= m1 < m0 <= 1")
+            raise ConfigError("hyper: margins must satisfy -1 <= m1 < m0 <= 1")
         if self.m < 0 or self.lam < 0:
-            raise ValueError("m and lam must be >= 0")
+            raise ConfigError("hyper: m and lam must be >= 0")
 
     def to_dict(self):
         return {

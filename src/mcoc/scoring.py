@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .data import BONAFIDE, QualityPolicy, UtteranceRecord, quality_label
+from .data import BONAFIDE, QUALITY_ABSENT, Dataset, QualityPolicy, quality_label
 from .errors import ConfigError, EmptyClass, MissingQuality
 from .model import BinaryHead, CentroidBank, Encoder
 
@@ -22,14 +22,12 @@ STRATEGIES = ("labeled", "max", "ensemble", "head")
 BLOCK_ROWS = 256
 
 
-def embed(records: Sequence[UtteranceRecord], encoder: Encoder) -> np.ndarray:
+def embed(records: Dataset, encoder: Encoder) -> np.ndarray:
     """Unit embeddings of the records, one row each, encoded in blocks of
     BLOCK_ROWS rows."""
     E = np.empty((len(records), encoder.embed_dim))
     for k in range(0, len(records), BLOCK_ROWS):
-        block = records[k:k + BLOCK_ROWS]
-        X = np.stack([r.features for r in block])
-        E[k:k + len(block)], _ = encoder.forward(X)
+        E[k:k + BLOCK_ROWS], _ = encoder.forward(records.X[k:k + BLOCK_ROWS])
     return E
 
 
@@ -136,29 +134,26 @@ class ScoreReport:
         }
 
 
-def _quality_levels(records, policy):
+def _quality_levels(records: Dataset, policy):
     """Inference-time quality of each record for the labeled strategy: its
     own level, or else the level of its MOS, for either class."""
-    levels = []
-    for r in records:
-        if r.quality is not None:
-            levels.append(r.quality)
-        elif r.mos is not None:
-            levels.append(quality_label(r.mos, policy))
-        else:
-            raise MissingQuality(
-                f"record {r.id}: labeled strategy needs mos or quality")
+    levels = records.quality.copy()
+    unset = levels == QUALITY_ABSENT
+    unrated = unset & np.isnan(records.mos)
+    if np.any(unrated):
+        raise MissingQuality(f"record {records.ids[np.argmax(unrated)]}: "
+                             f"labeled strategy needs mos or quality")
+    levels[unset] = quality_label(records.mos[unset], policy)
     return levels
 
 
-def build_report(records: Sequence[UtteranceRecord], scores: np.ndarray,
+def build_report(records: Dataset, scores: np.ndarray,
                  strategy: str) -> ScoreReport:
     """Score report of the records; EER is filled in when both classes are
     present, and class_stats for each class that is."""
-    labels = [r.label for r in records]
-    report = ScoreReport(strategy=strategy, ids=[r.id for r in records],
-                         scores=scores.tolist(), labels=labels)
-    bona_mask = np.asarray(labels) == BONAFIDE
+    report = ScoreReport(strategy=strategy, ids=records.ids,
+                         scores=scores.tolist(), labels=records.y.tolist())
+    bona_mask = records.y == BONAFIDE
     bona, spoof = scores[bona_mask], scores[~bona_mask]
     if bona.size and spoof.size:
         report.eer, report.threshold = compute_eer(bona, spoof)
@@ -172,7 +167,7 @@ def build_report(records: Sequence[UtteranceRecord], scores: np.ndarray,
     return report
 
 
-def score_dataset(records: Sequence[UtteranceRecord], encoder: Encoder,
+def score_dataset(records: Dataset, encoder: Encoder,
                   bank: Optional[CentroidBank], strategy: str,
                   policy: QualityPolicy = QualityPolicy(),
                   head: Optional[BinaryHead] = None,
@@ -226,7 +221,7 @@ def export_distributions(report: ScoreReport, path, bins: int = 30):
                         int(bona_counts[k]), int(spoof_counts[k])])
 
 
-def export_embeddings(records: Sequence[UtteranceRecord], encoder: Encoder, path,
+def export_embeddings(records: Dataset, encoder: Encoder, path,
                       embeddings: Optional[np.ndarray] = None):
     """Embedding CSV for external projection tools: id, label, quality, then
     one column per embedding dimension. `embeddings`, when given, are the
@@ -236,7 +231,8 @@ def export_embeddings(records: Sequence[UtteranceRecord], encoder: Encoder, path
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["id", "label", "quality"]
                    + [f"e{k}" for k in range(encoder.embed_dim)])
-        for r, emb in zip(records, E):
-            name = "bonafide" if r.label == BONAFIDE else "spoof"
-            q = "" if r.quality is None else r.quality
-            w.writerow([r.id, name, q] + [repr(v) for v in emb.tolist()])
+        names = np.where(records.y == BONAFIDE, "bonafide", "spoof").tolist()
+        for rid, name, q, emb in zip(records.ids, names,
+                                     records.quality.tolist(), E):
+            w.writerow([rid, name, "" if q == QUALITY_ABSENT else q]
+                       + [repr(v) for v in emb.tolist()])

@@ -21,25 +21,18 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .data import (
-    BONAFIDE,
-    QualityPolicy,
-    balance_augmentation,
-)
-from .errors import ConfigError, DivergenceDetected
+from .data import BONAFIDE, Dataset, QualityPolicy, balance_augmentation
+from .errors import ConfigError, DivergenceDetected, is_int, is_real, require
 from .losses import (
     Batch,
     LossHyper,
     LossOutput,
-    QUALITY_ABSENT,
     combined_loss,
     oc_softmax_loss,
     wce_loss,
@@ -88,23 +81,6 @@ OPTIMIZER_KINDS = ("adam", "sgd-momentum")
 DIVERGENCE_LIMIT = 1e6
 
 
-def _is_int(value):
-    # bool is an int subclass; it is rejected, not read as 0 or 1
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    # a finite float, or an int that fits in one
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return _is_int(value) and abs(value) <= sys.float_info.max
-
-
-def _require(ok, name, value, what):
-    if not ok:
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "adam"  # adam | sgd-momentum
@@ -116,17 +92,17 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown optimizer {self.kind!r}")
-        _require(_is_real(self.lr) and self.lr > 0,
-                 "optimizer.lr", self.lr, "a number > 0")
+        require(is_real(self.lr) and self.lr > 0,
+                "optimizer.lr", self.lr, "a number > 0")
         b = self.betas
-        _require(isinstance(b, (list, tuple)) and len(b) == 2
-                 and all(_is_real(x) and 0 <= x < 1 for x in b),
-                 "optimizer.betas", b, "two numbers in [0, 1)")
+        require(isinstance(b, (list, tuple)) and len(b) == 2
+                and all(is_real(x) and 0 <= x < 1 for x in b),
+                "optimizer.betas", b, "two numbers in [0, 1)")
         object.__setattr__(self, "betas", tuple(b))
-        _require(_is_real(self.eps) and self.eps > 0,
-                 "optimizer.eps", self.eps, "a number > 0")
-        _require(_is_real(self.momentum) and 0 <= self.momentum < 1,
-                 "optimizer.momentum", self.momentum, "a number in [0, 1)")
+        require(is_real(self.eps) and self.eps > 0,
+                "optimizer.eps", self.eps, "a number > 0")
+        require(is_real(self.momentum) and 0 <= self.momentum < 1,
+                "optimizer.momentum", self.momentum, "a number in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -137,12 +113,12 @@ class EncoderConfig:
 
     def __post_init__(self):
         h = self.hidden
-        _require(isinstance(h, (list, tuple))
-                 and all(_is_int(x) and x >= 1 for x in h),
-                 "encoder.hidden", h, "a list of integers >= 1")
+        require(isinstance(h, (list, tuple))
+                and all(is_int(x) and x >= 1 for x in h),
+                "encoder.hidden", h, "a list of integers >= 1")
         object.__setattr__(self, "hidden", tuple(h))
-        _require(_is_int(self.embed_dim) and self.embed_dim >= 2,
-                 "encoder.embed_dim", self.embed_dim, "an integer >= 2")
+        require(is_int(self.embed_dim) and self.embed_dim >= 2,
+                "encoder.embed_dim", self.embed_dim, "an integer >= 2")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
@@ -168,24 +144,24 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         for name in ("batch_size", "epochs", "seed"):
             value = getattr(self, name)
-            _require(_is_int(value), name, value, "an integer")
+            require(is_int(value), name, value, "an integer")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.centroid_init not in CENTROID_INITS:
             raise ConfigError(f"unknown centroid_init {self.centroid_init!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        _require(_is_real(self.val_fraction) and 0 <= self.val_fraction < 1,
-                 "val_fraction", self.val_fraction, "a number in [0, 1)")
-        _require(_is_real(self.augment_fraction)
-                 and 0 <= self.augment_fraction <= 1,
-                 "augment_fraction", self.augment_fraction, "a number in [0, 1]")
-        _require(_is_real(self.noise_scale) and self.noise_scale >= 0,
-                 "noise_scale", self.noise_scale, "a number >= 0")
+        require(is_real(self.val_fraction) and 0 <= self.val_fraction < 1,
+                "val_fraction", self.val_fraction, "a number in [0, 1)")
+        require(is_real(self.augment_fraction)
+                and 0 <= self.augment_fraction <= 1,
+                "augment_fraction", self.augment_fraction, "a number in [0, 1]")
+        require(is_real(self.noise_scale) and self.noise_scale >= 0,
+                "noise_scale", self.noise_scale, "a number >= 0")
         w = self.class_weights
-        _require(isinstance(w, (list, tuple)) and len(w) == 2
-                 and all(_is_real(x) and x > 0 for x in w),
-                 "class_weights", w, "two numbers > 0")
+        require(isinstance(w, (list, tuple)) and len(w) == 2
+                and all(is_real(x) and x > 0 for x in w),
+                "class_weights", w, "two numbers > 0")
         object.__setattr__(self, "class_weights", tuple(w))
         bank_size = OBJECTIVES[self.loss].bank_size
         if bank_size is not None and self.centroid_init == "orthogonal":
@@ -215,8 +191,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an object, got {value!r}")
             try:
                 kwargs[name] = section(**value)
-            except (TypeError, ValueError) as exc:
-                # unknown section keys, and LossHyper/QualityPolicy checks
+            except TypeError as exc:  # an unknown section key
                 raise ConfigError(f"{name}: {exc}") from exc
         return cls(**kwargs)
 
@@ -339,16 +314,6 @@ class TrainReport:
                 w.writerow(row)
 
 
-def _records_to_arrays(records):
-    X = np.stack([r.features for r in records])
-    y = np.array([r.label for r in records], dtype=np.int64)
-    q = np.array(
-        [QUALITY_ABSENT if r.quality is None else r.quality for r in records],
-        dtype=np.int64,
-    )
-    return X, y, q
-
-
 def _val_eers(encoder, bank, head, X_val, y_val):
     if X_val.shape[0] == 0:
         return None, None, None
@@ -366,24 +331,21 @@ def _val_eers(encoder, bank, head, X_val, y_val):
     return tuple(out)
 
 
-def train(records, config: TrainConfig):
+def train(records: Dataset, config: TrainConfig):
     """Run the configured arm end to end. Returns (report, checkpoint)."""
-    if not records:
+    if not len(records):
         raise ConfigError("empty training set")
     rng = make_rng(config.seed)
 
     # split, then augment the training part only
     perm = rng.permutation(len(records))
     n_val = int(round(config.val_fraction * len(records)))
-    val_recs = [records[i] for i in perm[:n_val]]
-    train_recs = [records[i] for i in perm[n_val:]]
-    train_recs = balance_augmentation(
-        train_recs, config.augment_fraction, config.noise_scale, rng
-    )
+    val = records.take(perm[:n_val])
+    tr = balance_augmentation(records.take(perm[n_val:]),
+                              config.augment_fraction, config.noise_scale, rng)
 
-    input_dim = len(records[0].features)
     encoder = init_encoder(
-        input_dim, config.encoder.hidden, config.encoder.embed_dim, rng,
+        records.X.shape[1], config.encoder.hidden, config.encoder.embed_dim, rng,
         config.encoder.activation,
     )
     objective = OBJECTIVES[config.loss]
@@ -401,18 +363,12 @@ def train(records, config: TrainConfig):
         params += [head.weight, head_bias]
     opt = _Optimizer(params, config.optimizer)
 
-    X_val, y_val, _ = (
-        _records_to_arrays(val_recs) if val_recs else
-        (np.zeros((0, input_dim)), np.zeros(0, dtype=np.int64), None)
-    )
-    X_tr, y_tr, q_tr = _records_to_arrays(train_recs)
-
     report = TrainReport(config=config.to_dict())
     for epoch in range(1, config.epochs + 1):
         total, total_oc, total_ql, seen = 0.0, 0.0, 0.0, 0
-        for idx in make_batches(len(y_tr), config.batch_size, rng):
-            emb, cache = encoder.forward(X_tr[idx])
-            batch = Batch(embeddings=emb, labels=y_tr[idx], quality=q_tr[idx])
+        for idx in make_batches(len(tr), config.batch_size, rng):
+            emb, cache = encoder.forward(tr.X[idx])
+            batch = Batch(embeddings=emb, labels=tr.y[idx], quality=tr.quality[idx])
 
             out = objective.loss(batch, bank, head, config)
             if not np.isfinite(out.value) or abs(out.value) > DIVERGENCE_LIMIT:
@@ -437,7 +393,7 @@ def train(records, config: TrainConfig):
             total_ql += out.diagnostics.get("quality", 0.0) * nb
             seen += nb
 
-        eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, X_val, y_val)
+        eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, val.X, val.y)
         cosines = bank.pairwise_cosines() if bank is not None else np.array([])
         report.epochs.append(EpochMetrics(
             epoch=epoch,

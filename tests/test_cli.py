@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcoc.cli import main
 from mcoc.data import ClusterSpec, SyntheticSpec, BONAFIDE, SPOOF
+from mcoc.scoring import STRATEGIES
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
 
 
@@ -217,6 +222,7 @@ def test_head_report_matches_eval(workspace):
     'val_fraction="x"', "augment_fraction=-1", 'noise_scale="x"',
     'encoder.activation="foo"', "encoder.hidden=[0]", "encoder.embed_dim=1",
     "hyper.m0=0.1", 'hyper.lam="x"', "hyper.foo=1", "policy.num_levels=3",
+    "hyper.lam=true", "policy.num_levels=true", 'policy.thresholds=["3"]',
     "policy=3", "class_weights=[1]", "class_weights=[1, 0]",
     # seven orthogonal centroids do not fit in the config's 6-d embedding
     'policy={"num_levels": 7, "thresholds": [1.5, 2, 2.5, 3, 3.5, 4]}',
@@ -287,3 +293,128 @@ def test_train_on_bonafide_without_mos_is_config_error(workspace, capsys, loss):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, overrides", [
+    pytest.param(lambda d: d.pop("clusters"), [], id="no-clusters"),
+    pytest.param(None, ["clusters=3"], id="clusters-3"),
+    pytest.param(None, ["clusters=[3]"], id="cluster-not-object"),
+    pytest.param(None, ["dim=4.5"], id="dim-float"),
+    pytest.param(lambda d: d.pop("dim"), [], id="no-dim"),
+    pytest.param(lambda d: d["clusters"][0].update(count=2.5), [], id="count-float"),
+    pytest.param(lambda d: d["clusters"][0].update(count="30"), [], id="count-str"),
+    pytest.param(lambda d: d["clusters"][0].pop("quality_band"), [],
+                 id="no-quality-band"),
+    pytest.param(lambda d: d["clusters"][0]["mean"].pop(), [], id="mean-length"),
+    pytest.param(lambda d: d["clusters"][0].update(mean=[True] * 6), [],
+                 id="mean-bool"),
+    pytest.param(lambda d: d["clusters"][0].pop("spread"), [], id="no-spread"),
+    pytest.param(lambda d: d["clusters"][2].update(label="fake"), [], id="label"),
+    pytest.param(None, ["seed=-1"], id="seed-negative"),
+    pytest.param(None, ['policy={"num_levels": true}'], id="policy-bool"),
+    pytest.param(None, ["policy=3"], id="policy-not-object"),
+])
+def test_bad_gen_spec_exits_2(workspace, capsys, edit, overrides):
+    tmp, spec, _ = workspace
+    if edit is not None:
+        spec.write_text(_edit_json(edit)(spec.read_text()))
+    sets = [a for o in overrides for a in ("--set", o)]
+    rc = run("gen", "--spec", spec, *sets, "--out", tmp / "data")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp / "data" / "data.jsonl").exists()
+
+
+# ---- fuzzing the data and config boundary ----
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 40)
+            | st.floats(-10, 10) | st.sampled_from([float("nan"), 1e999])
+            | st.text("ab1.-", max_size=3))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2)),
+    max_leaves=5)
+_RECORDS = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["a", "b", "c", "d"]) | _JSON,
+        "features": st.lists(st.floats(-3, 3), min_size=6, max_size=6) | _JSON,
+        "label": st.sampled_from(["bonafide", "spoof"]) | _JSON,
+    },
+    optional={"mos": st.floats(1, 5) | _JSON, "augmented": st.booleans() | _JSON},
+)
+_GOOD_RECORDS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "id": st.text("abcd", min_size=1, max_size=2),
+            "features": st.lists(st.floats(-3, 3), min_size=6, max_size=6),
+            "label": st.sampled_from(["bonafide", "spoof"]),
+        },
+        optional={"mos": st.floats(1, 5) | st.none(), "augmented": st.booleans()},
+    ),
+    max_size=8, unique_by=lambda r: r["id"])
+_BAD_LINES = (_RECORDS.map(json.dumps) | _JSON.map(json.dumps)
+              | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+
+
+@st.composite
+def _lines(draw):
+    """JSONL lines: valid records, and sometimes one fuzzed line among them."""
+    lines = [json.dumps(r) for r in draw(_GOOD_RECORDS)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD_LINES))
+    return lines
+
+
+_KEYS = ("epochs", "batch_size", "seed", "loss", "val_fraction",
+         "augment_fraction", "noise_scale", "class_weights", "centroid_init",
+         "hyper", "hyper.lam", "hyper.m0", "policy", "policy.num_levels",
+         "policy.thresholds", "optimizer.kind", "optimizer.lr",
+         "optimizer.betas", "encoder.hidden", "encoder.embed_dim", "nonsense")
+_VALUES = _JSON.map(json.dumps) | st.text("ab1", max_size=3)
+_SETS = st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES).map("=".join),
+                 max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    spec = tmp / "spec.json"
+    spec.write_text(json.dumps(tiny_spec().to_dict()))
+    cfg = tmp / "train.json"
+    cfg.write_text(json.dumps(tiny_train_config().to_dict()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("gen", "--spec", spec, "--out", tmp / "data") == 0
+        assert run("train", "--config", cfg, "--data", tmp / "data" / "data.jsonl",
+                   "--set", "epochs=1", "--out", tmp / "run") == 0
+    return cfg, tmp / "run" / "checkpoint.json"
+
+
+def run_quietly(*argv):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(*argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=_lines(), sets=_SETS, strategy=st.sampled_from(STRATEGIES))
+def test_fuzzed_input_gives_exit_code_and_one_line(fuzz_checkpoint, lines,
+                                                    sets, strategy):
+    cfg, ckpt = fuzz_checkpoint
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.jsonl")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        for argv in (
+            ["score", "--checkpoint", ckpt, "--data", data,
+             "--strategy", strategy, "--out", os.path.join(tmp, "score")],
+            ["train", "--config", cfg, "--data", data, "--set", "epochs=1",
+             *[f"--set={pair}" for pair in sets], "--out", os.path.join(tmp, "run")],
+        ):
+            rc, err = run_quietly(*argv)
+            assert rc in (0, 1, 2, 3), (argv, err)
+            if rc:
+                assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -6,21 +6,62 @@ from hypothesis import given, strategies as st
 
 from mcoc.data import (
     BONAFIDE,
+    QUALITY_ABSENT,
     SPOOF,
     QualityPolicy,
-    augment,
     balance_augmentation,
     benchmark_spec,
     generate_synthetic,
     load_jsonl,
-    make_record,
+    make_dataset,
     quality_label,
     save_jsonl,
 )
-from mcoc.errors import MissingField, MosOutOfRange, NonFiniteFeature, ParseError
+from mcoc.errors import ConfigError, MissingField, MosOutOfRange, ParseError
 from mcoc.numerics import make_rng
 
 POLICY = QualityPolicy()
+COLUMNS = ("X", "y", "mos", "quality", "augmented")
+
+
+def assert_same(a, b):
+    assert a.ids == b.ids
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y, equal_nan=name == "mos"), name
+
+
+def one_record(label, mos=None):
+    return make_dataset(["u"], [[1.0, 2.0]], [label],
+                        [np.nan if mos is None else mos], [False], POLICY)
+
+
+def random_dataset(n, dim, seed=0):
+    rng = make_rng(seed)
+    y = rng.integers(0, 2, size=n)
+    mos = np.where(y == BONAFIDE, rng.uniform(1.0, 5.0, size=n), np.nan)
+    return make_dataset([f"r{i}" for i in range(n)], rng.normal(size=(n, dim)),
+                        y, mos, np.zeros(n, dtype=bool), POLICY)
+
+
+def reference_augmentation(data, fraction, noise_scale, rng):
+    """The per-record augmentation loop that balance_augmentation replaced:
+    one rng.normal call per chosen record, in record order. Returns the
+    X, quality and augmented columns."""
+    n = len(data)
+    k = int(round(fraction * n))
+    chosen = set(rng.permutation(n)[:k].tolist())
+    X = data.X.copy()
+    quality = data.quality.copy()
+    augmented = data.augmented.copy()
+    for i in range(n):
+        if i in chosen:
+            noise = rng.normal(0.0, 1.0, size=data.X[i].shape) * float(noise_scale)
+            X[i] = data.X[i] + noise
+            quality[i] = 0 if data.y[i] == BONAFIDE else QUALITY_ABSENT
+            augmented[i] = True
+    return X, quality, augmented
 
 
 def test_quality_label_boundary_goes_up():
@@ -37,6 +78,8 @@ def test_quality_label_out_of_range():
         quality_label(0.5, POLICY)
     with pytest.raises(MosOutOfRange):
         quality_label(5.1, POLICY)
+    with pytest.raises(MosOutOfRange, match="mos=nan"):
+        quality_label([3.0, np.nan], POLICY)
 
 
 @given(st.floats(min_value=1.0, max_value=5.0),
@@ -44,6 +87,11 @@ def test_quality_label_out_of_range():
 def test_quality_label_monotone(a, b):
     lo, hi = sorted([a, b])
     assert quality_label(lo, POLICY) <= quality_label(hi, POLICY)
+    # an array is bucketed value by value
+    levels = quality_label(np.array([lo, hi]), POLICY)
+    assert levels.dtype == np.int64
+    assert levels.tolist() == [quality_label(lo, POLICY),
+                               quality_label(hi, POLICY)]
 
 
 def test_policy_multilevel():
@@ -54,9 +102,9 @@ def test_policy_multilevel():
 
 
 def test_policy_rejects_bad_thresholds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         QualityPolicy(num_levels=3, thresholds=(3.5, 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         QualityPolicy(num_levels=2, thresholds=(0.5,))
 
 
@@ -64,11 +112,14 @@ def test_load_jsonl_fills_quality(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text(
         '{"id":"u1","features":[0.1,0.2],"label":"bonafide","mos":3.0}\n'
-        '{"id":"u2","features":[0.3],"label":"spoof"}\n'
+        '{"id":"u2","features":[0.3,0.4],"label":"spoof"}\n'
+        '{"id":"u3","features":[0.5,0.6],"label":"bonafide","mos":4.0,'
+        '"augmented":true}\n'
     )
     recs = load_jsonl(p, POLICY)
-    assert recs[0].quality == 1
-    assert recs[1].quality is None and recs[1].mos is None
+    assert recs.quality.tolist() == [1, QUALITY_ABSENT, 0]
+    assert np.isnan(recs.mos[1])
+    assert recs.augmented.tolist() == [False, False, True]
 
 
 def test_load_jsonl_errors(tmp_path):
@@ -83,8 +134,39 @@ def test_load_jsonl_errors(tmp_path):
         load_jsonl(p)
 
     p.write_text('{"id":"u1","features":[null],"label":"spoof"}\n')
-    with pytest.raises((NonFiniteFeature, TypeError)):
+    with pytest.raises(ParseError):
         load_jsonl(p)
+
+
+GOOD_LINE = '{"id":"a","features":[0.1,0.2],"label":"spoof"}'
+
+
+@pytest.mark.parametrize("line", [
+    '{"id":"b","features":[0.1],"label":"spoof"}',  # shorter than line 1
+    '{"id":"b","features":[0.1,0.2,0.3],"label":"spoof"}',
+    '{"id":"b","features":[],"label":"spoof"}',
+    '{"id":"b","features":0.1,"label":"spoof"}',
+    '{"id":"b","features":[true,0.2],"label":"spoof"}',
+    '{"id":"b","features":["1",0.2],"label":"spoof"}',
+    '{"id":"b","features":[null,0.2],"label":"spoof"}',
+    '{"id":"b","features":[NaN,0.2],"label":"spoof"}',
+    '{"id":"b","features":[1e999,0.2],"label":"spoof"}',
+    '{"id":"b","features":[1' + "0" * 400 + ',0.2],"label":"spoof"}',
+    '{"id":"b","features":[0.1,0.2],"label":"bonafide","mos":"x"}',
+    '{"id":"b","features":[0.1,0.2],"label":"bonafide","mos":true}',
+    '{"id":"b","features":[0.1,0.2],"label":"bonafide","mos":NaN}',
+    '{"id":"b","features":[0.1,0.2],"label":"spoof","augmented":1}',
+    '{"id":"b","features":[0.1,0.2],"label":["spoof"]}',
+    '{"id":5,"features":[0.1,0.2],"label":"spoof"}',
+    '{"id":"a","features":[0.1,0.2],"label":"spoof"}',  # duplicate id
+    '[1, 2]',
+])
+def test_load_jsonl_rejects_bad_line(tmp_path, line):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(GOOD_LINE + "\n" + line + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(p)
+    assert exc.value.line_no == 2
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -93,23 +175,23 @@ def test_jsonl_round_trip(tmp_path):
     recs = balance_augmentation(recs, 0.25, 0.1, rng)
     path = tmp_path / "rt.jsonl"
     save_jsonl(recs, path)
-    back = load_jsonl(path, POLICY)
-    assert back == recs
+    assert_same(load_jsonl(path, POLICY), recs)
 
 
 def test_generate_counts_and_quality():
     spec = benchmark_spec(3)
     recs = generate_synthetic(spec, POLICY)
     assert len(recs) == 600
-    assert sum(r.quality == 0 for r in recs if r.label == BONAFIDE) == 150
-    assert sum(r.quality == 1 for r in recs if r.label == BONAFIDE) == 150
-    assert sum(r.quality is None for r in recs) == 300
+    bona = recs.quality[recs.y == BONAFIDE]
+    assert np.sum(bona == 0) == 150
+    assert np.sum(bona == 1) == 150
+    assert np.sum(recs.quality == QUALITY_ABSENT) == 300
 
 
 def test_generate_deterministic():
     a = generate_synthetic(benchmark_spec(5), POLICY)
     b = generate_synthetic(benchmark_spec(5), POLICY)
-    assert a == b
+    assert_same(a, b)
 
 
 def test_generate_tight_clusters_recoverable():
@@ -128,57 +210,84 @@ def test_generate_tight_clusters_recoverable():
     )
     recs = generate_synthetic(spec, POLICY)
     M = np.array(means)
-    for i, r in enumerate(recs):
-        nearest = int(np.argmin(np.linalg.norm(M - r.features, axis=1)))
+    for i, x in enumerate(recs.X):
+        nearest = int(np.argmin(np.linalg.norm(M - x, axis=1)))
         assert nearest == i // 10
 
 
+def test_take_selects_rows_in_order():
+    recs = generate_synthetic(benchmark_spec(2), POLICY)
+    rows = [450, 3, 3, 151]
+    part = recs.take(rows)
+    assert part.ids == ["spoof3_0000", "bonafide0_0003", "bonafide0_0003",
+                        "bonafide1_0001"]
+    for name in COLUMNS:
+        assert np.array_equal(getattr(part, name), getattr(recs, name)[rows],
+                              equal_nan=name == "mos")
+    assert len(recs.take([])) == 0
+
+
 def test_augment_relabels_bonafide():
-    r = make_record("u", [1.0, 2.0], BONAFIDE, mos=4.0)
-    assert r.quality == 1
-    out = augment(r, 0.1, make_rng(0))
-    assert out.quality == 0 and out.augmented
-    assert not np.array_equal(out.features, r.features)
+    r = one_record(BONAFIDE, mos=4.0)
+    assert r.quality.tolist() == [1]
+    out = balance_augmentation(r, 1.0, 0.1, make_rng(0))
+    assert out.quality.tolist() == [0] and out.augmented.tolist() == [True]
+    assert not np.array_equal(out.X, r.X)
 
 
 def test_augment_zero_noise_still_relabels():
-    r = make_record("u", [1.0, 2.0], BONAFIDE, mos=4.0)
-    out = augment(r, 0.0, make_rng(0))
-    assert np.array_equal(out.features, r.features)
-    assert out.quality == 0
+    r = one_record(BONAFIDE, mos=4.0)
+    out = balance_augmentation(r, 1.0, 0.0, make_rng(0))
+    assert np.array_equal(out.X, r.X)
+    assert out.quality.tolist() == [0]
 
 
 def test_augment_spoof_keeps_no_quality():
-    r = make_record("s", [1.0, 2.0], SPOOF)
-    out = augment(r, 0.1, make_rng(0))
-    assert out.quality is None and out.augmented
+    r = one_record(SPOOF)
+    out = balance_augmentation(r, 1.0, 0.1, make_rng(0))
+    assert out.quality.tolist() == [QUALITY_ABSENT]
+    assert out.augmented.tolist() == [True]
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+@pytest.mark.parametrize("fraction", [0.0, 0.4, 1.0])
+def test_balance_matches_per_record_reference(dim, fraction):
+    # one noise draw for all chosen rows gives the same values and leaves
+    # the generator where one draw per record left it
+    data = random_dataset(50, dim)
+    rng, ref_rng = make_rng(11), make_rng(11)
+    out = balance_augmentation(data, fraction, 0.3, rng)
+    X, quality, augmented = reference_augmentation(data, fraction, 0.3, ref_rng)
+    assert np.array_equal(out.X, X)
+    assert np.array_equal(out.quality, quality)
+    assert np.array_equal(out.augmented, augmented)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_balance_fraction_exact():
-    recs = generate_synthetic(benchmark_spec(2), POLICY)[:100]
+    recs = generate_synthetic(benchmark_spec(2), POLICY).take(np.arange(100))
     out = balance_augmentation(recs, 0.4, 0.1, make_rng(0))
-    assert sum(r.augmented for r in out) == 40
+    assert np.sum(out.augmented) == 40
 
 
 def test_balance_zero_is_identity():
-    recs = generate_synthetic(benchmark_spec(2), POLICY)[:50]
-    assert balance_augmentation(recs, 0.0, 0.1, make_rng(0)) == recs
+    recs = generate_synthetic(benchmark_spec(2), POLICY).take(np.arange(50))
+    assert_same(balance_augmentation(recs, 0.0, 0.1, make_rng(0)), recs)
 
 
 def test_balance_full_forces_low_quality():
-    recs = generate_synthetic(benchmark_spec(2), POLICY)[:50]
+    recs = generate_synthetic(benchmark_spec(2), POLICY).take(np.arange(50))
     out = balance_augmentation(recs, 1.0, 0.1, make_rng(0))
-    assert all(r.quality == 0 for r in out if r.label == BONAFIDE)
+    assert np.all(out.quality[out.y == BONAFIDE] == 0)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_balance_preserves_quality_invariant(fraction):
-    recs = generate_synthetic(benchmark_spec(4), POLICY)[:60]
+    recs = generate_synthetic(benchmark_spec(4), POLICY).take(np.arange(60))
     out = balance_augmentation(recs, fraction, 0.2, make_rng(9))
-    for r in out:
-        if r.label != BONAFIDE:
-            assert r.quality is None
-        elif r.augmented:
-            assert r.quality == 0
-        elif r.mos is not None:
-            assert r.quality == quality_label(r.mos, POLICY)
+    bona = out.y == BONAFIDE
+    assert np.all(out.quality[~bona] == QUALITY_ABSENT)
+    assert np.all(out.quality[bona & out.augmented] == 0)
+    rated = bona & ~out.augmented
+    assert np.array_equal(out.quality[rated],
+                          quality_label(out.mos[rated], POLICY))

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcoc.data import (
+    QUALITY_ABSENT,
     QualityPolicy,
     benchmark_spec,
     generate_synthetic,
-    make_record,
+    make_dataset,
     quality_label,
 )
 from mcoc.errors import ConfigError, EmptyClass, MissingQuality
@@ -163,8 +164,7 @@ def test_score_dataset_deterministic(scored):
 
 def test_score_dataset_no_labels_no_eer(scored):
     records, encoder, bank, _ = scored
-    import dataclasses
-    bona_only = [r for r in records if r.label == 0]
+    bona_only = records.take(np.flatnonzero(records.y == 0))
     rep = score_dataset(bona_only, encoder, bank, "max", QualityPolicy())
     assert rep.eer is None and "spoof" not in rep.class_stats
 
@@ -192,7 +192,7 @@ def test_histogram_counts_conserved(tmp_path, scored):
 
 def test_histogram_single_class(tmp_path, scored):
     records, encoder, bank, _ = scored
-    bona_only = [r for r in records if r.label == 0]
+    bona_only = records.take(np.flatnonzero(records.y == 0))
     rep = score_dataset(bona_only, encoder, bank, "ensemble", QualityPolicy())
     path = tmp_path / "hist.csv"
     export_distributions(rep, path, bins=5)
@@ -204,13 +204,17 @@ def test_histogram_single_class(tmp_path, scored):
 def test_export_embeddings(tmp_path, scored):
     records, encoder, _, _ = scored
     path = tmp_path / "emb.csv"
-    export_embeddings(records[:10], encoder, path)
+    first = records.take(np.arange(10))
+    export_embeddings(first, encoder, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
-    emb, _ = encoder.forward(np.stack([r.features for r in records[:10]]))
+    emb, _ = encoder.forward(first.X)
     got = [[float(r[f"e{k}"]) for k in range(encoder.embed_dim)] for r in rows]
     assert got == emb.tolist()
+    assert [r["id"] for r in rows] == first.ids
+    assert [r["label"] for r in rows] == ["bonafide"] * 10
+    assert [r["quality"] for r in rows] == [str(q) for q in first.quality]
 
 
 # ---- the blocked array path against one-row references ----
@@ -222,11 +226,13 @@ WIDE_ROWS = 2 * BLOCK_ROWS + 3  # the last block is partial
 def wide():
     rng = make_rng(7)
     policy = QualityPolicy()
-    records = [
-        make_record(f"r{i}", rng.normal(size=12), int(rng.integers(0, 2)),
-                    mos=float(rng.uniform(1.0, 5.0)), policy=policy)
-        for i in range(WIDE_ROWS)
-    ]
+    X, y, mos = [], [], []
+    for _ in range(WIDE_ROWS):
+        X.append(rng.normal(size=12))
+        y.append(int(rng.integers(0, 2)))
+        mos.append(float(rng.uniform(1.0, 5.0)))
+    records = make_dataset([f"r{i}" for i in range(WIDE_ROWS)], X, y, mos,
+                           np.zeros(WIDE_ROWS, dtype=bool), policy)
     encoder = init_encoder(12, (256, 256), 16, rng)
     bank = init_centroids(2, 16, "orthogonal", rng)
     head = init_head(16, rng)
@@ -235,14 +241,14 @@ def wide():
 
 def one_row_reference(records, encoder, bank, head, policy, strategy):
     out = []
-    for r in records:
-        e = encoder.forward(r.features[None, :])[0][0]
+    for x, quality, mos in zip(records.X, records.quality, records.mos):
+        e = encoder.forward(x[None, :])[0][0]
         if strategy == "head":
             out.append(-(e @ head.weight + head.bias))
             continue
         sims = bank.weights @ e
         if strategy == "labeled":
-            q = r.quality if r.quality is not None else quality_label(r.mos, policy)
+            q = quality if quality != QUALITY_ABSENT else quality_label(mos, policy)
             out.append(sims[q])
         else:
             out.append(sims.max() if strategy == "max" else sims.mean())
@@ -270,8 +276,7 @@ def test_embed_matches_one_row_forward(wide):
     records, encoder, _, _, _ = wide
     E = embed(records, encoder)
     assert E.shape == (WIDE_ROWS, 16)
-    ref = np.concatenate([encoder.forward(r.features[None, :])[0]
-                          for r in records])
+    ref = np.concatenate([encoder.forward(x[None, :])[0] for x in records.X])
     assert np.max(np.abs(E - ref)) <= 1e-12
 
 
@@ -297,7 +302,8 @@ def test_score_matrix_missing_bank_or_head():
 
 
 def test_histogram_of_no_scores(tmp_path):
-    report = build_report([], np.zeros(0), "ensemble")
+    empty = generate_synthetic(benchmark_spec(1)).take([])
+    report = build_report(empty, np.zeros(0), "ensemble")
     path = tmp_path / "hist.csv"
     export_distributions(report, path, bins=4)
     with open(path) as fh:

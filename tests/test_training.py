@@ -23,7 +23,8 @@ from mcoc.training import (
 
 @pytest.fixture(scope="module")
 def small_records():
-    return generate_synthetic(benchmark_spec(9))[::3]  # 200 records, both classes
+    # 200 records, both classes
+    return generate_synthetic(benchmark_spec(9)).take(np.arange(0, 600, 3))
 
 
 def quick_config(**kw):
