@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Run a fixed small session through the CLI and print the sha256 of every
-deterministic output, one `<sha256>  <path>` line per file, sorted by path.
+output, one `<sha256>  <path>` line per file, sorted by path.
 
 The session: `gen` of the benchmark_spec(3) train and test sets, `ablate`
 with benchmark_train_config(3), `train` of the `single_centroid` loss and of
 the default loss under `sgd-momentum` (the two arms `ablate` leaves out),
 `score` of the test set under `max` and `ensemble` (multi_centroid
-checkpoint) and `head` (wce checkpoint), and `export` with the
-multi_centroid checkpoint. `manifest.json` and
-`report.json` are left out because they embed paths. Two commits that
-print the same list wrote byte-identical checkpoints, metrics, scores,
+checkpoint) and `head` (wce checkpoint), `eval` of the ensemble scores, and
+`export` with the multi_centroid checkpoint. `manifest.json` and
+`report.json` embed paths under DIR, so they are hashed with DIR (made
+absolute) replaced by `<out>`. Two commits that print the same list wrote
+byte-identical checkpoints, metrics, reports, manifests, summaries, scores,
 ablation table, histogram, embeddings and datasets.
 
 Usage: python3 scripts/output_digest.py --out DIR   (DIR must be empty or new)
@@ -27,7 +28,8 @@ from mcoc.data import benchmark_spec
 from mcoc.training import benchmark_train_config
 
 SEED = 3
-SKIPPED = ("manifest.json", "report.json")
+# files that embed paths under the output directory
+WITH_PATHS = ("manifest.json", "report.json")
 
 
 def _dump(obj, path):
@@ -67,6 +69,8 @@ def _steps(out):
          "--out", os.path.join(out, "score_ensemble")],
         ["score", "--checkpoint", wce, "--data", test, "--strategy", "head",
          "--out", os.path.join(out, "score_head")],
+        ["eval", "--scores", os.path.join(out, "score_ensemble", "scores.csv"),
+         "--out", os.path.join(out, "eval")],
         ["export", "--checkpoint", mc, "--data", test,
          "--out", os.path.join(out, "export")],
     ]
@@ -76,12 +80,13 @@ def _digests(out):
     lines = []
     for root, _, files in os.walk(out):
         for name in files:
-            if name in SKIPPED:
-                continue
             path = os.path.join(root, name)
             with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            lines.append((os.path.relpath(path, out), digest))
+                data = fh.read()
+            if name in WITH_PATHS:
+                data = data.replace(out.encode(), b"<out>")
+            lines.append((os.path.relpath(path, out),
+                          hashlib.sha256(data).hexdigest()))
     return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
 
 
@@ -92,15 +97,16 @@ def main():
     if os.path.isdir(args.out) and os.listdir(args.out):
         print(f"{args.out} is not empty", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    for argv in _steps(args.out):
+    out = os.path.abspath(args.out)
+    os.makedirs(out, exist_ok=True)
+    for argv in _steps(out):
         # the commands' own messages go to stderr; stdout is the digest list
         with contextlib.redirect_stdout(sys.stderr):
             rc = cli(argv)
         if rc != 0:
             print(f"mcoc {argv[0]} exited {rc}", file=sys.stderr)
             return rc
-    print("\n".join(_digests(args.out)))
+    print("\n".join(_digests(out)))
     return 0
 
 

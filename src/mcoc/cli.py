@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 config error, 3 I/O error, 4 training divergence,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -46,20 +47,20 @@ from .scoring import (
     score_dataset,
     write_scores_csv,
 )
-from .training import TrainConfig, train
+from .training import TrainConfig, check_quality, train
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
 ABLATION_ARMS = (
-    # (arm name, config patch, scoring mode)
-    ("wce", {"loss": "wce"}, "head"),
-    ("wce_quality", {"loss": "wce_quality"}, "head"),
-    ("multi_centroid", {"loss": "multi_centroid"}, "ensemble"),
+    # (arm name, --set overrides of the config, scoring mode)
+    ("wce", ["loss=wce"], "head"),
+    ("wce_quality", ["loss=wce_quality"], "head"),
+    ("multi_centroid", ["loss=multi_centroid"], "ensemble"),
     ("multi_centroid_no_quality",
-     {"loss": "multi_centroid", "hyper.lam": 0.0}, "ensemble"),
-    ("multi_centroid_max_score", {"loss": "multi_centroid"}, "max"),
+     ["loss=multi_centroid", "hyper.lam=0.0"], "ensemble"),
+    ("multi_centroid_max_score", ["loss=multi_centroid"], "max"),
 )
 
 
@@ -104,24 +105,43 @@ def _outdir(args, default_name):
     return out
 
 
+def _write_json(path, obj):
+    """`obj` as sorted JSON indented by one space, plus a newline, in one
+    write."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
 def _write_manifest(outdir, command, resolved, seed=None):
-    manifest = {
+    _write_json(os.path.join(outdir, "manifest.json"), {
         "command": command,
         "resolved": resolved,
         "seed": seed,
         "package_version": __version__,
         "polarity": "higher score = bona fide",
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    })
+
+
+def _require_features(records, dim, path, source):
+    """ConfigError unless the records of `path` have `dim` features each,
+    as `source` does. A file with no records passes, and so does any file
+    against a `source` with no records (dim 0)."""
+    got = records.X.shape[1]
+    if len(records) and dim and got != dim:
+        raise ConfigError(f"{path}: {got} features per record, "
+                          f"{source} has {dim}")
+
+
+def _config_dict(path, args):
+    """The JSON object at `path` with the --set overrides and --seed."""
+    config = _apply_overrides(_load_json(path), args.set)
+    if args.seed is not None:
+        config["seed"] = args.seed
+    return config
 
 
 def _cmd_gen(args):
-    spec_dict = _apply_overrides(_load_json(args.spec), args.set)
-    if args.seed is not None:
-        spec_dict["seed"] = args.seed
+    spec_dict = _config_dict(args.spec, args)
     spec = SyntheticSpec.from_dict(spec_dict)
     policy = QualityPolicy.from_dict(spec_dict.get("policy", {}))
     records = generate_synthetic(spec, policy)
@@ -132,23 +152,21 @@ def _cmd_gen(args):
     return 0
 
 
-def _train_config(args):
-    cfg_dict = _apply_overrides(_load_json(args.config), args.set)
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    return TrainConfig.from_dict(cfg_dict)
-
-
-def _cmd_train(args):
-    config = _train_config(args)
-    records = load_jsonl(args.data, config.policy)
-    report, ckpt = train(records, config)
-    outdir = _outdir(args, "train")
+def _write_trained(outdir, report, ckpt):
+    """checkpoint.json, then report.json naming it, then metrics.csv."""
     ckpt_path = os.path.join(outdir, "checkpoint.json")
     save_checkpoint(ckpt, ckpt_path)
     report.final_checkpoint = ckpt_path
-    report.write_json(os.path.join(outdir, "report.json"))
+    _write_json(os.path.join(outdir, "report.json"), report.to_dict())
     report.write_csv(os.path.join(outdir, "metrics.csv"))
+
+
+def _cmd_train(args):
+    config = TrainConfig.from_dict(_config_dict(args.config, args))
+    records = load_jsonl(args.data, config.policy)
+    report, ckpt = train(records, config)
+    outdir = _outdir(args, "train")
+    _write_trained(outdir, report, ckpt)
     _write_manifest(outdir, "train", config.to_dict(), seed=config.seed)
     last = report.epochs[-1]
     eer = last.val_eer_ensemble if last.val_eer_ensemble is not None \
@@ -166,13 +184,12 @@ def _score_records(records, ckpt, strategy, embeddings=None):
 def _cmd_score(args):
     ckpt = load_checkpoint(args.checkpoint)
     records = load_jsonl(args.data, ckpt.policy)
+    _require_features(records, ckpt.encoder.input_dim, args.data,
+                      "the checkpoint")
     report = _score_records(records, ckpt, args.strategy)
     outdir = _outdir(args, "score")
     write_scores_csv(report, os.path.join(outdir, "scores.csv"))
-    with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "report.json"), report.to_dict())
     _write_manifest(outdir, "score",
                     {"checkpoint": args.checkpoint, "data": args.data,
                      "strategy": args.strategy})
@@ -196,38 +213,39 @@ def _cmd_eval(args):
         "polarity": "higher score = bona fide",
     }
     outdir = _outdir(args, "eval")
-    with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "summary.json"), summary)
     _write_manifest(outdir, "eval", {"scores": args.scores})
     print(f"EER {eer:.4f} at threshold {threshold:.4f}")
     return 0
 
 
 def _cmd_ablate(args):
-    base = _apply_overrides(_load_json(args.config), args.set)
-    if args.seed is not None:
-        base["seed"] = args.seed
-    train_records_path = args.data
-    test_path = args.test
+    """Every arm's config and both inputs are checked before the first
+    training; arms whose resolved configs are written the same share one
+    training."""
+    base = _config_dict(args.config, args)
+    configs = [TrainConfig.from_dict(_apply_overrides(copy.deepcopy(base), sets))
+               for _, sets, _ in ABLATION_ARMS]
+    # the arms patch only the loss and hyper.lam, so all share one policy
+    records = load_jsonl(args.data, configs[0].policy)
+    test_records = load_jsonl(args.test, configs[0].policy)
+    _require_features(test_records, records.X.shape[1], args.test,
+                      "the training data")
+    for config in configs:
+        check_quality(records, config)
     outdir = _outdir(args, "ablate")
+    # keyed by the serialized config, not the config: lam 0 and 0.0 compare
+    # equal but are written differently into report.json and the checkpoint
+    trained = {}
     rows = []
-    for arm, patch, strategy in ABLATION_ARMS:
-        cfg_dict = json.loads(json.dumps(base))
-        _apply_overrides(cfg_dict, [f"{k}={json.dumps(v)}"
-                                    for k, v in patch.items()])
-        config = TrainConfig.from_dict(cfg_dict)
-        records = load_jsonl(train_records_path, config.policy)
+    for (arm, _, strategy), config in zip(ABLATION_ARMS, configs):
+        key = json.dumps(config.to_dict(), sort_keys=True)
+        if key not in trained:
+            trained[key] = train(records, config)
+        report, ckpt = trained[key]
         arm_dir = os.path.join(outdir, arm)
         os.makedirs(arm_dir, exist_ok=True)
-        report, ckpt = train(records, config)
-        ckpt_path = os.path.join(arm_dir, "checkpoint.json")
-        save_checkpoint(ckpt, ckpt_path)
-        report.final_checkpoint = ckpt_path
-        report.write_json(os.path.join(arm_dir, "report.json"))
-        report.write_csv(os.path.join(arm_dir, "metrics.csv"))
-        test_records = load_jsonl(test_path, config.policy)
+        _write_trained(arm_dir, report, ckpt)
         sreport = _score_records(test_records, ckpt, strategy)
         write_scores_csv(sreport, os.path.join(arm_dir, "scores.csv"))
         rows.append((arm, config.loss, strategy, sreport.eer))
@@ -239,14 +257,16 @@ def _cmd_ablate(args):
         for arm, loss, strategy, eer in rows:
             fh.write(f"{arm},{loss},{strategy},{eer!r}\n")
     _write_manifest(outdir, "ablate",
-                    {"config": base, "data": train_records_path,
-                     "test": test_path}, seed=base.get("seed"))
+                    {"config": base, "data": args.data, "test": args.test},
+                    seed=base.get("seed"))
     return 0
 
 
 def _cmd_export(args):
     ckpt = load_checkpoint(args.checkpoint)
     records = load_jsonl(args.data, ckpt.policy)
+    _require_features(records, ckpt.encoder.input_dim, args.data,
+                      "the checkpoint")
     E = embed(records, ckpt.encoder)
     report = _score_records(records, ckpt, args.strategy, embeddings=E)
     outdir = _outdir(args, "export")

@@ -3,8 +3,9 @@ projection of centroids after every step, and validation EER tracking.
 
 The loss kinds are the rows of ``OBJECTIVES`` (multi_centroid,
 single_centroid, wce, wce_quality). A row gives the arm's centroid count
-(or no bank), whether it has a binary head, and its loss; ``train`` reads
-the row and has no per-arm branch.
+(or no bank), whether it has a binary head, whether its loss reads the
+quality levels, and its loss; ``train`` reads the row and has no per-arm
+branch.
 
 ``TrainConfig`` and its sections check every value when they are built:
 known names for the loss, optimizer, activation and centroid init; JSON
@@ -20,15 +21,16 @@ config plus seed pins the produced checkpoint byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .data import BONAFIDE, Dataset, QualityPolicy, balance_augmentation
-from .errors import ConfigError, DivergenceDetected, is_int, is_real, require
+from .data import (BONAFIDE, QUALITY_ABSENT, Dataset, QualityPolicy,
+                   balance_augmentation)
+from .errors import (ConfigError, DivergenceDetected, MissingQuality, ZeroNorm,
+                     is_int, is_real, require)
 from .losses import (
     Batch,
     LossHyper,
@@ -52,10 +54,13 @@ from .scoring import compute_eer, score_matrix
 
 class Objective(NamedTuple):
     """One training arm. ``bank_size(policy)`` is its centroid count (None:
-    no bank); ``loss(batch, bank, head, config)`` returns the LossOutput."""
+    no bank); ``needs_quality`` says whether its loss reads the quality
+    level of every bona fide sample; ``loss(batch, bank, head, config)``
+    returns the LossOutput."""
 
     bank_size: Optional[Callable[[QualityPolicy], int]]
     has_head: bool
+    needs_quality: bool
     loss: Callable[..., LossOutput]
 
 
@@ -63,16 +68,16 @@ class Objective(NamedTuple):
 # wrapper installed on those names (a tracer, a test) sees every call.
 OBJECTIVES = {
     "multi_centroid": Objective(
-        lambda policy: policy.num_levels, False,
+        lambda policy: policy.num_levels, False, True,
         lambda batch, bank, head, c: combined_loss(batch, bank, c.hyper)),
     "single_centroid": Objective(
-        lambda policy: 1, False,
+        lambda policy: 1, False, False,
         lambda batch, bank, head, c: oc_softmax_loss(batch, bank, c.hyper)),
     "wce": Objective(
-        None, True,
+        None, True, False,
         lambda batch, bank, head, c: wce_loss(batch, head, c.class_weights)),
     "wce_quality": Objective(
-        lambda policy: policy.num_levels, True,
+        lambda policy: policy.num_levels, True, True,
         lambda batch, bank, head, c: wce_quality_loss(
             batch, bank, head, c.hyper, c.class_weights)),
 }
@@ -289,11 +294,6 @@ class TrainReport:
             "final_checkpoint": self.final_checkpoint,
         }
 
-    def write_json(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
     def write_csv(self, path):
         cols = ["epoch", "train_loss", "loss_one_class", "loss_quality",
                 "val_eer_ensemble", "val_eer_max", "val_eer_head",
@@ -331,10 +331,28 @@ def _val_eers(encoder, bank, head, X_val, y_val):
     return tuple(out)
 
 
+def check_quality(records: Dataset, config: TrainConfig):
+    """MissingQuality naming the first bona fide record without a quality
+    level, when the configured loss reads quality levels. Checked on the
+    whole set, so the answer does not depend on the seeded split."""
+    if not OBJECTIVES[config.loss].needs_quality:
+        return
+    unrated = (records.y == BONAFIDE) & (records.quality == QUALITY_ABSENT)
+    if np.any(unrated):
+        raise MissingQuality(f"record {records.ids[np.argmax(unrated)]}: "
+                             f"{config.loss} loss needs mos on bona fide "
+                             f"records")
+
+
 def train(records: Dataset, config: TrainConfig):
-    """Run the configured arm end to end. Returns (report, checkpoint)."""
+    """Run the configured arm end to end. Returns (report, checkpoint).
+
+    A zero vector from the encoder or a collapsed centroid, and a loss out
+    of bounds, raise DivergenceDetected naming the epoch and the batch
+    (both counted from 1)."""
     if not len(records):
         raise ConfigError("empty training set")
+    check_quality(records, config)
     rng = make_rng(config.seed)
 
     # split, then augment the training part only
@@ -366,24 +384,29 @@ def train(records: Dataset, config: TrainConfig):
     report = TrainReport(config=config.to_dict())
     for epoch in range(1, config.epochs + 1):
         total, total_oc, total_ql, seen = 0.0, 0.0, 0.0, 0
-        for idx in make_batches(len(tr), config.batch_size, rng):
-            emb, cache = encoder.forward(tr.X[idx])
-            batch = Batch(embeddings=emb, labels=tr.y[idx], quality=tr.quality[idx])
+        batches = make_batches(len(tr), config.batch_size, rng)
+        for b, idx in enumerate(batches, start=1):
+            try:
+                emb, cache = encoder.forward(tr.X[idx])
+                batch = Batch(embeddings=emb, labels=tr.y[idx],
+                              quality=tr.quality[idx])
 
-            out = objective.loss(batch, bank, head, config)
-            if not np.isfinite(out.value) or abs(out.value) > DIVERGENCE_LIMIT:
-                raise DivergenceDetected(
-                    f"epoch {epoch}: loss {out.value!r} out of bounds"
-                )
-            param_grads, _ = encoder.backward(cache, out.grad_embeddings)
-            grads = [g for pair in param_grads for g in pair]
-            if bank is not None:
-                grads.append(out.grad_centroids)
-            if head is not None:
-                grads += [out.grad_head_weight, np.array([out.grad_head_bias])]
-            opt.step(grads)
-            if bank is not None:
-                bank.renormalize()
+                out = objective.loss(batch, bank, head, config)
+                if not np.isfinite(out.value) or abs(out.value) > DIVERGENCE_LIMIT:
+                    raise DivergenceDetected(
+                        f"epoch {epoch}, batch {b}: loss {out.value!r} "
+                        f"out of bounds")
+                param_grads, _ = encoder.backward(cache, out.grad_embeddings)
+                grads = [g for pair in param_grads for g in pair]
+                if bank is not None:
+                    grads.append(out.grad_centroids)
+                if head is not None:
+                    grads += [out.grad_head_weight, np.array([out.grad_head_bias])]
+                opt.step(grads)
+                if bank is not None:
+                    bank.renormalize()
+            except ZeroNorm as exc:
+                raise DivergenceDetected(f"epoch {epoch}, batch {b}: {exc}") from exc
             if head is not None:
                 head.bias = float(head_bias[0])
 

@@ -3,12 +3,14 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcoc.cli import main
+from mcoc import cli
+from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec, BONAFIDE, SPOOF
 from mcoc.scoring import STRATEGIES
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
@@ -45,6 +47,29 @@ def workspace(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def count_calls(monkeypatch, name):
+    """Patch mcoc.cli.<name> to count its calls; returns a list whose length
+    is the count so far."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def rewrite_jsonl(src, dst, change):
+    """Copy the JSONL file `src` to `dst`, applying change(record) to every
+    record."""
+    rows = [json.loads(line) for line in src.read_text().splitlines()]
+    for r in rows:
+        change(r)
+    dst.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
 def test_pipeline_smoke(workspace):
@@ -140,13 +165,17 @@ def test_unknown_flag_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_ablate_writes_table(workspace):
+def test_ablate_writes_table(workspace, monkeypatch):
     tmp, spec, cfg = workspace
     run("gen", "--spec", spec, "--out", tmp / "tr")
     run("gen", "--spec", spec, "--seed", "2", "--out", tmp / "te")
+    trainings = count_calls(monkeypatch, "train")
+    loads = count_calls(monkeypatch, "load_jsonl")
     rc = run("ablate", "--config", cfg, "--data", tmp / "tr" / "data.jsonl",
              "--test", tmp / "te" / "data.jsonl", "--out", tmp / "ab")
     assert rc == 0
+    # multi_centroid_max_score differs from multi_centroid only in scoring
+    assert (len(trainings), len(loads)) == (4, 2)
     with open(tmp / "ab" / "ablation.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["arm"] for r in rows] == [
@@ -155,7 +184,79 @@ def test_ablate_writes_table(workspace):
     ]
     assert all(0.0 <= float(r["eer"]) <= 1.0 for r in rows)
     for r in rows:
-        assert (tmp / "ab" / r["arm"] / "checkpoint.json").exists()
+        arm_dir = tmp / "ab" / r["arm"]
+        for name in ("checkpoint.json", "metrics.csv", "scores.csv"):
+            assert (arm_dir / name).exists()
+        report = json.loads((arm_dir / "report.json").read_text())
+        assert report["final_checkpoint"] == str(arm_dir / "checkpoint.json")
+    shared, max_arm = tmp / "ab" / "multi_centroid", \
+        tmp / "ab" / "multi_centroid_max_score"
+    for name in ("checkpoint.json", "metrics.csv"):
+        assert (shared / name).read_bytes() == (max_arm / name).read_bytes()
+
+
+@pytest.mark.parametrize("lam, trainings", [
+    # every arm but the wce ones resolves to one config
+    ("0.0", 3),
+    # lam 0 and the no-quality arm's 0.0 are equal numbers but are written
+    # differently, so they stay two trainings
+    ("0", 4),
+])
+def test_ablate_trains_each_written_config_once(workspace, monkeypatch, lam,
+                                                trainings):
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    data = tmp / "tr" / "data.jsonl"
+    calls = count_calls(monkeypatch, "train")
+    assert run("ablate", "--config", cfg, "--data", data, "--test", data,
+               "--set", f"hyper.lam={lam}", "--out", tmp / "ab") == 0
+    assert len(calls) == trainings
+    written = {arm: json.loads((tmp / "ab" / arm / "report.json").read_text())
+               ["config"]["hyper"]["lam"] for arm, _, _ in ABLATION_ARMS}
+    assert repr(written["multi_centroid"]) == lam
+    assert repr(written["multi_centroid_no_quality"]) == "0.0"
+
+
+def _drop_first_mos(record):
+    if record["id"] == "bonafide0_0000":
+        del record["mos"]
+
+
+@pytest.mark.parametrize("train_change, test_change, overrides, message", [
+    pytest.param(None, lambda r: r["features"].pop(), [],
+                 "5 features per record, the training data has 6",
+                 id="test-feature-count"),
+    # 3 centroids do not fit a 2-d embedding; the wce arm has no bank
+    pytest.param(None, None,
+                 ['policy={"num_levels": 3, "thresholds": [2.0, 3.5]}',
+                  "encoder.embed_dim=2"],
+                 "orthogonal centroid_init", id="bank-arms-only"),
+    # only the quality arms need it, and the first of them is wce_quality
+    pytest.param(_drop_first_mos, None, [],
+                 "record bonafide0_0000: wce_quality loss needs mos",
+                 id="bonafide-without-mos"),
+])
+def test_bad_ablate_input_exits_2_before_training(workspace, capsys,
+                                                   train_change, test_change,
+                                                   overrides, message):
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    train_data = test_data = tmp / "tr" / "data.jsonl"
+    if train_change is not None:
+        train_data = tmp / "train.jsonl"
+        rewrite_jsonl(test_data, train_data, train_change)
+    if test_change is not None:
+        test_data = tmp / "test.jsonl"
+        rewrite_jsonl(train_data, test_data, test_change)
+    sets = [a for o in overrides for a in ("--set", o)]
+    capsys.readouterr()
+    rc = run("ablate", "--config", cfg, "--data", train_data,
+             "--test", test_data, *sets, "--out", tmp / "ab")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not any((tmp / "ab" / arm).exists() for arm, _, _ in ABLATION_ARMS)
 
 
 def test_default_out_uses_env(workspace, monkeypatch, tmp_path):
@@ -281,18 +382,69 @@ def test_labeled_on_spoof_without_mos_is_config_error(workspace, capsys):
 def test_train_on_bonafide_without_mos_is_config_error(workspace, capsys, loss):
     tmp, spec, cfg = workspace
     run("gen", "--spec", spec, "--out", tmp / "data")
-    rows = [json.loads(line) for line in
-            (tmp / "data" / "data.jsonl").read_text().splitlines()]
-    for r in rows:
-        r.pop("mos", None)
     data = tmp / "no_mos.jsonl"
-    data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    rewrite_jsonl(tmp / "data" / "data.jsonl", data, lambda r: r.pop("mos", None))
     capsys.readouterr()
     rc = run("train", "--config", cfg, "--data", data, "--set", f"loss={loss}",
              "--out", tmp / "run")
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert err.startswith(f"config error: record bonafide0_0000: {loss} loss")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("loss, code", [
+    ("multi_centroid", 2), ("wce_quality", 2), ("wce", 0),
+    ("single_centroid", 0),
+])
+def test_train_on_one_bonafide_record_without_mos(workspace, capsys, loss,
+                                                  code):
+    # one unrated record among rated ones; whether the seeded split puts it
+    # in a training batch must not matter
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "data")
+    data = tmp / "one_without_mos.jsonl"
+    rewrite_jsonl(tmp / "data" / "data.jsonl", data, _drop_first_mos)
+    capsys.readouterr()
+    rc = run("train", "--config", cfg, "--data", data, "--set", f"loss={loss}",
+             "--out", tmp / "run")
+    assert rc == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"config error: record bonafide0_0000: {loss} loss needs mos "
+            f"on bona fide records\n")
+
+
+@pytest.mark.parametrize("command", ["score", "export"])
+def test_feature_count_mismatch_exits_2(workspace, capsys, command):
+    tmp, data, ckpt = trained(workspace)
+    short = tmp / "short.jsonl"
+    rewrite_jsonl(data, short, lambda r: r["features"].pop())
+    capsys.readouterr()
+    rc = run(command, "--checkpoint", ckpt, "--data", short, "--out", tmp / "o")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {short}: 5 features per record, "
+                   f"the checkpoint has 6\n")
+
+
+@pytest.mark.parametrize("overrides, cause", [
+    pytest.param(["encoder.hidden=[1]"],
+                 "encoder produced a zero vector before normalization",
+                 id="dead-hidden-layer"),
+    pytest.param(["loss=wce", 'optimizer.kind="sgd-momentum"',
+                  "optimizer.lr=1e9"], "loss .* out of bounds", id="lr-1e9"),
+])
+def test_training_failure_exits_4(workspace, capsys, overrides, cause):
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "data")
+    sets = [a for o in overrides for a in ("--set", o)]
+    capsys.readouterr()
+    rc = run("train", "--config", cfg, "--data", tmp / "data" / "data.jsonl",
+             *sets, "--out", tmp / "run")
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"divergence: epoch \d+, batch \d+: {cause}\n", err), err
 
 
 @pytest.mark.parametrize("edit, overrides", [
@@ -415,6 +567,8 @@ def test_fuzzed_input_gives_exit_code_and_one_line(fuzz_checkpoint, lines,
              *[f"--set={pair}" for pair in sets], "--out", os.path.join(tmp, "run")],
         ):
             rc, err = run_quietly(*argv)
-            assert rc in (0, 1, 2, 3), (argv, err)
+            # 4: a zero vector from the encoder (all-zero features, or a
+            # dead hidden layer) stops training as a divergence
+            assert rc in (0, 1, 2, 3, 4), (argv, err)
             if rc:
                 assert err.count("\n") == 1 and err.endswith("\n"), err

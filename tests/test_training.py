@@ -228,7 +228,8 @@ def test_train_divergence_detected(small_records):
     cfg = quick_config(loss="wce",
                        optimizer=OptimizerConfig(kind="sgd-momentum", lr=1e9),
                        epochs=5)
-    with pytest.raises(DivergenceDetected):
+    with pytest.raises(DivergenceDetected,
+                       match=r"^epoch \d+, batch \d+: loss .* out of bounds$"):
         train(small_records, cfg)
 
 
