@@ -35,6 +35,7 @@ from .errors import (
     IoError,
     McocError,
     MissingQuality,
+    require,
 )
 from .model import load_checkpoint, save_checkpoint
 from .scoring import (
@@ -263,6 +264,7 @@ def _cmd_ablate(args):
 
 
 def _cmd_export(args):
+    require(args.bins >= 1, "--bins", args.bins, "at least 1")
     ckpt = load_checkpoint(args.checkpoint)
     records = load_jsonl(args.data, ckpt.policy)
     _require_features(records, ckpt.encoder.input_dim, args.data,

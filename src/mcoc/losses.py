@@ -2,7 +2,10 @@
 
 Conventions shared by every loss here:
   * embeddings arrive already unit-normalized; gradients are taken against
-    the raw dot products, the encoder applies its normalization Jacobian
+    them as given, the encoder applies its normalization Jacobian
+  * every centroid loss reads one similarity matrix S = E @ W.T per call;
+    its margin and quality terms each give a value and dL/dS, and one
+    helper (_chain) maps dL/dS to the gradients of E and W
   * labels: 0 = bonafide, 1 = spoof; quality = -1 marks "absent"
   * on exact similarity ties the lowest-index centroid wins, and the
     subgradient goes to that same centroid
@@ -82,22 +85,57 @@ class LossOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _select(batch: Batch, bank: CentroidBank):
-    sims = bank.similarities(batch.embeddings)  # (N, Q)
-    spoof = batch.labels == 1
-    idx = np.empty(batch.size, dtype=np.int64)
-    if np.any(spoof):
-        idx[spoof] = np.argmax(sims[spoof], axis=1)
-    bona = ~spoof
-    if np.any(bona):
-        q = batch.quality[bona]
-        if np.any(q == QUALITY_ABSENT):
-            raise MissingQuality("bona fide sample without a quality level")
-        if np.any(q >= bank.num_centroids) or np.any(q < 0):
-            raise MissingQuality("quality level outside the centroid bank")
-        idx[bona] = q
-    d = sims[np.arange(batch.size), idx]
-    return d, idx
+def _levels(batch: Batch, bank: CentroidBank) -> np.ndarray:
+    """Every row's quality level, once each bona fide row is known to have
+    one with a centroid in the bank (MissingQuality otherwise)."""
+    q = batch.quality[batch.labels == 0]
+    if np.any(q == QUALITY_ABSENT):
+        raise MissingQuality("bona fide sample without a quality level")
+    if np.any(q >= bank.num_centroids) or np.any(q < 0):
+        raise MissingQuality("quality level outside the centroid bank")
+    return batch.quality
+
+
+def _margin_term(S, labels, levels, hyper: LossHyper):
+    """(value, dL/dS) of the softplus margin loss, averaged over the rows.
+    A bona fide row is measured against the centroid of its level, a spoof
+    row against its most similar centroid."""
+    spoof = labels == 1
+    rows = np.arange(S.shape[0])
+    idx = np.where(spoof, np.argmax(S, axis=1), levels)
+    margins = np.where(spoof, hyper.m1, hyper.m0)
+    sign = np.where(spoof, -1.0, 1.0)  # (-1)^y
+    z = hyper.alpha * (margins - S[rows, idx]) * sign
+    dS = np.zeros_like(S)
+    # dL_i/dS[i, idx_i] = sigma(z_i) * (-alpha * sign_i), averaged over N
+    dS[rows, idx] = sigmoid(z) * (-hyper.alpha * sign) / S.shape[0]
+    return float(np.mean(softplus(z))), dS
+
+
+def _quality_term(S, labels, levels, hyper: LossHyper):
+    """(value, dL/dS) of the additive-margin softmax over quality levels on
+    the bona fide rows, normalized by their count (0 and 0 without any)."""
+    bona = labels == 0
+    q = levels[bona]
+    B = max(q.size, 1)
+    rows = np.arange(q.size)
+    U = S[bona]
+    Z = hyper.s * U
+    Z[rows, q] = hyper.s * (U[rows, q] - hyper.m)
+    value = float(np.sum(logsumexp_rows(Z) - Z[rows, q]) / B)
+    G = hyper.s * softmax_rows(Z)
+    G[rows, q] -= hyper.s
+    dS = np.zeros_like(S)
+    dS[bona] = G / B
+    return value, dS
+
+
+def _chain(value, dS, batch: Batch, bank: CentroidBank,
+           diagnostics) -> LossOutput:
+    """The loss output for dL/dS, S = E @ W.T: the one place where a
+    gradient reaches the embeddings E and the centroids W."""
+    return LossOutput(value, dS @ bank.weights, dS.T @ batch.embeddings,
+                      diagnostics=diagnostics)
 
 
 def margin_one_class_loss(batch: Batch, bank: CentroidBank,
@@ -105,23 +143,9 @@ def margin_one_class_loss(batch: Batch, bank: CentroidBank,
     """Softplus margin loss over the similarity distance, averaged over the
     batch. Bona fide samples are pushed above m0 against their own-quality
     centroid; spoof samples are pushed below m1 against their best centroid."""
-    d, idx = _select(batch, bank)
-    spoof = batch.labels == 1
-    margins = np.where(spoof, hyper.m1, hyper.m0)
-    sign = np.where(spoof, -1.0, 1.0)  # (-1)^y
-    z = hyper.alpha * (margins - d) * sign
-    value = float(np.mean(softplus(z)))
-    # dL_i/dd = sigma(z_i) * (-alpha * sign_i), averaged over N
-    dd = sigmoid(z) * (-hyper.alpha * sign) / batch.size
-    grad_emb = dd[:, None] * bank.weights[idx]
-    grad_cent = np.zeros_like(bank.weights)
-    np.add.at(grad_cent, idx, dd[:, None] * batch.embeddings)
-    return LossOutput(
-        value=value,
-        grad_embeddings=grad_emb,
-        grad_centroids=grad_cent,
-        diagnostics={"one_class": value},
-    )
+    S = bank.similarities(batch.embeddings)
+    value, dS = _margin_term(S, batch.labels, _levels(batch, bank), hyper)
+    return _chain(value, dS, batch, bank, {"one_class": value})
 
 
 def oc_softmax_loss(batch: Batch, bank: CentroidBank,
@@ -130,12 +154,9 @@ def oc_softmax_loss(batch: Batch, bank: CentroidBank,
     the one centroid; quality levels are ignored."""
     if bank.num_centroids != 1:
         raise ValueError("oc_softmax_loss requires a single-centroid bank")
-    routed = Batch(
-        embeddings=batch.embeddings,
-        labels=batch.labels,
-        quality=np.zeros(batch.size, dtype=np.int64),
-    )
-    return margin_one_class_loss(routed, bank, hyper)
+    S = bank.similarities(batch.embeddings)
+    value, dS = _margin_term(S, batch.labels, np.zeros_like(batch.labels), hyper)
+    return _chain(value, dS, batch, bank, {"one_class": value})
 
 
 def quality_loss(batch: Batch, bank: CentroidBank,
@@ -143,53 +164,22 @@ def quality_loss(batch: Batch, bank: CentroidBank,
     """Additive-margin softmax over quality levels, bona fide samples only,
     normalized by the bona fide count. The margin applies to the target
     logit; non-target logits are plain scaled similarities."""
-    bona = batch.labels == 0
-    B = int(np.sum(bona))
-    if B == 0:
-        return LossOutput(
-            value=0.0,
-            grad_embeddings=np.zeros_like(batch.embeddings),
-            grad_centroids=np.zeros_like(bank.weights),
-            diagnostics={"quality": 0.0},
-        )
-    q = batch.quality[bona]
-    if np.any(q == QUALITY_ABSENT):
-        raise MissingQuality("bona fide sample without a quality level")
-    E = batch.embeddings[bona]
-    U = E @ bank.weights.T  # (B, Q)
-    Z = hyper.s * U
-    rows = np.arange(B)
-    Z[rows, q] = hyper.s * (U[rows, q] - hyper.m)
-    value = float(np.mean(logsumexp_rows(Z) - Z[rows, q]))
-    P = softmax_rows(Z)
-    G = hyper.s * P
-    G[rows, q] -= hyper.s
-    G /= B  # dL/dU
-    grad_emb = np.zeros_like(batch.embeddings)
-    grad_emb[bona] = G @ bank.weights
-    return LossOutput(
-        value=value,
-        grad_embeddings=grad_emb,
-        grad_centroids=G.T @ E,
-        diagnostics={"quality": value},
-    )
+    S = bank.similarities(batch.embeddings)
+    value, dS = _quality_term(S, batch.labels, _levels(batch, bank), hyper)
+    return _chain(value, dS, batch, bank, {"quality": value})
 
 
 def combined_loss(batch: Batch, bank: CentroidBank,
                   hyper: LossHyper) -> LossOutput:
     """One-class term plus lam * quality term. At lam == 0 the quality term
-    is reported in diagnostics but contributes nothing, bitwise."""
-    oc = margin_one_class_loss(batch, bank, hyper)
-    ql = quality_loss(batch, bank, hyper)
-    if hyper.lam == 0.0:
-        oc.diagnostics = {"one_class": oc.value, "quality": ql.value}
-        return oc
-    return LossOutput(
-        value=oc.value + hyper.lam * ql.value,
-        grad_embeddings=oc.grad_embeddings + hyper.lam * ql.grad_embeddings,
-        grad_centroids=oc.grad_centroids + hyper.lam * ql.grad_centroids,
-        diagnostics={"one_class": oc.value, "quality": ql.value},
-    )
+    is reported in diagnostics but contributes nothing, bitwise: 0.0 * dS
+    adds zeros to the margin gradient."""
+    S = bank.similarities(batch.embeddings)
+    levels = _levels(batch, bank)
+    oc, dS_oc = _margin_term(S, batch.labels, levels, hyper)
+    ql, dS_ql = _quality_term(S, batch.labels, levels, hyper)
+    return _chain(oc + hyper.lam * ql, dS_oc + hyper.lam * dS_ql, batch, bank,
+                  {"one_class": oc, "quality": ql})
 
 
 def wce_loss(batch: Batch, head: BinaryHead,

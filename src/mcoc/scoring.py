@@ -6,13 +6,14 @@ Score polarity everywhere: higher score means more likely bona fide.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .data import BONAFIDE, QUALITY_ABSENT, Dataset, QualityPolicy, quality_label
-from .errors import ConfigError, EmptyClass, MissingQuality
+from .data import BONAFIDE, QUALITY_ABSENT, SPOOF, Dataset, QualityPolicy, quality_label
+from .errors import ConfigError, EmptyClass, MissingQuality, ParseError
 from .model import BinaryHead, CentroidBank, Encoder
 
 STRATEGIES = ("labeled", "max", "ensemble", "head")
@@ -20,6 +21,8 @@ STRATEGIES = ("labeled", "max", "ensemble", "head")
 # block at a time, so scoring memory is bounded by the block size rather
 # than by the number of records.
 BLOCK_ROWS = 256
+# scores.csv labels; empty for a record without one
+_SCORE_LABELS = {"": None, "bonafide": BONAFIDE, "spoof": SPOOF}
 
 
 def embed(records: Dataset, encoder: Encoder) -> np.ndarray:
@@ -190,14 +193,32 @@ def write_scores_csv(report: ScoreReport, path):
 
 
 def read_scores_csv(path):
-    """Returns (ids, scores, labels) with labels None where absent."""
+    """Returns (ids, scores, labels) with labels None where absent. A missing
+    id or score column, a score that is not a finite number and a label
+    other than "", bonafide or spoof are ParseErrors naming the line."""
     ids, scores, labels = [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            ids.append(row["id"])
-            scores.append(float(row["score"]))
-            lab = row.get("label", "")
-            labels.append(None if not lab else (BONAFIDE if lab == "bonafide" else 1))
+        rows = csv.DictReader(fh)
+        try:
+            for col in ("id", "score"):
+                if col not in (rows.fieldnames or ()):
+                    raise ParseError(1, f"no {col!r} column")
+            for row in rows:
+                try:
+                    score = float(row["score"])
+                except (TypeError, ValueError):  # None: the row is too short
+                    score = math.nan
+                if not math.isfinite(score):
+                    raise ParseError(rows.line_num, f"score {row['score']!r} "
+                                                    f"is not a finite number")
+                label = row.get("label") or ""
+                if label not in _SCORE_LABELS:
+                    raise ParseError(rows.line_num, f"unknown label {label!r}")
+                ids.append(row["id"])
+                scores.append(score)
+                labels.append(_SCORE_LABELS[label])
+        except csv.Error as exc:  # a field over the size limit; line_num lags
+            raise ParseError(rows.reader.line_num, str(exc)) from exc
     return ids, scores, labels
 
 

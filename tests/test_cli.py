@@ -315,6 +315,48 @@ def test_head_report_matches_eval(workspace):
     assert report["eer"] == summary["eer"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("id,score,label\na,abc,bonafide\n", "line 2: score 'abc' is not a finite number"),
+    ("id,score,label\na,0.5,bonafide\nb,nan,spoof\n",
+     "line 3: score 'nan' is not a finite number"),
+    ("id,score,label\na,-inf,spoof\n", "line 2: score '-inf' is not a finite number"),
+    ("id,score,label\na\n", "line 2: score None is not a finite number"),
+    ("id,label\na,bonafide\n", "line 1: no 'score' column"),
+    ("score,label\n0.5,bonafide\n", "line 1: no 'id' column"),
+    ("", "line 1: no 'id' column"),
+    ("id,score,label\na,0.5,bonafide\nb,0.1,garbage\n",
+     "line 3: unknown label 'garbage'"),
+    ("id,score\na,0.5\nb," + "1" * 200_000 + "\n",
+     "line 3: field larger than field limit (131072)"),
+], ids=["score_abc", "score_nan", "score_inf", "short_row", "no_score_column",
+        "no_id_column", "empty_file", "unknown_label", "field_over_limit"])
+def test_malformed_scores_csv_exits_1(tmp_path, capsys, text, message):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text)
+    assert run("eval", "--scores", scores, "--out", tmp_path / "ev") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_skips_rows_without_a_label(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,score,label\na,0.9,bonafide\nb,0.5,\nc,0.1,spoof\n")
+    assert run("eval", "--scores", scores, "--out", tmp_path / "ev") == 0
+    summary = json.loads((tmp_path / "ev" / "summary.json").read_text())
+    assert (summary["num_bonafide"], summary["num_spoof"]) == (1, 1)
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_export_bins_below_one_exits_2_before_reading(tmp_path, capsys, bins):
+    # the checkpoint does not exist: reading it first would be exit 3
+    rc = run("export", "--checkpoint", tmp_path / "none.json",
+             "--data", tmp_path / "none.jsonl", "--bins", bins,
+             "--out", tmp_path / "ex")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --bins must be at least 1, got {bins}\n"
+    assert not (tmp_path / "ex").exists()
+
+
 @pytest.mark.parametrize("override", [
     "batch_size=2.5", "epochs=1.5", 'seed="x"', "seed=-1", "batch_size=true",
     'centroid_init="foo"', 'optimizer.kind="foo"',
@@ -572,3 +614,29 @@ def test_fuzzed_input_gives_exit_code_and_one_line(fuzz_checkpoint, lines,
             assert rc in (0, 1, 2, 3, 4), (argv, err)
             if rc:
                 assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+_CELLS = (st.sampled_from(["bonafide", "spoof", "", "nan", "inf", "1e999",
+                           "0.5", "-2", "abc"])
+          | st.floats().map(repr)
+          | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4))
+_SCORE_ROWS = st.tuples(st.text("abc", max_size=2), st.floats(-5, 5).map(repr),
+                        st.sampled_from(["bonafide", "spoof", ""])).map(list)
+_HEADERS = (st.just(["id", "score", "label", "strategy"])
+            | st.lists(st.sampled_from(["id", "score", "label", "strategy"])
+                       | st.text("abcdeilorst", max_size=5), max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(header=_HEADERS,
+       rows=st.lists(_SCORE_ROWS | st.lists(_CELLS, max_size=5), max_size=8))
+def test_fuzzed_scores_csv_gives_exit_code_and_one_line(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        scores = os.path.join(tmp, "scores.csv")
+        with open(scores, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(",".join(cells) + "\n" for cells in [header, *rows]))
+        rc, err = run_quietly("eval", "--scores", scores,
+                              "--out", os.path.join(tmp, "ev"))
+        assert rc in (0, 1, 2, 3), err
+        if rc:
+            assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -7,6 +7,7 @@ from mcoc.errors import MissingQuality
 from mcoc.losses import (
     Batch,
     LossHyper,
+    LossOutput,
     QUALITY_ABSENT,
     combined_loss,
     margin_one_class_loss,
@@ -16,7 +17,14 @@ from mcoc.losses import (
     wce_quality_loss,
 )
 from mcoc.model import BinaryHead, CentroidBank, init_centroids
-from mcoc.numerics import finite_diff_grad, make_rng
+from mcoc.numerics import (
+    finite_diff_grad,
+    logsumexp_rows,
+    make_rng,
+    sigmoid,
+    softmax_rows,
+    softplus,
+)
 
 HYPER = LossHyper()
 
@@ -372,3 +380,122 @@ def test_missing_quality_raises():
                 np.full(4, QUALITY_ABSENT))
     with pytest.raises(MissingQuality):
         margin_one_class_loss(bad, bank, HYPER)
+
+
+# ---- reference: each centroid term with its own similarities and its own
+# scatter of the gradient into E and W. The library sums dL/dS over the
+# terms before one chain rule: the same math with other rounding, which
+# test_centroid_losses_match_reference bounds. ----
+
+def _ref_select(batch, bank):
+    sims = bank.similarities(batch.embeddings)  # (N, Q)
+    spoof = batch.labels == 1
+    idx = np.empty(batch.size, dtype=np.int64)
+    if np.any(spoof):
+        idx[spoof] = np.argmax(sims[spoof], axis=1)
+    bona = ~spoof
+    if np.any(bona):
+        q = batch.quality[bona]
+        if np.any(q == QUALITY_ABSENT):
+            raise MissingQuality("bona fide sample without a quality level")
+        if np.any(q >= bank.num_centroids) or np.any(q < 0):
+            raise MissingQuality("quality level outside the centroid bank")
+        idx[bona] = q
+    d = sims[np.arange(batch.size), idx]
+    return d, idx
+
+
+def ref_margin_one_class_loss(batch, bank, hyper):
+    d, idx = _ref_select(batch, bank)
+    spoof = batch.labels == 1
+    margins = np.where(spoof, hyper.m1, hyper.m0)
+    sign = np.where(spoof, -1.0, 1.0)
+    z = hyper.alpha * (margins - d) * sign
+    value = float(np.mean(softplus(z)))
+    dd = sigmoid(z) * (-hyper.alpha * sign) / batch.size
+    grad_cent = np.zeros_like(bank.weights)
+    np.add.at(grad_cent, idx, dd[:, None] * batch.embeddings)
+    return LossOutput(value=value, grad_embeddings=dd[:, None] * bank.weights[idx],
+                      grad_centroids=grad_cent, diagnostics={"one_class": value})
+
+
+def ref_oc_softmax_loss(batch, bank, hyper):
+    routed = Batch(batch.embeddings, batch.labels,
+                   np.zeros(batch.size, dtype=np.int64))
+    return ref_margin_one_class_loss(routed, bank, hyper)
+
+
+def ref_quality_loss(batch, bank, hyper):
+    bona = batch.labels == 0
+    B = int(np.sum(bona))
+    if B == 0:
+        return LossOutput(value=0.0, grad_embeddings=np.zeros_like(batch.embeddings),
+                          grad_centroids=np.zeros_like(bank.weights),
+                          diagnostics={"quality": 0.0})
+    q = batch.quality[bona]
+    if np.any(q == QUALITY_ABSENT):
+        raise MissingQuality("bona fide sample without a quality level")
+    E = batch.embeddings[bona]
+    U = E @ bank.weights.T
+    Z = hyper.s * U
+    rows = np.arange(B)
+    Z[rows, q] = hyper.s * (U[rows, q] - hyper.m)
+    value = float(np.mean(logsumexp_rows(Z) - Z[rows, q]))
+    G = hyper.s * softmax_rows(Z)
+    G[rows, q] -= hyper.s
+    G /= B
+    grad_emb = np.zeros_like(batch.embeddings)
+    grad_emb[bona] = G @ bank.weights
+    return LossOutput(value=value, grad_embeddings=grad_emb,
+                      grad_centroids=G.T @ E, diagnostics={"quality": value})
+
+
+def ref_combined_loss(batch, bank, hyper):
+    oc = ref_margin_one_class_loss(batch, bank, hyper)
+    ql = ref_quality_loss(batch, bank, hyper)
+    if hyper.lam == 0.0:
+        oc.diagnostics = {"one_class": oc.value, "quality": ql.value}
+        return oc
+    return LossOutput(
+        value=oc.value + hyper.lam * ql.value,
+        grad_embeddings=oc.grad_embeddings + hyper.lam * ql.grad_embeddings,
+        grad_centroids=oc.grad_centroids + hyper.lam * ql.grad_centroids,
+        diagnostics={"one_class": oc.value, "quality": ql.value},
+    )
+
+
+def test_centroid_losses_match_reference():
+    rng = make_rng(20)
+    ties = 0
+    for trial in range(1200):
+        n = int(rng.integers(1, 33))
+        q_levels = int(rng.choice([1, 2, 4]))
+        dim = int(rng.choice([4, 16]))
+        hyper = LossHyper(lam=float(rng.choice([0.0, 0.1, 1.0])))
+        emb = rng.normal(size=(n, dim))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        kind = ("mixed", "all_spoof", "all_bonafide", "ties")[trial % 4]
+        labels = rng.integers(0, 2, size=n)
+        if kind in ("all_spoof", "all_bonafide"):
+            labels[:] = kind == "all_spoof"
+        qual = np.where(labels == 0, rng.integers(0, q_levels, size=n),
+                        QUALITY_ABSENT)
+        W = init_centroids(q_levels, dim, "random-unit", rng).weights
+        if kind == "ties":  # pairs of equal centroids: the lower index wins
+            W = W[np.arange(q_levels) // 2 * 2]
+            sims = emb @ W.T
+            ties += int(np.sum(sims[:, 1:] == sims[:, :1])) if q_levels > 1 else 0
+        batch, bank = Batch(emb, labels, qual), CentroidBank(W)
+        pairs = [(margin_one_class_loss, ref_margin_one_class_loss, bank),
+                 (quality_loss, ref_quality_loss, bank),
+                 (combined_loss, ref_combined_loss, bank),
+                 (oc_softmax_loss, ref_oc_softmax_loss, CentroidBank(W[:1]))]
+        for fn, ref, b in pairs:
+            got, want = fn(batch, b, hyper), ref(batch, b, hyper)
+            where = (fn.__name__, trial, kind)
+            assert abs(got.value - want.value) <= 1e-12, where
+            assert got.diagnostics == pytest.approx(want.diagnostics, abs=1e-12)
+            for name in ("grad_embeddings", "grad_centroids"):
+                diff = getattr(got, name) - getattr(want, name)
+                assert np.max(np.abs(diff)) <= 1e-12, (where, name)
+    assert ties > 0

@@ -1,0 +1,24 @@
+"""Every name the benchmark's tracer wraps must exist in mcoc, so that a
+refactor that drops or renames one fails the tier-1 suite and not only the
+benchmark's own tests. Reads perfbench/spans.py; writes nothing."""
+
+import importlib
+import importlib.util
+import pathlib
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_every_traced_target_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = []
+    for _, module_name, attr, _ in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):  # "Encoder.forward" is a method
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, missing
