@@ -2,7 +2,8 @@
 """Run a fixed small session through the CLI and print the sha256 of every
 output, one `<sha256>  <path>` line per file, sorted by path.
 
-The session: `gen` of the benchmark_spec(3) train and test sets, `ablate`
+The session: `gen` of the benchmark_spec(3) train and test sets and of the
+train set under a 3-level quality policy (thresholds [2.0, 3.5]), `ablate`
 with benchmark_train_config(3), `train` of the `single_centroid` loss and of
 the default loss under `sgd-momentum` (the two arms `ablate` leaves out),
 `score` of the test set under `max` and `ensemble` (multi_centroid
@@ -45,6 +46,9 @@ def _steps(out):
                        os.path.join(inputs, "train_spec.json"))
     test_spec = _dump(benchmark_spec(SEED, train=False).to_dict(),
                       os.path.join(inputs, "test_spec.json"))
+    policy_spec = _dump({**benchmark_spec(SEED, train=True).to_dict(),
+                         "policy": {"num_levels": 3, "thresholds": [2.0, 3.5]}},
+                        os.path.join(inputs, "policy_spec.json"))
     config = _dump(benchmark_train_config(SEED).to_dict(),
                    os.path.join(inputs, "config.json"))
     train = os.path.join(out, "train", "data.jsonl")
@@ -55,6 +59,7 @@ def _steps(out):
     return [
         ["gen", "--spec", train_spec, "--out", os.path.dirname(train)],
         ["gen", "--spec", test_spec, "--out", os.path.dirname(test)],
+        ["gen", "--spec", policy_spec, "--out", os.path.join(out, "gen_policy")],
         ["ablate", "--config", config, "--data", train, "--test", test,
          "--out", ablate],
         ["train", "--config", config, "--data", train,

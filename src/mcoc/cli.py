@@ -35,6 +35,7 @@ from .errors import (
     IoError,
     McocError,
     MissingQuality,
+    from_dict,
     require,
 )
 from .model import load_checkpoint, save_checkpoint
@@ -71,7 +72,7 @@ def _load_json(path):
             obj = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object")
@@ -143,8 +144,9 @@ def _config_dict(path, args):
 
 def _cmd_gen(args):
     spec_dict = _config_dict(args.spec, args)
+    # the policy sits beside the spec; the manifest holds the spec alone
+    policy = from_dict(QualityPolicy, spec_dict.pop("policy", {}), "policy")
     spec = SyntheticSpec.from_dict(spec_dict)
-    policy = QualityPolicy.from_dict(spec_dict.get("policy", {}))
     records = generate_synthetic(spec, policy)
     outdir = _outdir(args, "gen")
     save_jsonl(records, os.path.join(outdir, "data.jsonl"))

@@ -2,6 +2,10 @@
 
 Detection labels: 0 = bonafide, 1 = spoof. Quality levels exist only for bona
 fide records; spoof records carry ``QUALITY_ABSENT`` throughout.
+
+The gen spec, its clusters and a quality policy are built from JSON by
+``errors.from_dict`` and check their own values. A cluster's ``label`` is
+its JSON name, "bonafide" or "spoof"; ``generate_synthetic`` maps it to 0/1.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -19,6 +23,7 @@ from .errors import (
     MissingField,
     MosOutOfRange,
     ParseError,
+    from_dict,
     is_int,
     is_real,
     require,
@@ -62,22 +67,6 @@ class QualityPolicy:
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ConfigError("policy: thresholds must be strictly ascending")
         object.__setattr__(self, "thresholds", cuts)
-
-    def to_dict(self):
-        return {
-            "tau": self.tau,
-            "num_levels": self.num_levels,
-            "thresholds": list(self.thresholds),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of to_dict; missing keys take their defaults."""
-        require(isinstance(d, dict), "policy", d, "an object")
-        try:
-            return cls(**d)
-        except TypeError as exc:  # an unknown key
-            raise ConfigError(f"policy: {exc}") from exc
 
 
 def quality_label(mos, policy: QualityPolicy):
@@ -145,8 +134,8 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
     Each line is a JSON object with a string `id` not seen before, a known
     `label`, `features` as a non-empty list of finite numbers as long as the
     first record's, and optionally `mos` (a number or null) and `augmented`
-    (true or false). Anything else is a ParseError or MissingField naming
-    the line.
+    (true or false). Anything else, bytes that are not UTF-8 included, is
+    a ParseError or MissingField naming the line.
     """
     ids, labels, mos, augmented = [], [], [], []
     # features go straight into one flat buffer of doubles: holding the
@@ -154,8 +143,8 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
     # the memory of the final array
     features, dim = array("d"), 0
     first_seen = {}  # id -> line number
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(utf8_lines(fh), start=1):
             if not line.strip():
                 continue
             try:
@@ -200,6 +189,20 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
     return make_dataset(ids, X, labels, mos, augmented, policy)
 
 
+def utf8_lines(fh):
+    """The lines of `fh`, a text file opened with errors="surrogateescape",
+    under which a byte that is not UTF-8 reads as a lone surrogate that
+    cannot be encoded again; a line holding one is a ParseError naming it."""
+    for line_no, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ParseError(line_no, f"byte 0x{byte:02x} is not UTF-8") from None
+        yield line
+
+
 def save_jsonl(records: Dataset, path):
     """Inverse of load_jsonl. Quality is derived state and is not serialized."""
     # features are converted row by row, so that the Python floats of only
@@ -224,7 +227,7 @@ class ClusterSpec:
     count: int
     mean: tuple
     spread: float
-    label: int = BONAFIDE
+    label: str = "bonafide"
     quality_band: Optional[str] = None
 
     def __post_init__(self):
@@ -236,7 +239,9 @@ class ClusterSpec:
         object.__setattr__(self, "mean", tuple(self.mean))
         require(is_real(self.spread) and self.spread > 0,
                 "spread", self.spread, "a number > 0")
-        if self.label == BONAFIDE:
+        require(isinstance(self.label, str) and self.label in _LABEL_CODES,
+                "label", self.label, "'bonafide' or 'spoof'")
+        if self.label == "bonafide":
             require(self.quality_band in ("low", "high"), "quality_band",
                     self.quality_band, "'low' or 'high' for a bonafide cluster")
 
@@ -260,45 +265,17 @@ class SyntheticSpec:
                                   f"values, dim is {self.dim}")
 
     def to_dict(self):
-        return {
-            "dim": self.dim,
-            "seed": self.seed,
-            "clusters": [
-                {
-                    "count": c.count,
-                    "mean": list(c.mean),
-                    "spread": c.spread,
-                    "label": _LABEL_NAMES[c.label],
-                    "quality_band": c.quality_band,
-                }
-                for c in self.clusters
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; a missing or malformed value is a ConfigError."""
+        """Inverse of to_dict: errors.from_dict for the spec and each cluster."""
         clusters = d.get("clusters")
-        require(isinstance(clusters, list)
-                and all(isinstance(c, dict) for c in clusters),
-                "clusters", clusters, "a list of objects")
-        specs = []
-        try:
-            for c in clusters:
-                label = c.get("label", "bonafide")
-                require(isinstance(label, str) and label in _LABEL_CODES,
-                        "label", label, "'bonafide' or 'spoof'")
-                specs.append(ClusterSpec(
-                    count=c["count"],
-                    mean=c["mean"],
-                    spread=c["spread"],
-                    label=_LABEL_CODES[label],
-                    quality_band=c.get("quality_band"),
-                ))
-            return cls(dim=d["dim"], clusters=tuple(specs),
-                       seed=d.get("seed", 0))
-        except KeyError as exc:
-            raise ConfigError(f"spec is missing {exc}") from exc
+        require(isinstance(clusters, (list, tuple)), "clusters", clusters,
+                "a list of objects")
+        built = tuple(from_dict(ClusterSpec, c, f"clusters[{i}]")
+                      for i, c in enumerate(clusters))
+        return from_dict(cls, {**d, "clusters": built}, "spec")
 
 
 def _mos_band(band: str, policy: QualityPolicy):
@@ -312,14 +289,19 @@ def generate_synthetic(spec: SyntheticSpec,
     """Sample the configured Gaussian clusters with a seeded generator.
 
     Bona fide records get a synthetic MOS drawn uniformly inside their
-    cluster's quality band, so only the bucket is meaningful.
+    cluster's quality band, so only the bucket is meaningful. A cluster
+    that draws a feature beyond the float range is a ConfigError.
     """
     rng = make_rng(spec.seed)
     ids, X, y, mos = [], [], [], []
     for ci, c in enumerate(spec.clusters):
-        X.append(rng.normal(0.0, c.spread, size=(c.count, spec.dim))
-                 + np.asarray(c.mean, dtype=np.float64))
-        if c.label == BONAFIDE:
+        with np.errstate(over="ignore"):  # an overflow is checked below
+            X.append(rng.normal(0.0, c.spread, size=(c.count, spec.dim))
+                     + np.asarray(c.mean, dtype=np.float64))
+        if not np.all(np.isfinite(X[-1])):
+            raise ConfigError(f"cluster {ci}: mean and spread draw a feature "
+                              f"beyond the float range")
+        if c.label == "bonafide":
             lo, hi = _mos_band(c.quality_band, policy)
             # keep a margin off the cut so the band assignment is unambiguous
             width = hi - lo
@@ -327,9 +309,8 @@ def generate_synthetic(spec: SyntheticSpec,
                                    size=c.count))
         else:
             mos.append(np.full(c.count, np.nan))
-        y.append(np.full(c.count, c.label))
-        tag = f"{_LABEL_NAMES[c.label]}{ci}"
-        ids += [f"{tag}_{i:04d}" for i in range(c.count)]
+        y.append(np.full(c.count, _LABEL_CODES[c.label]))
+        ids += [f"{c.label}{ci}_{i:04d}" for i in range(c.count)]
     return make_dataset(ids, np.concatenate(X), np.concatenate(y),
                         np.concatenate(mos), np.zeros(len(ids), dtype=bool),
                         policy)
@@ -378,9 +359,9 @@ def benchmark_spec(seed: int, train: bool = True) -> SyntheticSpec:
     spoof2[2] = 2.5
     n = 150 if train else 50
     clusters = (
-        ClusterSpec(n, tuple(base - delta), 0.35, BONAFIDE, "low"),
-        ClusterSpec(n, tuple(base + delta), 0.35, BONAFIDE, "high"),
-        ClusterSpec(n, tuple(spoof1), 0.35, SPOOF),
-        ClusterSpec(n, tuple(spoof2), 0.35, SPOOF),
+        ClusterSpec(n, tuple(base - delta), 0.35, "bonafide", "low"),
+        ClusterSpec(n, tuple(base + delta), 0.35, "bonafide", "high"),
+        ClusterSpec(n, tuple(spoof1), 0.35, "spoof"),
+        ClusterSpec(n, tuple(spoof2), 0.35, "spoof"),
     )
     return SyntheticSpec(dim=d, clusters=clusters, seed=seed if train else seed + 1000)

@@ -15,7 +15,7 @@ Conventions shared by every loss here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ class LossHyper:
     lam: float = 0.1  # weight of the quality term in the combined objective
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
+        for name, value in asdict(self).items():
             require(is_real(value), f"hyper.{name}", value, "a number")
         if self.alpha <= 0 or self.s <= 0:
             raise ConfigError("hyper: scales must be positive")
@@ -46,12 +46,6 @@ class LossHyper:
             raise ConfigError("hyper: margins must satisfy -1 <= m1 < m0 <= 1")
         if self.m < 0 or self.lam < 0:
             raise ConfigError("hyper: m and lam must be >= 0")
-
-    def to_dict(self):
-        return {
-            "alpha": self.alpha, "m0": self.m0, "m1": self.m1,
-            "s": self.s, "m": self.m, "lam": self.lam,
-        }
 
 
 @dataclass

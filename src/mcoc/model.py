@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .data import QualityPolicy
-from .errors import ConfigError, DimMismatch, InvalidScheme, ZeroNorm
+from .errors import ConfigError, DimMismatch, InvalidScheme, ZeroNorm, from_dict
 from .numerics import ZERO_NORM_EPS
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -71,9 +71,11 @@ class Encoder:
     def embed_dim(self):
         return self.layers[-1].weight.shape[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is checked
     def forward(self, X: np.ndarray):
         """Returns (embeddings, cache). X is (N, input_dim); rows of the
-        output have unit norm."""
+        output have unit norm. A row whose norm before normalization is
+        (near) zero or not finite has no direction and raises ZeroNorm."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.input_dim:
             raise DimMismatch(f"input dim {X.shape[1]} != {self.input_dim}")
@@ -89,6 +91,9 @@ class Encoder:
         norms = np.linalg.norm(V, axis=1)
         if np.any(norms < ZERO_NORM_EPS):
             raise ZeroNorm("encoder produced a zero vector before normalization")
+        if not np.all(np.isfinite(norms)):
+            raise ZeroNorm("encoder produced a vector of non-finite norm "
+                           "before normalization")
         Xhat = V / norms[:, None]
         cache = (acts, pre, norms, Xhat)
         return Xhat, cache
@@ -266,7 +271,7 @@ class Checkpoint:
             "encoder": self.encoder.to_dict(),
             "bank": None if self.bank is None else self.bank.to_dict(),
             "head": None if self.head is None else self.head.to_dict(),
-            "policy": self.policy.to_dict(),
+            "policy": asdict(self.policy),
             "hyper": self.hyper,
             "metadata": self.metadata,
         }
@@ -283,7 +288,8 @@ class Checkpoint:
                 encoder=Encoder.from_dict(d["encoder"]),
                 bank=None if d["bank"] is None else CentroidBank.from_dict(d["bank"]),
                 head=None if d["head"] is None else BinaryHead.from_dict(d["head"]),
-                policy=QualityPolicy.from_dict(d["policy"]),
+                policy=from_dict(QualityPolicy, d["policy"],
+                                 "checkpoint.policy"),
                 hyper=d["hyper"],
                 metadata=d.get("metadata", {}),
             )

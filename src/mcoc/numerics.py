@@ -17,12 +17,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sigmoid(z):
+    # e^{-|z|} never overflows; 1/(1+e) for z >= 0 and e/(1+e) below are
+    # the same operations, bit for bit, as the two-branch stable form
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 

@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import BONAFIDE, QUALITY_ABSENT, SPOOF, Dataset, QualityPolicy, quality_label
+from .data import (BONAFIDE, QUALITY_ABSENT, SPOOF, Dataset, QualityPolicy,
+                   quality_label, utf8_lines)
 from .errors import ConfigError, EmptyClass, MissingQuality, ParseError
 from .model import BinaryHead, CentroidBank, Encoder
 
@@ -23,6 +24,7 @@ STRATEGIES = ("labeled", "max", "ensemble", "head")
 BLOCK_ROWS = 256
 # scores.csv labels; empty for a record without one
 _SCORE_LABELS = {"": None, "bonafide": BONAFIDE, "spoof": SPOOF}
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def embed(records: Dataset, encoder: Encoder) -> np.ndarray:
@@ -95,15 +97,25 @@ def compute_eer(bona_scores, spoof_scores):
     the midpoints between consecutive distinct scores (plus sentinels below
     and above the support) and the crossing is linearly interpolated between
     the two adjacent operating points.
+
+    Both results are finite for any finite scores: a sentinel that a step of
+    1.0 cannot move (past 2**53) is the next float, or the largest float with
+    the rates past the support, and a sum that overflows is taken in halves.
+    Below 2**52 none of this applies.
     """
     bona = np.sort(np.asarray(bona_scores, dtype=np.float64))
     spoof = np.sort(np.asarray(spoof_scores, dtype=np.float64))
     if bona.size == 0 or spoof.size == 0:
         raise EmptyClass("EER needs scores from both classes")
     uniq = np.unique(np.concatenate([bona, spoof]))
-    mids = (uniq[:-1] + uniq[1:]) / 2.0
-    thr = np.concatenate([[uniq[0] - 1.0], mids, [uniq[-1] + 1.0]])
+    with np.errstate(over="ignore"):
+        mids = (uniq[:-1] + uniq[1:]) / 2.0
+        lo = min(uniq[0] - 1.0, np.nextafter(uniq[0], -np.inf))
+        hi = max(uniq[-1] + 1.0, np.nextafter(uniq[-1], np.inf))
+    mids = np.where(np.isfinite(mids), mids, uniq[:-1] / 2.0 + uniq[1:] / 2.0)
+    thr = np.clip(np.concatenate([[lo], mids, [hi]]), -_FLOAT_MAX, _FLOAT_MAX)
     far, frr = _rates_at(thr, bona, spoof)
+    far[-1], frr[-1] = 0.0, 1.0
     diff = far - frr  # non-increasing in the threshold
     i = int(np.argmax(diff <= 0.0))  # first operating point at or past the crossing
     if diff[i] == 0.0:
@@ -111,7 +123,10 @@ def compute_eer(bona_scores, spoof_scores):
     j = i - 1  # diff[0] = 1 > 0, so j >= 0
     t = diff[j] / (diff[j] - diff[i])
     eer = far[j] + t * (far[i] - far[j])
-    threshold = thr[j] + t * (thr[i] - thr[j])
+    with np.errstate(over="ignore"):
+        threshold = thr[j] + t * (thr[i] - thr[j])
+    if not np.isfinite(threshold):
+        threshold = (1.0 - t) * thr[j] + t * thr[i]
     return float(eer), float(threshold)
 
 
@@ -195,10 +210,12 @@ def write_scores_csv(report: ScoreReport, path):
 def read_scores_csv(path):
     """Returns (ids, scores, labels) with labels None where absent. A missing
     id or score column, a score that is not a finite number and a label
-    other than "", bonafide or spoof are ParseErrors naming the line."""
+    other than "", bonafide or spoof, and bytes that are not UTF-8, are
+    ParseErrors naming the line."""
     ids, scores, labels = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.DictReader(fh)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
+        rows = csv.DictReader(utf8_lines(fh))
         try:
             for col in ("id", "score"):
                 if col not in (rows.fieldnames or ()):

@@ -21,7 +21,7 @@ config plus seed pins the produced checkpoint byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
@@ -30,7 +30,7 @@ import numpy as np
 from .data import (BONAFIDE, QUALITY_ABSENT, Dataset, QualityPolicy,
                    balance_augmentation)
 from .errors import (ConfigError, DivergenceDetected, MissingQuality, ZeroNorm,
-                     is_int, is_real, require)
+                     from_dict, is_int, is_real, require)
 from .losses import (
     Batch,
     LossHyper,
@@ -180,25 +180,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; missing keys take their defaults."""
-        known = {f.name: f for f in fields(cls)}
-        unknown = set(d) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        for name, value in d.items():
-            # a field with a default factory is a nested section; the
-            # factory is the section's class
-            section = known[name].default_factory
-            if section is MISSING:
-                continue
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name} must be an object, got {value!r}")
-            try:
-                kwargs[name] = section(**value)
-            except TypeError as exc:  # an unknown section key
-                raise ConfigError(f"{name}: {exc}") from exc
-        return cls(**kwargs)
+        """Inverse of to_dict; errors name `config` or `config.<section>`."""
+        return from_dict(cls, d, "config")
 
 
 def benchmark_train_config(seed: int, lam: float = 0.1,
@@ -288,30 +271,15 @@ class TrainReport:
     final_checkpoint: Optional[str] = None
 
     def to_dict(self):
-        return {
-            "config": self.config,
-            "epochs": [vars(e) for e in self.epochs],
-            "final_checkpoint": self.final_checkpoint,
-        }
+        return asdict(self)
 
     def write_csv(self, path):
-        cols = ["epoch", "train_loss", "loss_one_class", "loss_quality",
-                "val_eer_ensemble", "val_eer_max", "val_eer_head",
-                "centroid_cosine"]
+        """One row per epoch; csv writes None as an empty cell and a float
+        as its repr."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(cols)
-            for e in self.epochs:
-                row = []
-                for cname in cols:
-                    val = getattr(e, cname)
-                    if val is None:
-                        row.append("")
-                    elif cname == "epoch":
-                        row.append(val)
-                    else:
-                        row.append(repr(float(val)))
-                w.writerow(row)
+            w.writerow([f.name for f in fields(EpochMetrics)])
+            w.writerows(astuple(e) for e in self.epochs)
 
 
 def _val_eers(encoder, bank, head, X_val, y_val):
@@ -347,17 +315,19 @@ def check_quality(records: Dataset, config: TrainConfig):
 def train(records: Dataset, config: TrainConfig):
     """Run the configured arm end to end. Returns (report, checkpoint).
 
-    A zero vector from the encoder or a collapsed centroid, and a loss out
-    of bounds, raise DivergenceDetected naming the epoch and the batch
-    (both counted from 1)."""
-    if not len(records):
-        raise ConfigError("empty training set")
+    A split that leaves no record to train on is a ConfigError, raised
+    before any training. A zero vector from the encoder or a collapsed
+    centroid, and a loss out of bounds, raise DivergenceDetected naming the
+    epoch and the batch (both counted from 1)."""
+    n_val = int(round(config.val_fraction * len(records)))
+    if n_val == len(records):
+        raise ConfigError(f"no training records: {n_val} of {n_val} go to "
+                          f"validation (val_fraction {config.val_fraction})")
     check_quality(records, config)
     rng = make_rng(config.seed)
 
     # split, then augment the training part only
     perm = rng.permutation(len(records))
-    n_val = int(round(config.val_fraction * len(records)))
     val = records.take(perm[:n_val])
     tr = balance_augmentation(records.take(perm[n_val:]),
                               config.augment_fraction, config.noise_scale, rng)
@@ -434,7 +404,7 @@ def train(records: Dataset, config: TrainConfig):
         bank=bank,
         head=head,
         policy=config.policy,
-        hyper=config.hyper.to_dict(),
+        hyper=asdict(config.hyper),
         metadata={
             "seed": config.seed,
             "epochs": config.epochs,

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcoc import cli
 from mcoc.cli import ABLATION_ARMS, main
-from mcoc.data import ClusterSpec, SyntheticSpec, BONAFIDE, SPOOF
+from mcoc.data import ClusterSpec, SyntheticSpec
 from mcoc.scoring import STRATEGIES
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
 
@@ -22,9 +23,9 @@ def tiny_spec(seed=1):
     return SyntheticSpec(
         dim=6,
         clusters=(
-            ClusterSpec(30, tuple(base), 0.3, BONAFIDE, "low"),
-            ClusterSpec(30, tuple(base), 0.3, BONAFIDE, "high"),
-            ClusterSpec(30, tuple(far), 0.3, SPOOF),
+            ClusterSpec(30, tuple(base), 0.3, "bonafide", "low"),
+            ClusterSpec(30, tuple(base), 0.3, "bonafide", "high"),
+            ClusterSpec(30, tuple(far), 0.3, "spoof"),
         ),
         seed=seed,
     )
@@ -367,6 +368,7 @@ def test_export_bins_below_one_exits_2_before_reading(tmp_path, capsys, bins):
     "hyper.m0=0.1", 'hyper.lam="x"', "hyper.foo=1", "policy.num_levels=3",
     "hyper.lam=true", "policy.num_levels=true", 'policy.thresholds=["3"]',
     "policy=3", "class_weights=[1]", "class_weights=[1, 0]",
+    "optimizer.lrr=1", "policy.foo=1", "encoder=[]",
     # seven orthogonal centroids do not fit in the config's 6-d embedding
     'policy={"num_levels": 7, "thresholds": [1.5, 2, 2.5, 3, 3.5, 4]}',
 ])
@@ -398,11 +400,18 @@ def _edit_json(change):
                                                      "bias": 0.0})),
                  id="head-dim"),
     pytest.param(_edit_json(lambda d: d.pop("policy")), id="missing-part"),
+    pytest.param(_edit_json(lambda d: d["policy"].update(tua=2.5)),
+                 id="policy-unknown-key"),
+    pytest.param(_edit_json(lambda d: d.update(policy=[2.5])),
+                 id="policy-not-object"),
+    pytest.param(lambda text: text.replace('"bias"', '"bi\xffas"', 1),
+                 id="not-utf8"),
 ])
 def test_bad_checkpoint_exits_2(workspace, capsys, damage):
     tmp, data, ckpt = trained(workspace)
     bad = tmp / "bad.json"
-    bad.write_text(damage(ckpt.read_text()))
+    # latin-1 writes each character as one byte: "\xff" stays a lone 0xff
+    bad.write_text(damage(ckpt.read_text()), encoding="latin-1")
     capsys.readouterr()
     rc = run("score", "--checkpoint", bad, "--data", data, "--out", tmp / "sc")
     assert rc == 2
@@ -507,6 +516,16 @@ def test_training_failure_exits_4(workspace, capsys, overrides, cause):
     pytest.param(None, ["seed=-1"], id="seed-negative"),
     pytest.param(None, ['policy={"num_levels": true}'], id="policy-bool"),
     pytest.param(None, ["policy=3"], id="policy-not-object"),
+    pytest.param(None, ["sed=7"], id="unknown-key"),
+    pytest.param(lambda d: d["clusters"][2].update(labl="spoof"), [],
+                 id="unknown-cluster-key"),
+    pytest.param(None, ['policy={"num_levels": 2, "tua": 2.5}'],
+                 id="unknown-policy-key"),
+    pytest.param(lambda d: d["clusters"][2].update(label=["spoof"]), [],
+                 id="label-list"),
+    pytest.param(lambda d: d["clusters"][0].update(mean=[1.7e308] * 6,
+                                                   spread=1e308), [],
+                 id="features-overflow"),
 ])
 def test_bad_gen_spec_exits_2(workspace, capsys, edit, overrides):
     tmp, spec, _ = workspace
@@ -518,6 +537,112 @@ def test_bad_gen_spec_exits_2(workspace, capsys, edit, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp / "data" / "data.jsonl").exists()
+
+
+def _with_bad_byte(path, line):
+    """Rewrite `path` with a 0xff byte in the id of the record on `line`."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1].replace(b'"id": "', b'"id": "\xff', 1)
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_jsonl_not_utf8_names_the_line(workspace, capsys, command):
+    tmp, data, ckpt = trained(workspace)
+    _with_bad_byte(data, 70)
+    capsys.readouterr()
+    if command == "train":
+        _, _, cfg = workspace
+        rc = run("train", "--config", cfg, "--data", data, "--out", tmp / "o")
+    else:
+        rc = run("score", "--checkpoint", ckpt, "--data", data,
+                 "--out", tmp / "o")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 70: byte 0xff is not UTF-8\n"
+
+
+def test_scores_csv_not_utf8_names_the_line(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    # \r\n and a lone \r each end a line, as in text mode
+    scores.write_bytes(b"id,score,label\r\na,0.5,bonafide\rb,0.1,sp\xffoof\n")
+    assert run("eval", "--scores", scores, "--out", tmp_path / "ev") == 1
+    assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_config_not_utf8_exits_2(workspace, capsys, command):
+    tmp, spec, cfg = workspace
+    path = spec if command == "gen" else cfg
+    path.write_bytes(path.read_bytes().replace(b"{", b"{\xff", 1))
+    flag = "--spec" if command == "gen" else "--config"
+    extra = () if command == "gen" else ("--data", tmp / "absent.jsonl")
+    rc = run(command, flag, path, *extra, "--out", tmp / "o")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("records, val_fraction", [(1, 0.6), (3, 0.9)])
+def test_empty_training_split_exits_2(workspace, capsys, records, val_fraction):
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "data")
+    few = tmp / "few.jsonl"
+    lines = (tmp / "data" / "data.jsonl").read_text().splitlines(True)
+    few.write_text("".join(lines[:records]))
+    capsys.readouterr()
+    rc = run("train", "--config", cfg, "--data", few,
+             "--set", f"val_fraction={val_fraction}", "--out", tmp / "run")
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: no training records: {records} of {records} go to "
+        f"validation (val_fraction {val_fraction})\n")
+    assert not (tmp / "run").exists()
+
+
+def test_feature_norm_overflow_is_not_scored_as_zero(workspace, capsys):
+    tmp, data, ckpt = trained(workspace)
+    huge = tmp / "huge.jsonl"
+    huge.write_text(json.dumps({"id": "h", "features": [1e200, 1e200, 0, 0, 0, 0],
+                                "label": "spoof"}) + "\n")
+    capsys.readouterr()
+    rc = run("score", "--checkpoint", ckpt, "--data", huge, "--out", tmp / "sc")
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: encoder produced a vector of "
+                                       "non-finite norm before normalization\n")
+    assert not (tmp / "sc" / "scores.csv").exists()
+    # under train it is a divergence naming the epoch and the batch
+    with_huge = tmp / "with_huge.jsonl"
+    with_huge.write_text(data.read_text() + huge.read_text())
+    _, _, cfg = workspace
+    rc = run("train", "--config", cfg, "--data", with_huge,
+             "--set", "val_fraction=0", "--out", tmp / "run2")
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"divergence: epoch 1, batch \d+: encoder produced a "
+                        r"vector of non-finite norm before normalization\n", err)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("bona, spoof, eer, threshold", [
+    ([1.7e308, 1.5e308], [1.6e308, 1.65e308], 0.5, 1.625e308),
+    ([4e16], [4e16], 0.5, 4e16),
+    ([-1.7976931348623157e308], [1.7976931348623157e308], 1.0, 0.0),
+])
+def test_eval_summary_is_strict_json_at_extreme_scores(tmp_path, bona, spoof,
+                                                       eer, threshold):
+    scores = tmp_path / "scores.csv"
+    rows = [f"b{i},{s!r},bonafide" for i, s in enumerate(bona)]
+    rows += [f"s{i},{s!r},spoof" for i, s in enumerate(spoof)]
+    scores.write_text("id,score,label\n" + "\n".join(rows) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("eval", "--scores", scores, "--out", tmp_path / "ev") == 0
+    summary = _strict_json((tmp_path / "ev" / "summary.json").read_text())
+    assert (summary["eer"], summary["threshold"]) == (eer, threshold)
 
 
 # ---- fuzzing the data and config boundary ----
@@ -640,3 +765,70 @@ def test_fuzzed_scores_csv_gives_exit_code_and_one_line(header, rows):
         assert rc in (0, 1, 2, 3), err
         if rc:
             assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+_SPEC_KEYS = ("dim", "seed", "clusters", "policy")
+_CLUSTER_KEYS = ("count", "mean", "spread", "label", "quality_band")
+_POLICY_KEYS = ("tau", "num_levels", "thresholds")
+# copied, so that an edit never changes a value hypothesis hands out again
+_SPEC_VALUES = (_JSON | st.integers(-1, 8) | st.floats(-1, 3)
+                | st.sampled_from(["bonafide", "spoof", "low", "high",
+                                   [1.0] * 6, [0.5, 4.0],
+                                   {"num_levels": 3, "thresholds": [2.0, 3.5]}])
+                | st.dictionaries(st.sampled_from(_POLICY_KEYS + ("taus",)),
+                                  st.integers(1, 4) | _JSON, max_size=2)
+                ).map(copy.deepcopy)
+
+
+@st.composite
+def _gen_specs(draw):
+    """The CLI tests' spec with up to four edits: a top-level or cluster key
+    set (a known key or a typo), dropped, or a cluster replaced by a value
+    that may not be an object."""
+    spec = json.loads(json.dumps(tiny_spec().to_dict()))
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["top", "cluster", "drop", "replace"]))
+        clusters = spec.get("clusters")
+        key_of = st.sampled_from(_CLUSTER_KEYS + ("labl", "counts"))
+        if edit == "top":
+            key = draw(st.sampled_from(_SPEC_KEYS + ("sed", "dims")))
+            spec[key] = draw(_SPEC_VALUES)
+        elif edit == "drop":
+            spec.pop(draw(st.sampled_from(_SPEC_KEYS)), None)
+        elif isinstance(clusters, list) and clusters:
+            i = draw(st.integers(0, len(clusters) - 1))
+            if edit == "replace":
+                clusters[i] = draw(_SPEC_VALUES)
+            elif isinstance(clusters[i], dict):
+                clusters[i][draw(key_of)] = draw(_SPEC_VALUES)
+    return spec
+
+
+def _unknown_keys(spec):
+    """Every key of the spec, its clusters and its policy that no
+    dataclass declares."""
+    unknown = set(spec) - set(_SPEC_KEYS)
+    policy = spec.get("policy")
+    if isinstance(policy, dict):
+        unknown |= set(policy) - set(_POLICY_KEYS)
+    clusters = spec.get("clusters")
+    if isinstance(clusters, list):
+        for c in clusters:
+            if isinstance(c, dict):
+                unknown |= set(c) - set(_CLUSTER_KEYS)
+    return unknown
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_gen_specs())
+def test_fuzzed_gen_spec_exits_0_or_2(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        rc, err = run_quietly("gen", "--spec", path,
+                              "--out", os.path.join(tmp, "data"))
+    assert rc in (0, 2), (spec, err)
+    assert err.count("\n") == (rc != 0), err
+    if _unknown_keys(spec):
+        assert rc == 2, (spec, err)

@@ -1,0 +1,109 @@
+"""errors.from_dict, the one builder from a JSON object to a config
+dataclass: round trips through to_dict and JSON, and the errors that name
+their section."""
+
+import json
+from dataclasses import asdict
+
+import pytest
+
+from mcoc.data import ClusterSpec, QualityPolicy, SyntheticSpec, benchmark_spec
+from mcoc.errors import ConfigError, from_dict
+from mcoc.training import OptimizerConfig, TrainConfig, benchmark_train_config
+
+POLICY_3 = QualityPolicy(num_levels=3, thresholds=(2.0, 3.5))
+
+
+def through_json(d):
+    return json.loads(json.dumps(d))
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_spec_round_trip(train):
+    spec = benchmark_spec(3, train=train)
+    assert SyntheticSpec.from_dict(spec.to_dict()) == spec
+    assert SyntheticSpec.from_dict(through_json(spec.to_dict())) == spec
+
+
+def test_train_config_round_trip():
+    cfg = benchmark_train_config(3)
+    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(through_json(cfg.to_dict())) == cfg
+
+
+def test_policy_round_trip():
+    assert from_dict(QualityPolicy, asdict(POLICY_3), "policy") == POLICY_3
+    assert from_dict(QualityPolicy, through_json(asdict(POLICY_3)),
+                     "policy") == POLICY_3
+
+
+def test_train_config_with_policy_round_trip():
+    cfg = TrainConfig(policy=POLICY_3)
+    assert TrainConfig.from_dict(through_json(cfg.to_dict())) == cfg
+
+
+def test_spec_json_keeps_label_names():
+    d = benchmark_spec(3).to_dict()
+    assert [c["label"] for c in d["clusters"]] == ["bonafide", "bonafide",
+                                                   "spoof", "spoof"]
+
+
+def test_left_out_keys_take_defaults():
+    assert from_dict(QualityPolicy, {}, "policy") == QualityPolicy()
+    assert TrainConfig.from_dict({"optimizer": {"lr": 0.5}}) == \
+        TrainConfig(optimizer=OptimizerConfig(lr=0.5))
+    spec = SyntheticSpec.from_dict(
+        {"dim": 1, "clusters": [{"count": 1, "mean": [0], "spread": 1,
+                                 "quality_band": "low"}]})
+    assert spec.seed == 0 and spec.clusters[0].label == "bonafide"
+
+
+def _spec(**cluster):
+    c = {"count": 2, "mean": [0.0], "spread": 1.0, "label": "spoof", **cluster}
+    return {"dim": 1, "clusters": [c]}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig.from_dict({"lrr": 1}), "config: unknown keys ['lrr']"),
+    (lambda: TrainConfig.from_dict({"optimizer": {"lrr": 1, "b": 2}}),
+     "config.optimizer: unknown keys ['b', 'lrr']"),
+    (lambda: TrainConfig.from_dict({"policy": {"taus": 1}}),
+     "config.policy: unknown keys ['taus']"),
+    (lambda: TrainConfig.from_dict({"hyper": [1]}),
+     "config.hyper must be an object, got [1]"),
+    (lambda: TrainConfig.from_dict([]), "config must be an object, got []"),
+    (lambda: SyntheticSpec.from_dict({**_spec(), "sed": 7}),
+     "spec: unknown keys ['sed']"),
+    (lambda: SyntheticSpec.from_dict(_spec(labl="spoof")),
+     "clusters[0]: unknown keys ['labl']"),
+    (lambda: SyntheticSpec.from_dict({"clusters": []}),
+     "spec: missing keys ['dim']"),
+    (lambda: SyntheticSpec.from_dict({"dim": 1, "clusters": [{"count": 1}]}),
+     "clusters[0]: missing keys ['mean', 'spread']"),
+    (lambda: SyntheticSpec.from_dict({"dim": 1, "clusters": [3]}),
+     "clusters[0] must be an object, got 3"),
+    (lambda: SyntheticSpec.from_dict({"dim": 1}),
+     "clusters must be a list of objects, got None"),
+    (lambda: SyntheticSpec.from_dict(_spec(label=["spoof"])),
+     "label must be 'bonafide' or 'spoof', got ['spoof']"),
+    (lambda: SyntheticSpec.from_dict(_spec(label={"a": 1})),
+     "label must be 'bonafide' or 'spoof', got {'a': 1}"),
+    (lambda: SyntheticSpec.from_dict(_spec(label=1)),
+     "label must be 'bonafide' or 'spoof', got 1"),
+    (lambda: from_dict(QualityPolicy, {"num_levels": 2, "tua": 3},
+                       "checkpoint.policy"),
+     "checkpoint.policy: unknown keys ['tua']"),
+], ids=["top", "section", "policy", "section-not-object", "not-object",
+        "spec-top", "cluster-key", "spec-missing", "cluster-missing",
+        "cluster-not-object", "no-clusters", "label-list", "label-dict",
+        "label-int", "named-policy"])
+def test_errors_name_their_section(build, message):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_cluster_label_is_a_name():
+    assert ClusterSpec(1, (0.0,), 1.0, "spoof").label == "spoof"
+    with pytest.raises(ConfigError):
+        ClusterSpec(1, (0.0,), 1.0, 1)

@@ -202,9 +202,9 @@ def test_generate_tight_clusters_recoverable():
     spec = SyntheticSpec(
         dim=3,
         clusters=(
-            ClusterSpec(10, means[0], 0.01, BONAFIDE, "low"),
-            ClusterSpec(10, means[1], 0.01, BONAFIDE, "high"),
-            ClusterSpec(10, means[2], 0.01, SPOOF),
+            ClusterSpec(10, means[0], 0.01, "bonafide", "low"),
+            ClusterSpec(10, means[1], 0.01, "bonafide", "high"),
+            ClusterSpec(10, means[2], 0.01, "spoof"),
         ),
         seed=0,
     )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,17 @@ def test_encode_zero_output_raises():
     enc = Encoder([Layer(np.zeros((2, 2)), np.zeros(2), "identity")])
     with pytest.raises(ZeroNorm):
         encode(enc, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("features", [[1e200, 1e200], [1e308, -1e308]])
+def test_encode_non_finite_norm_raises(features):
+    # the norm of [1e200, 1e200] overflows; Z of [1e308, -1e308] under this
+    # layer is inf - inf
+    enc = Encoder([Layer(np.array([[1.0, 0.0], [1.0, -1.0]]), np.zeros(2),
+                         "identity")])
+    with warnings.catch_warnings(), pytest.raises(ZeroNorm, match="non-finite"):
+        warnings.simplefilter("error")  # no overflow warning on the way
+        encode(enc, features)
 
 
 def test_encode_dim_mismatch():

@@ -114,6 +114,26 @@ def test_softplus_stable_and_consistent(z):
     assert sigmoid(z) == pytest.approx(1 / (1 + np.exp(-min(z, 700))), rel=1e-12)
 
 
+def two_branch_sigmoid(z):
+    """The stable sigmoid with one branch per sign, the bit reference."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-8, 1.0, 30.0, 800.0, 1e300])
+def test_sigmoid_matches_two_branch_bits(scale):
+    z = make_rng(7).normal(size=1001) * scale
+    z = np.concatenate([z, [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                            1.7e308, -1.7e308]])
+    assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+    assert all(sigmoid(x) == two_branch_sigmoid(x) for x in z[-8:])
+
+
 def test_rng_determinism():
     a = make_rng(123).normal(size=10)
     b = make_rng(123).normal(size=10)

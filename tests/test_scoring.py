@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,44 @@ def test_eer_matches_oracle_randomized():
         oe, ot = eer_oracle(list(bona), list(spoof))
         assert abs(eer - oe) < 1e-9
         assert abs(thr - ot) < 1e-9
+
+
+FLOAT_MAX = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("bona, spoof, expected", [
+    ([4e16], [4e16], (0.5, 4e16)),
+    ([1.7e308, 1.5e308], [1.6e308, 1.65e308], (0.5, 1.625e308)),
+    ([FLOAT_MAX], [FLOAT_MAX], (0.5, np.nextafter(FLOAT_MAX, 0))),
+    ([-FLOAT_MAX], [FLOAT_MAX], (1.0, 0.0)),
+    ([FLOAT_MAX], [-FLOAT_MAX], (0.0, 0.0)),
+])
+def test_eer_at_extreme_magnitudes(bona, spoof, expected):
+    assert compute_eer(bona, spoof) == expected
+
+
+finite_scores = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=6)
+
+
+@given(finite_scores, finite_scores)
+def test_eer_finite_for_any_finite_scores(bona, spoof):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning is a failure
+        eer, threshold = compute_eer(bona, spoof)
+    assert 0.0 <= eer <= 1.0 and np.isfinite(threshold)
+
+
+unit_scores = st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1,
+                       max_size=6)
+
+
+@given(unit_scores, unit_scores, st.integers(0, 1023))
+def test_eer_invariant_under_power_of_two_scaling(bona, spoof, k):
+    # scaling by 2**k keeps the order of every score and midpoint, so the
+    # EER must not move, also past 2**53 where a step of 1.0 is lost
+    scaled = compute_eer(np.multiply(bona, 2.0 ** k), np.multiply(spoof, 2.0 ** k))
+    assert scaled[0] == compute_eer(bona, spoof)[0]
 
 
 @given(st.floats(min_value=0.1, max_value=10),
