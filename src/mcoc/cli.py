@@ -16,6 +16,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -144,13 +145,15 @@ def _config_dict(path, args):
 
 def _cmd_gen(args):
     spec_dict = _config_dict(args.spec, args)
-    # the policy sits beside the spec; the manifest holds the spec alone
+    # the policy sits beside the spec and moves every bona fide MOS, so the
+    # manifest records both
     policy = from_dict(QualityPolicy, spec_dict.pop("policy", {}), "policy")
     spec = SyntheticSpec.from_dict(spec_dict)
     records = generate_synthetic(spec, policy)
     outdir = _outdir(args, "gen")
     save_jsonl(records, os.path.join(outdir, "data.jsonl"))
-    _write_manifest(outdir, "gen", spec.to_dict(), seed=spec.seed)
+    _write_manifest(outdir, "gen", {**spec.to_dict(), "policy": asdict(policy)},
+                    seed=spec.seed)
     print(f"wrote {len(records)} records to {outdir}/data.jsonl")
     return 0
 
@@ -218,7 +221,7 @@ def _cmd_eval(args):
     outdir = _outdir(args, "eval")
     _write_json(os.path.join(outdir, "summary.json"), summary)
     _write_manifest(outdir, "eval", {"scores": args.scores})
-    print(f"EER {eer:.4f} at threshold {threshold:.4f}")
+    print(f"EER {eer:.4f} at threshold {threshold:.4g}")
     return 0
 
 

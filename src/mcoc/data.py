@@ -269,13 +269,25 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict: errors.from_dict for the spec and each cluster."""
+        """Inverse of to_dict: errors.from_dict for the spec and each cluster.
+        Every error in a cluster starts with its name, `clusters[i]`."""
         clusters = d.get("clusters")
         require(isinstance(clusters, (list, tuple)), "clusters", clusters,
                 "a list of objects")
-        built = tuple(from_dict(ClusterSpec, c, f"clusters[{i}]")
-                      for i, c in enumerate(clusters))
-        return from_dict(cls, {**d, "clusters": built}, "spec")
+        return from_dict(cls, {**d, "clusters": tuple(
+            _cluster(c, f"clusters[{i}]") for i, c in enumerate(clusters))},
+            "spec")
+
+
+def _cluster(d, name):
+    """from_dict for one cluster; a value error, which ClusterSpec raises
+    without knowing its place, gets the name in front."""
+    try:
+        return from_dict(ClusterSpec, d, name)
+    except ConfigError as exc:
+        if str(exc).startswith(name):
+            raise
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _mos_band(band: str, policy: QualityPolicy):

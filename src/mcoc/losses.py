@@ -23,7 +23,7 @@ import numpy as np
 from .data import QUALITY_ABSENT
 from .errors import ConfigError, DimMismatch, MissingQuality, is_real, require
 from .model import BinaryHead, CentroidBank
-from .numerics import logsumexp_rows, sigmoid, softmax_rows, softplus
+from .numerics import as_rows, logsumexp_softmax_rows, softplus_sigmoid
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class Batch:
     quality: np.ndarray  # (N,), level index or QUALITY_ABSENT
 
     def __post_init__(self):
-        self.embeddings = np.atleast_2d(np.asarray(self.embeddings, dtype=np.float64))
+        self.embeddings = as_rows(self.embeddings)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.quality = np.asarray(self.quality, dtype=np.int64)
         n = self.embeddings.shape[0]
@@ -83,9 +83,9 @@ def _levels(batch: Batch, bank: CentroidBank) -> np.ndarray:
     """Every row's quality level, once each bona fide row is known to have
     one with a centroid in the bank (MissingQuality otherwise)."""
     q = batch.quality[batch.labels == 0]
-    if np.any(q == QUALITY_ABSENT):
+    if (q == QUALITY_ABSENT).any():
         raise MissingQuality("bona fide sample without a quality level")
-    if np.any(q >= bank.num_centroids) or np.any(q < 0):
+    if (q >= bank.num_centroids).any() or (q < 0).any():
         raise MissingQuality("quality level outside the centroid bank")
     return batch.quality
 
@@ -100,10 +100,11 @@ def _margin_term(S, labels, levels, hyper: LossHyper):
     margins = np.where(spoof, hyper.m1, hyper.m0)
     sign = np.where(spoof, -1.0, 1.0)  # (-1)^y
     z = hyper.alpha * (margins - S[rows, idx]) * sign
+    loss, sig = softplus_sigmoid(z)
     dS = np.zeros_like(S)
     # dL_i/dS[i, idx_i] = sigma(z_i) * (-alpha * sign_i), averaged over N
-    dS[rows, idx] = sigmoid(z) * (-hyper.alpha * sign) / S.shape[0]
-    return float(np.mean(softplus(z))), dS
+    dS[rows, idx] = sig * (-hyper.alpha * sign) / S.shape[0]
+    return float(np.add.reduce(loss) / S.shape[0]), dS
 
 
 def _quality_term(S, labels, levels, hyper: LossHyper):
@@ -116,8 +117,9 @@ def _quality_term(S, labels, levels, hyper: LossHyper):
     U = S[bona]
     Z = hyper.s * U
     Z[rows, q] = hyper.s * (U[rows, q] - hyper.m)
-    value = float(np.sum(logsumexp_rows(Z) - Z[rows, q]) / B)
-    G = hyper.s * softmax_rows(Z)
+    lse, P = logsumexp_softmax_rows(Z)
+    value = float(np.add.reduce(lse - Z[rows, q]) / B)
+    G = hyper.s * P
     G[rows, q] -= hyper.s
     dS = np.zeros_like(S)
     dS[bona] = G / B
@@ -181,18 +183,17 @@ def wce_loss(batch: Batch, head: BinaryHead,
     """Weighted sigmoid cross-entropy on the head logit (spoof = positive
     class). Mean of per-sample weighted losses over the batch."""
     logits = head.logits(batch.embeddings)
-    y = batch.labels.astype(np.float64)
-    w = np.where(batch.labels == 1, class_weights[1], class_weights[0])
-    # stable BCE-with-logits: max(l,0) - l*y + log1p(e^{-|l|})
-    per = np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
-    value = float(np.mean(w * per))
-    dlogit = w * (sigmoid(logits) - y) / batch.size
+    y = batch.labels  # int 0/1: exact in float64 arithmetic
+    w = np.where(y == 1, class_weights[1], class_weights[0])
+    per, sig = softplus_sigmoid(logits, y)
+    value = float(np.add.reduce(w * per) / batch.size)
+    dlogit = w * (sig - y) / batch.size
     grad_emb = dlogit[:, None] * head.weight[None, :]
     return LossOutput(
         value=value,
         grad_embeddings=grad_emb,
         grad_head_weight=batch.embeddings.T @ dlogit,
-        grad_head_bias=float(np.sum(dlogit)),
+        grad_head_bias=float(np.add.reduce(dlogit)),
         diagnostics={"one_class": value},
     )
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import QualityPolicy
 from .errors import ConfigError, DimMismatch, InvalidScheme, ZeroNorm, from_dict
-from .numerics import ZERO_NORM_EPS
+from .numerics import ZERO_NORM_EPS, as_rows
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -31,11 +31,20 @@ def _act(name, Z):
 
 
 def _act_grad(name, Z, A):
+    """The activation's derivative, as a factor of the incoming gradient:
+    the bool mask Z > 0 for relu (multiplying by it is multiplying by 1.0
+    or 0.0), None for identity."""
     if name == "relu":
-        return (Z > 0.0).astype(np.float64)
+        return Z > 0.0
     if name == "tanh":
         return 1.0 - A * A
-    return np.ones_like(Z)
+    return None
+
+
+def _row_norms(V, keepdims=False):
+    """L2 norm of each row: the sum np.linalg.norm(V, axis=1) takes, bit
+    for bit, without its argument handling."""
+    return np.sqrt(np.add.reduce(V * V, axis=1, keepdims=keepdims))
 
 
 @dataclass
@@ -76,22 +85,23 @@ class Encoder:
         """Returns (embeddings, cache). X is (N, input_dim); rows of the
         output have unit norm. A row whose norm before normalization is
         (near) zero or not finite has no direction and raises ZeroNorm."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = as_rows(X)
         if X.shape[1] != self.input_dim:
             raise DimMismatch(f"input dim {X.shape[1]} != {self.input_dim}")
         acts = [X]
         pre = []
         A = X
         for layer in self.layers:
-            Z = A @ layer.weight.T + layer.bias
+            Z = A @ layer.weight.T
+            Z += layer.bias
             A = _act(layer.activation, Z)
             pre.append(Z)
             acts.append(A)
         V = acts[-1]
-        norms = np.linalg.norm(V, axis=1)
-        if np.any(norms < ZERO_NORM_EPS):
+        norms = _row_norms(V)
+        if (norms < ZERO_NORM_EPS).any():
             raise ZeroNorm("encoder produced a zero vector before normalization")
-        if not np.all(np.isfinite(norms)):
+        if not np.isfinite(norms).all():
             raise ZeroNorm("encoder produced a vector of non-finite norm "
                            "before normalization")
         Xhat = V / norms[:, None]
@@ -105,18 +115,19 @@ class Encoder:
         (grad_weight, grad_bias) matching self.layers.
         """
         acts, pre, norms, Xhat = cache
-        G = np.atleast_2d(np.asarray(grad_embed, dtype=np.float64))
+        G = as_rows(grad_embed)
         if G.shape != Xhat.shape:
             raise DimMismatch(f"grad shape {G.shape} != {Xhat.shape}")
         # through x = v/||v||: g_v = (g - (g.x)x)/||v||
-        radial = np.sum(G * Xhat, axis=1, keepdims=True)
+        radial = np.add.reduce(G * Xhat, axis=1, keepdims=True)
         GV = (G - radial * Xhat) / norms[:, None]
         param_grads = [None] * len(self.layers)
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
-            GZ = GV * _act_grad(layer.activation, pre[li], acts[li + 1])
+            dact = _act_grad(layer.activation, pre[li], acts[li + 1])
+            GZ = GV if dact is None else GV * dact
             gw = GZ.T @ acts[li]
-            gb = GZ.sum(axis=0)
+            gb = np.add.reduce(GZ, axis=0)
             param_grads[li] = (gw, gb)
             GV = GZ @ layer.weight
         return param_grads, GV
@@ -186,8 +197,8 @@ class CentroidBank:
         return self.weights.shape[1]
 
     def renormalize(self):
-        norms = np.linalg.norm(self.weights, axis=1, keepdims=True)
-        if np.any(norms < ZERO_NORM_EPS):
+        norms = _row_norms(self.weights, keepdims=True)
+        if (norms < ZERO_NORM_EPS).any():
             raise ZeroNorm("centroid collapsed to the zero vector")
         self.weights /= norms
 
@@ -198,7 +209,7 @@ class CentroidBank:
         """Upper-triangle cosines between centroid rows; empty for Q=1."""
         Q = self.num_centroids
         sims = np.clip(self.weights @ self.weights.T, -1.0, 1.0)
-        return np.array([sims[i, j] for i in range(Q) for j in range(i + 1, Q)])
+        return sims[np.triu_indices(Q, 1)]
 
     def to_dict(self):
         return {"weights": self.weights.tolist()}

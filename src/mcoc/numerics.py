@@ -16,6 +16,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def as_rows(X) -> np.ndarray:
+    """X as a 2-D float64 array; converted only when it is not one."""
+    if isinstance(X, np.ndarray) and X.ndim == 2 and X.dtype == np.float64:
+        return X
+    return np.atleast_2d(np.asarray(X, dtype=np.float64))
+
+
 def sigmoid(z):
     # e^{-|z|} never overflows; 1/(1+e) for z >= 0 and e/(1+e) below are
     # the same operations, bit for bit, as the two-branch stable form
@@ -32,6 +39,19 @@ def softplus(z):
     return out if out.ndim else float(out)
 
 
+def softplus_sigmoid(z, target=None):
+    """(softplus(z), sigmoid(z)) of a float64 array from one exp(-|z|), bit
+    for bit the same as the two functions. With a `target` y, the first is
+    the cross-entropy of logit z against y in its stable form
+    max(z, 0) - z*y + log1p(e^{-|z|}) instead."""
+    e = np.exp(-np.abs(z))
+    first = np.maximum(z, 0.0)
+    if target is not None:
+        first -= z * target
+    first += np.log1p(e)
+    return first, np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 def logsumexp_rows(Z: np.ndarray) -> np.ndarray:
     m = np.max(Z, axis=1, keepdims=True)
     return (m + np.log(np.sum(np.exp(Z - m), axis=1, keepdims=True)))[:, 0]
@@ -41,6 +61,17 @@ def softmax_rows(Z: np.ndarray) -> np.ndarray:
     m = np.max(Z, axis=1, keepdims=True)
     e = np.exp(Z - m)
     return e / np.sum(e, axis=1, keepdims=True)
+
+
+def logsumexp_softmax_rows(Z: np.ndarray):
+    """(logsumexp_rows(Z), softmax_rows(Z)) from one row max and one
+    exp(Z - max), bit for bit the same as the two functions."""
+    m = Z.max(axis=1, keepdims=True)
+    e = np.exp(Z - m)
+    total = np.add.reduce(e, axis=1, keepdims=True)
+    lse = m + np.log(total)
+    e /= total
+    return lse[:, 0], e
 
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:

@@ -107,7 +107,14 @@ def compute_eer(bona_scores, spoof_scores):
     spoof = np.sort(np.asarray(spoof_scores, dtype=np.float64))
     if bona.size == 0 or spoof.size == 0:
         raise EmptyClass("EER needs scores from both classes")
-    uniq = np.unique(np.concatenate([bona, spoof]))
+    # the distinct scores, as np.unique finds them: one sort of the union,
+    # then every value that differs from the one before it
+    both = np.concatenate([bona, spoof])
+    both.sort()
+    distinct = np.empty(both.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(both[1:], both[:-1], out=distinct[1:])
+    uniq = both[distinct]
     with np.errstate(over="ignore"):
         mids = (uniq[:-1] + uniq[1:]) / 2.0
         lo = min(uniq[0] - 1.0, np.nextafter(uniq[0], -np.inf))

@@ -21,6 +21,7 @@ config plus seed pins the produced checkpoint byte for byte.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
@@ -208,19 +209,23 @@ def make_batches(n, batch_size, rng):
 class _Optimizer:
     """SGD-momentum or Adam over every parameter at once.
 
-    The moments live in one flat buffer each; a step concatenates the
-    gradients and runs each update op once over the flat array, in the same
-    floating-point order as a per-array update, so the result is bitwise the
-    same. Parameters are updated in place through slices of the update.
+    The optimizer copies the parameters into one flat buffer it owns;
+    ``params`` are views of that buffer, one per given array and shaped
+    like it, and the model trains through them. The moments are flat
+    buffers too. A step concatenates the gradients, runs each update op
+    once over the flat arrays, in the same floating-point order as a
+    per-array update, so the result is bitwise the same, and ends in one
+    subtraction from the parameter buffer.
     """
 
     def __init__(self, params, config: OptimizerConfig):
         self.config = config
-        self.params = params
+        self.flat = np.concatenate(params, axis=None)
         ends = list(accumulate(p.size for p in params))
-        self.spans = list(zip([0] + ends[:-1], ends))
-        self.m = np.zeros(ends[-1])
-        self.v = np.zeros_like(self.m)
+        self.params = [self.flat[i:j].reshape(p.shape)
+                       for p, i, j in zip(params, [0] + ends[:-1], ends)]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
     def step(self, grads):
@@ -248,8 +253,7 @@ class _Optimizer:
             np.sqrt(a, out=a)
             a += c.eps
             g /= a
-        for p, (i, j) in zip(self.params, self.spans):
-            p -= g[i:j].reshape(p.shape)
+        self.flat -= g
 
 
 @dataclass
@@ -350,19 +354,32 @@ def train(records: Dataset, config: TrainConfig):
         head_bias = np.array([head.bias])
         params += [head.weight, head_bias]
     opt = _Optimizer(params, config.optimizer)
+    # from here on the model trains through the optimizer's views
+    views = iter(opt.params)
+    for layer in encoder.layers:
+        layer.weight, layer.bias = next(views), next(views)
+    if bank is not None:
+        bank.weights = next(views)
+    if head is not None:
+        head.weight, head_bias = next(views), next(views)
 
     report = TrainReport(config=config.to_dict())
     for epoch in range(1, config.epochs + 1):
         total, total_oc, total_ql, seen = 0.0, 0.0, 0.0, 0
         batches = make_batches(len(tr), config.batch_size, rng)
+        # one gather per epoch, in batch order; each batch is a slice of it
+        order = np.concatenate(batches)
+        X, y, quality = tr.X[order], tr.y[order], tr.quality[order]
         for b, idx in enumerate(batches, start=1):
+            nb = len(idx)
+            rows = slice(seen, seen + nb)
             try:
-                emb, cache = encoder.forward(tr.X[idx])
-                batch = Batch(embeddings=emb, labels=tr.y[idx],
-                              quality=tr.quality[idx])
+                emb, cache = encoder.forward(X[rows])
+                batch = Batch(embeddings=emb, labels=y[rows],
+                              quality=quality[rows])
 
                 out = objective.loss(batch, bank, head, config)
-                if not np.isfinite(out.value) or abs(out.value) > DIVERGENCE_LIMIT:
+                if not math.isfinite(out.value) or abs(out.value) > DIVERGENCE_LIMIT:
                     raise DivergenceDetected(
                         f"epoch {epoch}, batch {b}: loss {out.value!r} "
                         f"out of bounds")
@@ -380,7 +397,6 @@ def train(records: Dataset, config: TrainConfig):
             if head is not None:
                 head.bias = float(head_bias[0])
 
-            nb = len(idx)
             total += out.value * nb
             total_oc += out.diagnostics["one_class"] * nb
             total_ql += out.diagnostics.get("quality", 0.0) * nb

@@ -110,6 +110,28 @@ def test_gen_deterministic(workspace):
         (tmp / "b" / "data.jsonl").read_bytes()
 
 
+def test_gen_manifest_records_the_policy(workspace):
+    # the policy moves every bona fide MOS, so two runs that differ only in
+    # the policy differ in their manifests too, and the recorded spec
+    # re-runs the command
+    tmp, spec, _ = workspace
+    policy = {"num_levels": 3, "thresholds": [2.0, 3.5], "tau": 3.0}
+    run("gen", "--spec", spec, "--out", tmp / "a")
+    run("gen", "--spec", spec, "--set", f"policy={json.dumps(policy)}",
+        "--out", tmp / "b")
+    assert (tmp / "a" / "data.jsonl").read_bytes() != \
+        (tmp / "b" / "data.jsonl").read_bytes()
+    manifests = [json.loads((tmp / d / "manifest.json").read_text())
+                 for d in ("a", "b")]
+    assert manifests[0] != manifests[1]
+    assert manifests[1]["resolved"]["policy"] == policy
+    rerun = tmp / "rerun.json"
+    rerun.write_text(json.dumps(manifests[1]["resolved"]))
+    run("gen", "--spec", rerun, "--out", tmp / "c")
+    assert (tmp / "c" / "data.jsonl").read_bytes() == \
+        (tmp / "b" / "data.jsonl").read_bytes()
+
+
 def test_train_and_score_deterministic(workspace):
     tmp, spec, cfg = workspace
     run("gen", "--spec", spec, "--out", tmp / "data")
@@ -344,6 +366,21 @@ def test_eval_skips_rows_without_a_label(tmp_path):
     assert run("eval", "--scores", scores, "--out", tmp_path / "ev") == 0
     summary = json.loads((tmp_path / "ev" / "summary.json").read_text())
     assert (summary["num_bonafide"], summary["num_spoof"]) == (1, 1)
+
+
+@pytest.mark.parametrize("bona, spoof, line", [
+    ([1.7e308, 1.5e308], [1.6e308, 1.65e308],
+     "EER 0.5000 at threshold 1.625e+308"),
+    ([0.6], [0.4736], "EER 0.0000 at threshold 0.5368"),
+])
+def test_eval_prints_a_readable_threshold(tmp_path, capsys, bona, spoof,
+                                          line):
+    scores = tmp_path / "scores.csv"
+    rows = [f"b{i},{s!r},bonafide" for i, s in enumerate(bona)]
+    rows += [f"s{i},{s!r},spoof" for i, s in enumerate(spoof)]
+    scores.write_text("id,score,label\n" + "\n".join(rows) + "\n")
+    assert run("eval", "--scores", scores, "--out", tmp_path / "ev") == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 @pytest.mark.parametrize("bins", ["0", "-3"])

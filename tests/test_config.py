@@ -85,18 +85,20 @@ def _spec(**cluster):
     (lambda: SyntheticSpec.from_dict({"dim": 1}),
      "clusters must be a list of objects, got None"),
     (lambda: SyntheticSpec.from_dict(_spec(label=["spoof"])),
-     "label must be 'bonafide' or 'spoof', got ['spoof']"),
+     "clusters[0]: label must be 'bonafide' or 'spoof', got ['spoof']"),
     (lambda: SyntheticSpec.from_dict(_spec(label={"a": 1})),
-     "label must be 'bonafide' or 'spoof', got {'a': 1}"),
+     "clusters[0]: label must be 'bonafide' or 'spoof', got {'a': 1}"),
     (lambda: SyntheticSpec.from_dict(_spec(label=1)),
-     "label must be 'bonafide' or 'spoof', got 1"),
+     "clusters[0]: label must be 'bonafide' or 'spoof', got 1"),
+    (lambda: SyntheticSpec.from_dict(_spec(count=2.5)),
+     "clusters[0]: count must be an integer >= 1, got 2.5"),
     (lambda: from_dict(QualityPolicy, {"num_levels": 2, "tua": 3},
                        "checkpoint.policy"),
      "checkpoint.policy: unknown keys ['tua']"),
 ], ids=["top", "section", "policy", "section-not-object", "not-object",
         "spec-top", "cluster-key", "spec-missing", "cluster-missing",
         "cluster-not-object", "no-clusters", "label-list", "label-dict",
-        "label-int", "named-policy"])
+        "label-int", "count", "named-policy"])
 def test_errors_name_their_section(build, message):
     with pytest.raises(ConfigError) as info:
         build()

@@ -173,3 +173,85 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "ckpt2.json"
     save_checkpoint(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _reference_pass(encoder, X, G):
+    """Forward and backward written with the plain numpy calls: np.linalg.norm,
+    float masks, `A @ W.T + b` and a `* 1.0` for the identity layer. The
+    encoder must match it bit for bit."""
+    acts, pre, A = [X], [], X
+    for layer in encoder.layers:
+        Z = A @ layer.weight.T + layer.bias
+        if layer.activation == "relu":
+            A = np.maximum(Z, 0.0)
+        elif layer.activation == "tanh":
+            A = np.tanh(Z)
+        else:
+            A = Z
+        pre.append(Z)
+        acts.append(A)
+    norms = np.linalg.norm(A, axis=1)
+    Xhat = A / norms[:, None]
+    GV = (G - np.sum(G * Xhat, axis=1, keepdims=True) * Xhat) / norms[:, None]
+    grads = []
+    for li in range(len(encoder.layers) - 1, -1, -1):
+        layer = encoder.layers[li]
+        if layer.activation == "relu":
+            dact = (pre[li] > 0.0).astype(np.float64)
+        elif layer.activation == "tanh":
+            dact = 1.0 - acts[li + 1] * acts[li + 1]
+        else:
+            dact = np.ones_like(pre[li])
+        GZ = GV * dact
+        grads = [GZ.T @ acts[li], GZ.sum(axis=0)] + grads
+        GV = GZ @ layer.weight
+    return Xhat, norms, grads, GV
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_encoder_pass_matches_reference_bits(activation):
+    rng = make_rng(11)
+    enc = init_encoder(6, (9, 7), 5, rng, activation=activation)
+    for scale in (1e-3, 1.0, 1e150):
+        X = rng.normal(size=(33, 6)) * scale
+        G = rng.normal(size=(33, 5))
+        emb, cache = enc.forward(X)
+        param_grads, grad_in = enc.backward(cache, G)
+        ref_emb, ref_norms, ref_grads, ref_in = _reference_pass(enc, X, G)
+        assert cache[2].tobytes() == ref_norms.tobytes()
+        assert emb.tobytes() == ref_emb.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip([g for pair in param_grads for g in pair], ref_grads))
+        assert grad_in.tobytes() == ref_in.tobytes()
+
+
+def test_forward_norms_are_linalg_norms():
+    # rows spanning tiny to huge magnitudes, through the identity encoder
+    V = make_rng(4).normal(size=(40, 3)) * np.logspace(-25, 150, 40)[:, None]
+    _, (_, _, norms, _) = identity_encoder(3).forward(V)
+    assert norms.tobytes() == np.linalg.norm(V, axis=1).tobytes()
+    bank = CentroidBank(V.copy())
+    expected = V / np.linalg.norm(V, axis=1, keepdims=True)
+    bank.renormalize()
+    assert bank.weights.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ([0.0, 0.0], "encoder produced a zero vector before normalization"),
+    ([1e200, 1e200], "encoder produced a vector of non-finite norm "
+                     "before normalization"),
+])
+def test_one_bad_row_in_a_batch_raises(bad_row, message):
+    X = np.array([[3.0, 4.0], bad_row, [1.0, 0.0]])
+    with pytest.raises(ZeroNorm) as info:
+        identity_encoder(2).forward(X)
+    assert str(info.value) == message
+
+
+def test_pairwise_cosines_upper_triangle_order():
+    W = make_rng(6).normal(size=(4, 5))
+    bank = CentroidBank(W / np.linalg.norm(W, axis=1, keepdims=True))
+    sims = np.clip(bank.weights @ bank.weights.T, -1.0, 1.0)
+    expected = [sims[i, j] for i in range(4) for j in range(i + 1, 4)]
+    assert bank.pairwise_cosines().tolist() == expected
+    assert CentroidBank(bank.weights[:1]).pairwise_cosines().shape == (0,)

@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 
 from mcoc.errors import DimMismatch, ZeroNorm
 from mcoc.model import CentroidBank
-from mcoc.numerics import ZERO_NORM_EPS, finite_diff_grad, make_rng, sigmoid, softplus
+from mcoc.numerics import (ZERO_NORM_EPS, finite_diff_grad, logsumexp_rows,
+                           logsumexp_softmax_rows, make_rng, sigmoid,
+                           softmax_rows, softplus, softplus_sigmoid)
 
 
 # One-vector reference helpers: the oracles for CentroidBank's row-wise
@@ -132,6 +134,44 @@ def test_sigmoid_matches_two_branch_bits(scale):
                             1.7e308, -1.7e308]])
     assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
     assert all(sigmoid(x) == two_branch_sigmoid(x) for x in z[-8:])
+
+
+EXTREMES = [0.0, -0.0, 30.0, -30.0, 745.0, -745.0, 1e308, -1e308]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def test_softplus_sigmoid_matches_the_two_functions():
+    z = np.concatenate([EXTREMES, make_rng(3).normal(size=300) * 40.0])
+    loss, sig = softplus_sigmoid(z)
+    assert same_bits(loss, softplus(z)) and same_bits(sig, sigmoid(z))
+
+
+def test_softplus_sigmoid_with_a_target_is_the_stable_cross_entropy():
+    z = np.concatenate([EXTREMES * 2, make_rng(4).normal(size=300) * 40.0])
+    y = np.arange(z.size) % 2  # int labels, each extreme with 0 and with 1
+    loss, sig = softplus_sigmoid(z, y)
+    stable = np.maximum(z, 0.0) - z * y.astype(np.float64) \
+        + np.log1p(np.exp(-np.abs(z)))
+    assert same_bits(loss, stable) and same_bits(sig, sigmoid(z))
+    zero = softplus_sigmoid(z, np.zeros(z.size, dtype=np.int64))[0]
+    assert same_bits(zero, softplus(z))
+
+
+def test_logsumexp_softmax_rows_matches_the_two_functions():
+    ties = np.array([[x, x, -x] for x in EXTREMES]
+                    + [[x, -x, x] for x in EXTREMES]
+                    + [[x, x, x] for x in EXTREMES])
+    rng = make_rng(5)
+    Z = np.concatenate([ties, rng.normal(size=(50, 3)) * 30.0,
+                        np.round(rng.normal(size=(50, 3)))])  # ties
+    with np.errstate(over="ignore"):  # 1e308 - (-1e308) in both
+        lse, P = logsumexp_softmax_rows(Z)
+        assert same_bits(lse, logsumexp_rows(Z))
+        assert same_bits(P, softmax_rows(Z))
 
 
 def test_rng_determinism():

@@ -60,11 +60,13 @@ def test_make_batches_is_one_permutation():
 
 class _ReferenceOptimizer:
     """Per-array SGD-momentum or Adam: the loop the fused _Optimizer must
-    match bit for bit."""
+    match bit for bit. Built like _Optimizer; its `params`, the arrays the
+    model trains through, are the given arrays themselves, each updated in
+    place."""
 
     def __init__(self, params, config):
         self.config = config
-        self.params = params
+        self.params = list(params)
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -94,17 +96,21 @@ def test_fused_optimizer_matches_reference(kind):
     # its (1,) bias
     shapes = [(12, 6), (12,), (5, 12), (5,), (2, 5), (5,), (1,)]
     rng = make_rng(21)
-    fused = [rng.normal(size=s) for s in shapes]
-    ref = [p.copy() for p in fused]
+    initial = [rng.normal(size=s) for s in shapes]
+    ref = [p.copy() for p in initial]
     cfg = OptimizerConfig(kind=kind, lr=0.05)
-    a, b = _Optimizer(fused, cfg), _ReferenceOptimizer(ref, cfg)
+    a, b = _Optimizer(initial, cfg), _ReferenceOptimizer(ref, cfg)
+    # the fused optimizer trains copies: views of its flat buffer
+    assert [p.shape for p in a.params] == shapes
+    assert all(np.shares_memory(p, a.flat) for p in a.params)
+    assert all(np.array_equal(p, q) for p, q in zip(a.params, initial))
     for step in range(25):
         grads = [rng.normal(scale=10.0 ** (step % 7 - 3), size=s) for s in shapes]
         # a transposed (non-C-contiguous) gradient must flatten in C order
         grads[0] = np.ascontiguousarray(grads[0].T).T
         a.step(grads)
         b.step(grads)
-    assert all(np.array_equal(p, q) for p, q in zip(fused, ref))
+    assert all(np.array_equal(p, q) for p, q in zip(a.params, ref))
 
 
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
@@ -146,28 +152,54 @@ def test_objectives_look_losses_up_by_name(small_records, monkeypatch,
 
 
 def test_sgd_first_step():
-    p = np.array([1.0, 2.0])
-    opt = _Optimizer([p], OptimizerConfig(kind="sgd-momentum", lr=0.1,
-                                          momentum=0.0))
+    opt = _Optimizer([np.array([1.0, 2.0])],
+                     OptimizerConfig(kind="sgd-momentum", lr=0.1, momentum=0.0))
     opt.step([np.array([1.0, -2.0])])
-    assert np.allclose(p, [0.9, 2.2])
+    assert np.allclose(opt.params[0], [0.9, 2.2])
 
 
 def test_zero_grad_no_move():
-    p = np.array([1.0, 2.0])
-    before = p.copy()
-    opt = _Optimizer([p], OptimizerConfig())
+    before = np.array([1.0, 2.0])
+    opt = _Optimizer([before], OptimizerConfig())
     opt.step([np.zeros(2)])
-    assert np.array_equal(p, before)
+    assert np.array_equal(opt.params[0], before)
 
 
 def test_adam_first_step_magnitude():
     # bias-corrected first Adam step is ~lr regardless of gradient scale
     for g in (1e-4, 1.0, 1e4):
-        p = np.array([0.0])
-        opt = _Optimizer([p], OptimizerConfig(kind="adam", lr=0.001))
+        opt = _Optimizer([np.array([0.0])],
+                         OptimizerConfig(kind="adam", lr=0.001))
         opt.step([np.array([g])])
-        assert abs(p[0]) == pytest.approx(0.001, rel=1e-4)
+        assert abs(opt.params[0][0]) == pytest.approx(0.001, rel=1e-4)
+
+
+@pytest.mark.parametrize("loss", LOSS_KINDS)
+def test_train_updates_the_flat_buffer(small_records, monkeypatch, loss):
+    # every trained array is a view of the optimizer's one parameter
+    # buffer, and together they cover it; the head bias is read back from
+    # its element as a float
+    made = []
+
+    class Recording(_Optimizer):
+        def __init__(self, params, config):
+            super().__init__(params, config)
+            made.append(self)
+
+    monkeypatch.setattr(training, "_Optimizer", Recording)
+    _, ckpt = train(small_records, quick_config(loss=loss, epochs=1))
+    (opt,) = made
+    arrays = [a for layer in ckpt.encoder.layers for a in (layer.weight,
+                                                            layer.bias)]
+    if ckpt.bank is not None:
+        arrays.append(ckpt.bank.weights)
+    if ckpt.head is not None:
+        arrays.append(ckpt.head.weight)
+        assert type(ckpt.head.bias) is float
+        assert ckpt.head.bias == opt.flat[-1]
+    assert all(np.shares_memory(a, opt.flat) for a in arrays)
+    assert sum(a.size for a in arrays) + (ckpt.head is not None) == \
+        opt.flat.size
 
 
 def test_train_validates_config():
