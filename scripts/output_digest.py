@@ -4,11 +4,12 @@ output, one `<sha256>  <path>` line per file, sorted by path.
 
 The session: `gen` of the benchmark_spec(3) train and test sets and of the
 train set under a 3-level quality policy (thresholds [2.0, 3.5]), `ablate`
-with benchmark_train_config(3), `train` of the `single_centroid` loss and of
-the default loss under `sgd-momentum` (the two arms `ablate` leaves out),
-`score` of the test set under `max` and `ensemble` (multi_centroid
-checkpoint) and `head` (wce checkpoint), `eval` of the ensemble scores, and
-`export` with the multi_centroid checkpoint. `manifest.json` and
+with benchmark_train_config(3), `train` of the `single_centroid` loss, of
+the default loss under `sgd-momentum` (the two arms `ablate` leaves out)
+and of the `wce_quality` loss through a tanh encoder (a trained head bias
+and the tanh backward), `score` of the test set under `max` and `ensemble`
+(multi_centroid checkpoint) and `head` (wce checkpoint), `eval` of the
+ensemble scores, and `export` with the multi_centroid checkpoint. `manifest.json` and
 `report.json` embed paths under DIR, so they are hashed with DIR (made
 absolute) replaced by `<out>`. Two commits that print the same list wrote
 byte-identical checkpoints, metrics, reports, manifests, summaries, scores,
@@ -68,6 +69,9 @@ def _steps(out):
         ["train", "--config", config, "--data", train,
          "--set", 'optimizer.kind="sgd-momentum"',
          "--out", os.path.join(out, "train_sgd_momentum")],
+        ["train", "--config", config, "--data", train,
+         "--set", "loss=wce_quality", "--set", 'encoder.activation="tanh"',
+         "--out", os.path.join(out, "train_wce_quality_tanh")],
         ["score", "--checkpoint", mc, "--data", test, "--strategy", "max",
          "--out", os.path.join(out, "score_max")],
         ["score", "--checkpoint", mc, "--data", test, "--strategy", "ensemble",

@@ -1,9 +1,9 @@
 """Command-line front door: gen, train, score, eval, ablate, export.
 
-Config-file-first: each command reads a JSON config/spec where applicable and
-accepts repeated ``--set key=value`` overrides with dotted paths. Every run
-writes a manifest.json with the resolved inputs, so it can be re-run
-bit-identically.
+Config-file-first: gen, train and ablate read a JSON spec or config and
+accept repeated ``--set key=value`` overrides with dotted paths and
+``--seed``; score, eval and export take neither. Every run writes a
+manifest.json with the resolved inputs, so it can be re-run bit-identically.
 
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 training divergence,
 1 anything else.
@@ -299,19 +299,23 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default=None, help="output directory "
                        "(default: $MCOC_OUT/<command>)")
+
+    def configured(p):
+        """--out, and the overrides of the command's JSON config."""
+        common(p)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (dotted path)")
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate a synthetic JSONL dataset")
     p.add_argument("--spec", required=True)
-    common(p)
+    configured(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train", help="train one arm and write a checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
-    common(p)
+    configured(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("score", help="score a dataset with a checkpoint")
@@ -330,7 +334,7 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True, help="training JSONL")
     p.add_argument("--test", required=True, help="test JSONL")
-    common(p)
+    configured(p)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("export", help="export histogram and embedding CSVs")

@@ -16,29 +16,56 @@ from typing import Optional
 import numpy as np
 
 from .data import QualityPolicy
-from .errors import ConfigError, DimMismatch, InvalidScheme, ZeroNorm, from_dict
+from .errors import (ConfigError, DimMismatch, InvalidScheme, ZeroNorm,
+                     from_dict, is_real)
 from .numerics import ZERO_NORM_EPS, as_rows
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 def _act(name, Z):
+    """The activation of Z, written over Z: a layer's pre-activation is
+    read by nothing else, so it is not kept."""
     if name == "relu":
-        return np.maximum(Z, 0.0)
-    if name == "tanh":
-        return np.tanh(Z)
+        np.maximum(Z, 0.0, out=Z)
+    elif name == "tanh":
+        np.tanh(Z, out=Z)
     return Z
 
 
-def _act_grad(name, Z, A):
-    """The activation's derivative, as a factor of the incoming gradient:
-    the bool mask Z > 0 for relu (multiplying by it is multiplying by 1.0
-    or 0.0), None for identity."""
+def _act_grad(name, A):
+    """The activation's derivative from its output A, as a factor of the
+    incoming gradient: the bool mask A > 0, that is Z > 0, for relu
+    (multiplying by it is multiplying by 1.0 or 0.0), None for identity."""
     if name == "relu":
-        return Z > 0.0
+        return A > 0.0
     if name == "tanh":
         return 1.0 - A * A
     return None
+
+
+_SHAPES = ("a finite number", "a list of finite numbers",
+           "a list of equal-length lists of finite numbers")
+
+
+def _reals(value, part, ndim):
+    """The checkpoint's `part`, a JSON number (ndim 0), list of numbers (1)
+    or list of rows of numbers (2), as a float64 array; any number that
+    fails the errors.is_real rule is a ConfigError naming `part`. A row of
+    floats costs one type set and isfinite runs once over the array; only
+    a row holding something else is checked value by value."""
+    rows = [[value]] if ndim == 0 else [value] if ndim == 1 else value
+    try:
+        if isinstance(rows, list) and all(
+                isinstance(row, list) and (set(map(type, row)) <= {float}
+                                           or all(map(is_real, row)))
+                for row in rows):
+            arr = np.array(value, dtype=np.float64)  # unequal rows: ValueError
+            if arr.ndim == ndim and np.isfinite(arr).all():
+                return arr
+    except ValueError:
+        pass
+    raise ConfigError(f"malformed checkpoint: {part} must be {_SHAPES[ndim]}")
 
 
 def _row_norms(V, keepdims=False):
@@ -89,13 +116,11 @@ class Encoder:
         if X.shape[1] != self.input_dim:
             raise DimMismatch(f"input dim {X.shape[1]} != {self.input_dim}")
         acts = [X]
-        pre = []
         A = X
         for layer in self.layers:
-            Z = A @ layer.weight.T
-            Z += layer.bias
-            A = _act(layer.activation, Z)
-            pre.append(Z)
+            A = A @ layer.weight.T
+            A += layer.bias
+            A = _act(layer.activation, A)
             acts.append(A)
         V = acts[-1]
         norms = _row_norms(V)
@@ -105,7 +130,7 @@ class Encoder:
             raise ZeroNorm("encoder produced a vector of non-finite norm "
                            "before normalization")
         Xhat = V / norms[:, None]
-        cache = (acts, pre, norms, Xhat)
+        cache = (acts, norms, Xhat)
         return Xhat, cache
 
     def backward(self, cache, grad_embed: np.ndarray):
@@ -114,7 +139,7 @@ class Encoder:
         Returns (param_grads, grad_input) where param_grads is a list of
         (grad_weight, grad_bias) matching self.layers.
         """
-        acts, pre, norms, Xhat = cache
+        acts, norms, Xhat = cache
         G = as_rows(grad_embed)
         if G.shape != Xhat.shape:
             raise DimMismatch(f"grad shape {G.shape} != {Xhat.shape}")
@@ -124,20 +149,13 @@ class Encoder:
         param_grads = [None] * len(self.layers)
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
-            dact = _act_grad(layer.activation, pre[li], acts[li + 1])
+            dact = _act_grad(layer.activation, acts[li + 1])
             GZ = GV if dact is None else GV * dact
             gw = GZ.T @ acts[li]
             gb = np.add.reduce(GZ, axis=0)
             param_grads[li] = (gw, gb)
             GV = GZ @ layer.weight
         return param_grads, GV
-
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
 
     def to_dict(self):
         return {
@@ -155,11 +173,11 @@ class Encoder:
     def from_dict(cls, d):
         return cls(
             Layer(
-                weight=np.asarray(ld["weight"], dtype=np.float64),
-                bias=np.asarray(ld["bias"], dtype=np.float64),
+                weight=_reals(ld["weight"], f"encoder.layers[{i}].weight", 2),
+                bias=_reals(ld["bias"], f"encoder.layers[{i}].bias", 1),
                 activation=ld["activation"],
             )
-            for ld in d["layers"]
+            for i, ld in enumerate(d["layers"])
         )
 
 
@@ -216,7 +234,7 @@ class CentroidBank:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(weights=np.asarray(d["weights"], dtype=np.float64))
+        return cls(weights=_reals(d["weights"], "bank.weights", 2))
 
 
 CENTROID_INITS = ("orthogonal", "random-unit")
@@ -246,7 +264,7 @@ class BinaryHead:
     """Single logit over the embedding; positive logit means spoof."""
 
     weight: np.ndarray  # (D,)
-    bias: float = 0.0
+    bias: float = 0.0  # train makes it a 0-d view of the optimizer's buffer
 
     def logits(self, embeddings: np.ndarray) -> np.ndarray:
         return np.atleast_2d(embeddings) @ self.weight + self.bias
@@ -256,8 +274,8 @@ class BinaryHead:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(weight=np.asarray(d["weight"], dtype=np.float64),
-                   bias=float(d["bias"]))
+        return cls(weight=_reals(d["weight"], "head.weight", 1),
+                   bias=float(_reals(d["bias"], "head.bias", 0)))
 
 
 def init_head(dim, rng) -> BinaryHead:
@@ -290,7 +308,8 @@ class Checkpoint:
     @classmethod
     def from_dict(cls, d):
         """Raises ConfigError for another version, a missing or malformed
-        part, or a bank or head whose dimension is not the encoder's."""
+        part (a parameter that is not finite JSON numbers among them), or a
+        bank or head whose dimension is not the encoder's."""
         version = d.get("version") if isinstance(d, dict) else None
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r}")

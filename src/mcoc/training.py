@@ -347,21 +347,20 @@ def train(records: Dataset, config: TrainConfig):
                               config.encoder.embed_dim, config.centroid_init, rng)
     head = init_head(config.encoder.embed_dim, rng) if objective.has_head else None
 
-    params = encoder.parameters()
+    # the one parameter order: the optimizer's buffer follows it (the float
+    # head bias enters as a 0-d array), and so does each step's gradient
+    # list (encoder pairs, then the loss's gradients that are not None)
+    slots = [(layer, name) for layer in encoder.layers
+             for name in ("weight", "bias")]
     if bank is not None:
-        params.append(bank.weights)
+        slots.append((bank, "weights"))
     if head is not None:
-        head_bias = np.array([head.bias])
-        params += [head.weight, head_bias]
-    opt = _Optimizer(params, config.optimizer)
+        slots += [(head, "weight"), (head, "bias")]
+    opt = _Optimizer([np.asarray(getattr(owner, name), dtype=np.float64)
+                      for owner, name in slots], config.optimizer)
     # from here on the model trains through the optimizer's views
-    views = iter(opt.params)
-    for layer in encoder.layers:
-        layer.weight, layer.bias = next(views), next(views)
-    if bank is not None:
-        bank.weights = next(views)
-    if head is not None:
-        head.weight, head_bias = next(views), next(views)
+    for (owner, name), view in zip(slots, opt.params):
+        setattr(owner, name, view)
 
     report = TrainReport(config=config.to_dict())
     for epoch in range(1, config.epochs + 1):
@@ -385,17 +384,13 @@ def train(records: Dataset, config: TrainConfig):
                         f"out of bounds")
                 param_grads, _ = encoder.backward(cache, out.grad_embeddings)
                 grads = [g for pair in param_grads for g in pair]
-                if bank is not None:
-                    grads.append(out.grad_centroids)
-                if head is not None:
-                    grads += [out.grad_head_weight, np.array([out.grad_head_bias])]
+                grads += [g for g in (out.grad_centroids, out.grad_head_weight,
+                                      out.grad_head_bias) if g is not None]
                 opt.step(grads)
                 if bank is not None:
                     bank.renormalize()
             except ZeroNorm as exc:
                 raise DivergenceDetected(f"epoch {epoch}, batch {b}: {exc}") from exc
-            if head is not None:
-                head.bias = float(head_bias[0])
 
             total += out.value * nb
             total_oc += out.diagnostics["one_class"] * nb

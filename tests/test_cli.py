@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -182,10 +183,22 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_unknown_flag_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--bogus"])
-    assert exc.value.code == 2
-    assert "usage" in capsys.readouterr().err
+    for argv in [
+        ["train", "--bogus"],
+        # score, eval and export read no JSON config: --set and --seed are
+        # not theirs (the required options are given, so the flag is the
+        # error)
+        ["score", "--checkpoint", "c.json", "--data", "d.jsonl", "--set", "x=1"],
+        ["score", "--checkpoint", "c.json", "--data", "d.jsonl", "--seed", "9"],
+        ["eval", "--scores", "s.csv", "--set", "x=1"],
+        ["eval", "--scores", "s.csv", "--seed", "9"],
+        ["export", "--checkpoint", "c.json", "--data", "d.jsonl", "--set", "x=1"],
+        ["export", "--checkpoint", "c.json", "--data", "d.jsonl", "--seed", "4"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
 
 
 def test_ablate_writes_table(workspace, monkeypatch):
@@ -428,6 +441,14 @@ def _edit_json(change):
     return apply
 
 
+def _set_bank(d, value):
+    d["bank"]["weights"][0][0] = value
+
+
+def _add_head(d, bias):
+    d["head"] = {"weight": [0.5] * len(d["bank"]["weights"][0]), "bias": bias}
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(_edit_json(lambda d: d.update(version=2)), id="version-2"),
     pytest.param(lambda text: text[:len(text) // 2], id="truncated-json"),
@@ -443,6 +464,18 @@ def _edit_json(change):
                  id="policy-not-object"),
     pytest.param(lambda text: text.replace('"bias"', '"bi\xffas"', 1),
                  id="not-utf8"),
+    # every parameter value must be a finite JSON number, not coerced
+    pytest.param(_edit_json(lambda d: _set_bank(d, True)), id="bank-bool"),
+    pytest.param(_edit_json(lambda d: _set_bank(d, math.inf)),
+                 id="bank-infinity"),
+    pytest.param(_edit_json(lambda d: _set_bank(d, 10 ** 400)),
+                 id="bank-int-beyond-float"),
+    pytest.param(_edit_json(lambda d: _add_head(d, "0.5")),
+                 id="head-bias-string"),
+    pytest.param(_edit_json(lambda d: _add_head(d, True)), id="head-bias-bool"),
+    pytest.param(_edit_json(lambda d: d["encoder"]["layers"][0]["weight"][0]
+                            .__setitem__(0, math.nan)),
+                 id="encoder-nan"),
 ])
 def test_bad_checkpoint_exits_2(workspace, capsys, damage):
     tmp, data, ckpt = trained(workspace)

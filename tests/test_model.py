@@ -218,7 +218,7 @@ def test_encoder_pass_matches_reference_bits(activation):
         emb, cache = enc.forward(X)
         param_grads, grad_in = enc.backward(cache, G)
         ref_emb, ref_norms, ref_grads, ref_in = _reference_pass(enc, X, G)
-        assert cache[2].tobytes() == ref_norms.tobytes()
+        assert cache[1].tobytes() == ref_norms.tobytes()
         assert emb.tobytes() == ref_emb.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip([g for pair in param_grads for g in pair], ref_grads))
@@ -228,7 +228,7 @@ def test_encoder_pass_matches_reference_bits(activation):
 def test_forward_norms_are_linalg_norms():
     # rows spanning tiny to huge magnitudes, through the identity encoder
     V = make_rng(4).normal(size=(40, 3)) * np.logspace(-25, 150, 40)[:, None]
-    _, (_, _, norms, _) = identity_encoder(3).forward(V)
+    _, (_, norms, _) = identity_encoder(3).forward(V)
     assert norms.tobytes() == np.linalg.norm(V, axis=1).tobytes()
     bank = CentroidBank(V.copy())
     expected = V / np.linalg.norm(V, axis=1, keepdims=True)

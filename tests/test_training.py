@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class _ReferenceOptimizer:
     """Per-array SGD-momentum or Adam: the loop the fused _Optimizer must
     match bit for bit. Built like _Optimizer; its `params`, the arrays the
     model trains through, are the given arrays themselves, each updated in
-    place."""
+    place, the 0-d head bias too."""
 
     def __init__(self, params, config):
         self.config = config
@@ -93,8 +94,8 @@ class _ReferenceOptimizer:
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_fused_optimizer_matches_reference(kind):
     # encoder weights and biases, a (2, D) centroid bank, a head weight and
-    # its (1,) bias
-    shapes = [(12, 6), (12,), (5, 12), (5,), (2, 5), (5,), (1,)]
+    # its 0-d bias
+    shapes = [(12, 6), (12,), (5, 12), (5,), (2, 5), (5,), ()]
     rng = make_rng(21)
     initial = [rng.normal(size=s) for s in shapes]
     ref = [p.copy() for p in initial]
@@ -176,9 +177,8 @@ def test_adam_first_step_magnitude():
 
 @pytest.mark.parametrize("loss", LOSS_KINDS)
 def test_train_updates_the_flat_buffer(small_records, monkeypatch, loss):
-    # every trained array is a view of the optimizer's one parameter
-    # buffer, and together they cover it; the head bias is read back from
-    # its element as a float
+    # every trained array, the head bias too, is a view of the optimizer's
+    # one parameter buffer, and in the parameter order they tile it
     made = []
 
     class Recording(_Optimizer):
@@ -194,12 +194,20 @@ def test_train_updates_the_flat_buffer(small_records, monkeypatch, loss):
     if ckpt.bank is not None:
         arrays.append(ckpt.bank.weights)
     if ckpt.head is not None:
-        arrays.append(ckpt.head.weight)
-        assert type(ckpt.head.bias) is float
-        assert ckpt.head.bias == opt.flat[-1]
+        arrays += [ckpt.head.weight, ckpt.head.bias]
+        assert ckpt.head.bias.shape == ()
     assert all(np.shares_memory(a, opt.flat) for a in arrays)
-    assert sum(a.size for a in arrays) + (ckpt.head is not None) == \
-        opt.flat.size
+    assert all(a.flags.c_contiguous for a in arrays)
+    start = opt.flat.__array_interface__["data"][0]
+    offsets = [a.__array_interface__["data"][0] - start for a in arrays]
+    assert offsets == list(accumulate([0] + [a.nbytes for a in arrays[:-1]]))
+    assert sum(a.size for a in arrays) == opt.flat.size
+
+
+@pytest.mark.parametrize("loss", ["wce", "wce_quality"])
+def test_trained_head_bias_is_written_as_a_float(small_records, loss):
+    _, ckpt = train(small_records, quick_config(loss=loss, epochs=1))
+    assert type(ckpt.to_dict()["head"]["bias"]) is float
 
 
 def test_train_validates_config():
