@@ -9,7 +9,10 @@ the default loss under `sgd-momentum` (the two arms `ablate` leaves out)
 and of the `wce_quality` loss through a tanh encoder (a trained head bias
 and the tanh backward), `score` of the test set under `max` and `ensemble`
 (multi_centroid checkpoint) and `head` (wce checkpoint), `eval` of the
-ensemble scores, and `export` with the multi_centroid checkpoint. `manifest.json` and
+ensemble scores, and `export` with the multi_centroid checkpoint; then
+`score` (ensemble), `eval` and `export` of `inputs/quoted.jsonl`, two bona
+fide and two spoof test records whose ids hold `,`, `"`, `\n` and `\r`,
+so that the CSV quoting rule is in the digest. `manifest.json` and
 `report.json` embed paths under DIR, so they are hashed with DIR (made
 absolute) replaced by `<out>`. Two commits that print the same list wrote
 byte-identical checkpoints, metrics, reports, manifests, summaries, scores,
@@ -20,16 +23,22 @@ Usage: python3 scripts/output_digest.py --out DIR   (DIR must be empty or new)
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 
+import numpy as np
+
 from mcoc.cli import main as cli
-from mcoc.data import benchmark_spec
+from mcoc.data import (BONAFIDE, SPOOF, benchmark_spec, generate_synthetic,
+                       save_jsonl)
 from mcoc.training import benchmark_train_config
 
 SEED = 3
+# ids that a CSV writer must quote
+QUOTED_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rid"]
 # files that embed paths under the output directory
 WITH_PATHS = ("manifest.json", "report.json")
 
@@ -52,6 +61,11 @@ def _steps(out):
                         os.path.join(inputs, "policy_spec.json"))
     config = _dump(benchmark_train_config(SEED).to_dict(),
                    os.path.join(inputs, "config.json"))
+    records = generate_synthetic(benchmark_spec(SEED, train=False))
+    picked = records.take([*np.flatnonzero(records.y == BONAFIDE)[:2],
+                           *np.flatnonzero(records.y == SPOOF)[:2]])
+    quoted = os.path.join(inputs, "quoted.jsonl")
+    save_jsonl(dataclasses.replace(picked, ids=QUOTED_IDS), quoted)
     train = os.path.join(out, "train", "data.jsonl")
     test = os.path.join(out, "test", "data.jsonl")
     ablate = os.path.join(out, "ablate")
@@ -82,6 +96,12 @@ def _steps(out):
          "--out", os.path.join(out, "eval")],
         ["export", "--checkpoint", mc, "--data", test,
          "--out", os.path.join(out, "export")],
+        ["score", "--checkpoint", mc, "--data", quoted, "--strategy", "ensemble",
+         "--out", os.path.join(out, "score_quoted")],
+        ["eval", "--scores", os.path.join(out, "score_quoted", "scores.csv"),
+         "--out", os.path.join(out, "eval_quoted")],
+        ["export", "--checkpoint", mc, "--data", quoted,
+         "--out", os.path.join(out, "export_quoted")],
     ]
 
 

@@ -35,6 +35,6 @@ from .model import (  # noqa: F401
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import finite_diff_grad, make_rng  # noqa: F401
+from .numerics import make_rng  # noqa: F401
 from .scoring import compute_eer, score, score_dataset  # noqa: F401
 from .training import TrainConfig, train  # noqa: F401

@@ -165,8 +165,12 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
                                           f"(first on line {first_seen[rid]})")
             if not (isinstance(label, str) and label in _LABEL_CODES):
                 raise ParseError(line_no, f"unknown label {label!r}")
+            # a row of floats with a finite sum is all finite; any other
+            # row, one whose sum overflows included, is checked value by value
             if not (isinstance(feats, list) and feats
-                    and all(map(is_real, feats))):
+                    and (set(map(type, feats)) <= {float}
+                         and math.isfinite(sum(feats))
+                         or all(map(is_real, feats)))):
                 raise ParseError(line_no, "features must be a non-empty list "
                                           "of finite numbers")
             if not ids:

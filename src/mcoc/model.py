@@ -335,12 +335,42 @@ class Checkpoint:
         return ckpt
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _stream_json(value, write):
+    """Writes json.dumps(value, sort_keys=True, separators=(",", ":")), byte
+    for byte. A dict with string keys and a list holding lists or dicts are
+    written here part by part, so the C encoder gets one innermost value at
+    a time (a parameter row, a number, a string, None): json.dump goes
+    through the slower pure-Python encoder, and one json.dumps of the whole
+    checkpoint holds all of its text at once. Any other dict is encoded
+    whole, which gives the same bytes."""
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        sep = "{"
+        for key in sorted(value):
+            write(f"{sep}{_ENCODE(key)}:")
+            _stream_json(value[key], write)
+            sep = ","
+        write("}" if value else "{}")
+    elif isinstance(value, (list, tuple)) and any(
+            isinstance(v, (list, tuple, dict)) for v in value):
+        sep = "["
+        for item in value:
+            write(sep)
+            _stream_json(item, write)
+            sep = ","
+        write("]")
+    else:
+        write(_ENCODE(value))
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
     """Atomic write. Python's shortest-repr floats round-trip float64 exactly,
     so a reloaded checkpoint reproduces forward passes bitwise."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(ckpt.to_dict(), fh, sort_keys=True, separators=(",", ":"))
+        _stream_json(ckpt.to_dict(), fh.write)
         fh.write("\n")
     os.replace(tmp, path)
 

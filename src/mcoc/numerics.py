@@ -23,25 +23,10 @@ def as_rows(X) -> np.ndarray:
     return np.atleast_2d(np.asarray(X, dtype=np.float64))
 
 
-def sigmoid(z):
-    # e^{-|z|} never overflows; 1/(1+e) for z >= 0 and e/(1+e) below are
-    # the same operations, bit for bit, as the two-branch stable form
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out if out.ndim else float(out)
-
-
-def softplus(z):
-    # max(z,0) + log1p(e^{-|z|}): exact and overflow-safe for any z
-    z = np.asarray(z, dtype=np.float64)
-    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    return out if out.ndim else float(out)
-
-
 def softplus_sigmoid(z, target=None):
-    """(softplus(z), sigmoid(z)) of a float64 array from one exp(-|z|), bit
-    for bit the same as the two functions. With a `target` y, the first is
+    """(softplus(z), sigmoid(z)) of a float64 array from one exp(-|z|): the
+    bits of the stable forms max(z, 0) + log1p(e^{-|z|}) and, by sign,
+    1/(1+e^{-|z|}) or e^{-|z|}/(1+e^{-|z|}). With a `target` y, the first is
     the cross-entropy of logit z against y in its stable form
     max(z, 0) - z*y + log1p(e^{-|z|}) instead."""
     e = np.exp(-np.abs(z))
@@ -52,40 +37,13 @@ def softplus_sigmoid(z, target=None):
     return first, np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def logsumexp_rows(Z: np.ndarray) -> np.ndarray:
-    m = np.max(Z, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(Z - m), axis=1, keepdims=True)))[:, 0]
-
-
-def softmax_rows(Z: np.ndarray) -> np.ndarray:
-    m = np.max(Z, axis=1, keepdims=True)
-    e = np.exp(Z - m)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
 def logsumexp_softmax_rows(Z: np.ndarray):
-    """(logsumexp_rows(Z), softmax_rows(Z)) from one row max and one
-    exp(Z - max), bit for bit the same as the two functions."""
+    """(logsumexp, softmax) of each row of Z from one row max m and one
+    exp(Z - m): the bits of m + log(sum(exp(Z - m))) and
+    exp(Z - m) / sum(exp(Z - m)) computed apart."""
     m = Z.max(axis=1, keepdims=True)
     e = np.exp(Z - m)
     total = np.add.reduce(e, axis=1, keepdims=True)
     lse = m + np.log(total)
     e /= total
     return lse[:, 0], e
-
-
-def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one component at a time."""
-    x = np.array(x, dtype=np.float64)  # own a contiguous copy; we poke components in place
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        fp = f(x)
-        flat[j] = orig - h
-        fm = f(x)
-        flat[j] = orig
-        gf[j] = (fp - fm) / (2.0 * h)
-    return g

@@ -205,13 +205,23 @@ def score_dataset(records: Dataset, encoder: Encoder,
                         strategy)
 
 
+def _csv_field(text):
+    """`text` as one CSV field: quoted, with `"` doubled, when it holds `,`,
+    `"`, `\r` or `\n`, and as it is otherwise. This is csv.writer's
+    minimal quoting with one difference: csv.writer with lineterminator
+    "\n" leaves a `\r` unquoted, which csv.reader then reads as a line end."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_scores_csv(report: ScoreReport, path):
+    """One line per record: id, score, label ("" when absent), strategy."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["id", "score", "label", "strategy"])
+        fh.write("id,score,label,strategy\n")
         for i, s, lab in zip(report.ids, report.scores, report.labels):
             name = "" if lab is None else ("bonafide" if lab == BONAFIDE else "spoof")
-            w.writerow([i, repr(float(s)), name, report.strategy])
+            fh.write(f"{_csv_field(i)},{float(s)!r},{name},{report.strategy}\n")
 
 
 def read_scores_csv(path):
@@ -273,11 +283,13 @@ def export_embeddings(records: Dataset, encoder: Encoder, path,
     rows of embed(records, encoder)."""
     E = embed(records, encoder) if embeddings is None else embeddings
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["id", "label", "quality"]
-                   + [f"e{k}" for k in range(encoder.embed_dim)])
+        fh.write(",".join(["id", "label", "quality"]
+                          + [f"e{k}" for k in range(encoder.embed_dim)]) + "\n")
         names = np.where(records.y == BONAFIDE, "bonafide", "spoof").tolist()
+        # converted row by row, so that the Python floats of only one row
+        # exist at a time
         for rid, name, q, emb in zip(records.ids, names,
                                      records.quality.tolist(), E):
-            w.writerow([rid, name, "" if q == QUALITY_ABSENT else q]
-                       + [repr(v) for v in emb.tolist()])
+            q = "" if q == QUALITY_ABSENT else q
+            fh.write(f"{_csv_field(rid)},{name},{q},"
+                     f"{','.join(map(repr, emb.tolist()))}\n")

@@ -29,10 +29,11 @@ from mcoc.losses import (
     wce_quality_loss,
 )
 from mcoc.model import BinaryHead, CentroidBank, init_centroids, init_encoder
-from mcoc.numerics import finite_diff_grad, make_rng
+from mcoc.numerics import make_rng
 from mcoc.scoring import compute_eer, score, score_dataset
 from mcoc.training import benchmark_train_config, train
 
+from numeric_reference import finite_diff_grad
 from test_losses import one_class_sample_oracle, quality_sample_oracle
 from test_scoring import eer_oracle
 

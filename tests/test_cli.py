@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mcoc import cli
 from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec
-from mcoc.scoring import STRATEGIES
+from mcoc.scoring import STRATEGIES, read_scores_csv
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
 
 
@@ -336,6 +336,32 @@ def test_export_empty_jsonl(workspace):
     assert sum(int(r["bona_count"]) + int(r["spoof_count"]) for r in rows) == 0
     with open(tmp / "ex" / "embeddings.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 0
+
+
+QUOTED_IDS = ["a\rb", "a\nb", 'q"x,y', ""]
+
+
+def test_ids_that_need_quoting_round_trip(workspace):
+    tmp, data, ckpt = trained(workspace)
+    rows = [json.loads(line) for line in data.read_text().splitlines()]
+    picked = [r for r in rows if r["label"] == "bonafide"][:2] \
+        + [r for r in rows if r["label"] == "spoof"][:2]
+    for r, rid in zip(picked, QUOTED_IDS):
+        r["id"] = rid
+    quoted = tmp / "quoted.jsonl"
+    quoted.write_text("".join(json.dumps(r) + "\n" for r in picked))
+    assert run("score", "--checkpoint", ckpt, "--data", quoted,
+               "--strategy", "ensemble", "--out", tmp / "sc") == 0
+    assert read_scores_csv(tmp / "sc" / "scores.csv")[0] == QUOTED_IDS
+    assert run("eval", "--scores", tmp / "sc" / "scores.csv",
+               "--out", tmp / "ev") == 0
+    summary = json.loads((tmp / "ev" / "summary.json").read_text())
+    assert (summary["num_bonafide"], summary["num_spoof"]) == (2, 2)
+    assert run("export", "--checkpoint", ckpt, "--data", quoted,
+               "--out", tmp / "ex") == 0
+    with open(tmp / "ex" / "embeddings.csv", encoding="utf-8",
+              newline="") as fh:
+        assert [r["id"] for r in csv.DictReader(fh)] == QUOTED_IDS
 
 
 def test_head_report_matches_eval(workspace):

@@ -151,6 +151,8 @@ GOOD_LINE = '{"id":"a","features":[0.1,0.2],"label":"spoof"}'
     '{"id":"b","features":[null,0.2],"label":"spoof"}',
     '{"id":"b","features":[NaN,0.2],"label":"spoof"}',
     '{"id":"b","features":[1e999,0.2],"label":"spoof"}',
+    '{"id":"b","features":[0.1,-Infinity],"label":"spoof"}',
+    '{"id":"b","features":[Infinity,-Infinity],"label":"spoof"}',
     '{"id":"b","features":[1' + "0" * 400 + ',0.2],"label":"spoof"}',
     '{"id":"b","features":[0.1,0.2],"label":"bonafide","mos":"x"}',
     '{"id":"b","features":[0.1,0.2],"label":"bonafide","mos":true}',
@@ -167,6 +169,15 @@ def test_load_jsonl_rejects_bad_line(tmp_path, line):
     with pytest.raises(ParseError) as exc:
         load_jsonl(p)
     assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("feats", [[1.7e308, 1.7e308], [-1.7e308, -1.7e308],
+                                   [1.7e308, 2, 1.7e308], [3, 4]])
+def test_load_jsonl_accepts_finite_features_whose_sum_overflows(tmp_path,
+                                                                feats):
+    p = tmp_path / "d.jsonl"
+    p.write_text(f'{{"id":"a","features":{feats},"label":"spoof"}}\n')
+    assert load_jsonl(p).X.tolist() == [feats]
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -17,10 +17,11 @@ from mcoc.losses import (
     wce_quality_loss,
 )
 from mcoc.model import BinaryHead, CentroidBank, init_centroids
-from mcoc.numerics import (
+from mcoc.numerics import make_rng
+
+from numeric_reference import (
     finite_diff_grad,
     logsumexp_rows,
-    make_rng,
     sigmoid,
     softmax_rows,
     softplus,

@@ -17,7 +17,9 @@ from mcoc.model import (
     save_checkpoint,
 )
 from mcoc.data import QualityPolicy
-from mcoc.numerics import finite_diff_grad, make_rng
+from mcoc.numerics import make_rng
+
+from numeric_reference import finite_diff_grad
 
 
 def encode(encoder, features):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcoc.data import (
+    BONAFIDE,
     QUALITY_ABSENT,
     QualityPolicy,
     benchmark_spec,
@@ -254,6 +256,77 @@ def test_export_embeddings(tmp_path, scored):
     assert [r["id"] for r in rows] == first.ids
     assert [r["label"] for r in rows] == ["bonafide"] * 10
     assert [r["quality"] for r in rows] == [str(q) for q in first.quality]
+
+
+# ---- the CSV writers against the csv.writer code they replaced ----
+
+def reference_scores_csv(report, path):
+    """scores.csv as csv.writer writes it: the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["id", "score", "label", "strategy"])
+        for i, s, lab in zip(report.ids, report.scores, report.labels):
+            name = "" if lab is None else ("bonafide" if lab == BONAFIDE else "spoof")
+            w.writerow([i, repr(float(s)), name, report.strategy])
+
+
+def reference_embeddings_csv(records, E, path):
+    """embeddings.csv as csv.writer writes it: the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["id", "label", "quality"]
+                   + [f"e{k}" for k in range(E.shape[1])])
+        names = np.where(records.y == BONAFIDE, "bonafide", "spoof").tolist()
+        for rid, name, q, emb in zip(records.ids, names,
+                                     records.quality.tolist(), E):
+            w.writerow([rid, name, "" if q == QUALITY_ABSENT else q]
+                       + [repr(v) for v in emb.tolist()])
+
+
+ODD_IDS = ["a,b", 'say "hi"', "two\nlines", "", "naïve ✓", '"', "plain"]
+
+
+def odd_records(records, ids):
+    """The first bona fide and spoof records of `records`, renamed `ids`."""
+    bona = np.flatnonzero(records.y == 0)[:len(ids) // 2]
+    spoof = np.flatnonzero(records.y == 1)[:len(ids) - bona.size]
+    return dataclasses.replace(records.take(np.concatenate([bona, spoof])),
+                               ids=list(ids))
+
+
+def write_both(tmp_path, scored, ids):
+    """[(new, reference) bytes of scores.csv, the same of embeddings.csv]
+    for the records renamed `ids`; one record has no label in scores.csv."""
+    records, encoder, bank, _ = scored
+    odd = odd_records(records, ids)
+    report = score_dataset(odd, encoder, bank, "ensemble", QualityPolicy())
+    report.labels[1] = None
+    scores, ref_scores, emb, ref_emb = (
+        tmp_path / name for name in ("scores.csv", "ref_scores.csv",
+                                     "embeddings.csv", "ref_embeddings.csv"))
+    write_scores_csv(report, scores)
+    reference_scores_csv(report, ref_scores)
+    export_embeddings(odd, encoder, emb)
+    reference_embeddings_csv(odd, embed(odd, encoder), ref_emb)
+    return [(scores.read_bytes(), ref_scores.read_bytes()),
+            (emb.read_bytes(), ref_emb.read_bytes())]
+
+
+def test_csv_writers_match_csv_writer_bytes(tmp_path, scored):
+    for new, reference in write_both(tmp_path, scored, ODD_IDS):
+        assert new == reference
+    assert read_scores_csv(tmp_path / "scores.csv")[0] == ODD_IDS
+
+
+def test_carriage_return_id_is_quoted(tmp_path, scored):
+    # csv.writer with lineterminator "\n" leaves a \r unquoted, and a
+    # reader then splits the record there; the one difference in bytes
+    ids = ["a\rb", "x", "y", "z"]
+    for new, reference in write_both(tmp_path, scored, ids):
+        assert new == reference.replace(b"a\rb,", b'"a\rb",', 1)
+    assert read_scores_csv(tmp_path / "scores.csv")[0] == ids
+    with open(tmp_path / "embeddings.csv", encoding="utf-8", newline="") as fh:
+        assert [r["id"] for r in csv.DictReader(fh)] == ids
 
 
 # ---- the blocked array path against one-row references ----

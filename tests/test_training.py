@@ -8,6 +8,7 @@ from mcoc import training
 from mcoc.data import benchmark_spec, generate_synthetic
 from mcoc.errors import ConfigError, DivergenceDetected
 from mcoc.losses import LossHyper
+from mcoc.model import save_checkpoint
 from mcoc.numerics import make_rng
 from mcoc.training import (
     LOSS_KINDS,
@@ -208,6 +209,39 @@ def test_train_updates_the_flat_buffer(small_records, monkeypatch, loss):
 def test_trained_head_bias_is_written_as_a_float(small_records, loss):
     _, ckpt = train(small_records, quick_config(loss=loss, epochs=1))
     assert type(ckpt.to_dict()["head"]["bias"]) is float
+
+
+# nested objects and lists, null, non-ASCII text, escapes, and keys that
+# json.dumps turns into strings
+METADATA = {"nested": {"z": [1, {"b": None, "a": [[], {}]}], "y": {}},
+            "text": 'naïve ✓ "q" \\ \n\t\u2028 \U0001f600', "none": None,
+            "floats": [1e-300, -0.0, 1.5e300, 2.0], "bools": [True, False],
+            "int_keys": {2: "b", 1: "a"}, "tuple": (1, "x")}
+
+
+def json_dumps_bytes(ckpt):
+    """The checkpoint as one json.dumps call writes it: the byte reference."""
+    text = json.dumps(ckpt.to_dict(), sort_keys=True, separators=(",", ":"))
+    return (text + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("loss, activation", [
+    *[(loss, "relu") for loss in LOSS_KINDS], ("wce_quality", "tanh")])
+def test_checkpoint_bytes_are_json_dumps(small_records, tmp_path, loss,
+                                         activation):
+    encoder = EncoderConfig(hidden=(16,), embed_dim=8, activation=activation)
+    _, ckpt = train(small_records, quick_config(loss=loss, epochs=1,
+                                                encoder=encoder))
+    if loss == "single_centroid":
+        assert ckpt.bank.num_centroids == 1
+    if ckpt.head is not None:
+        assert np.ndim(ckpt.head.bias) == 0
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, path)
+    assert path.read_bytes() == json_dumps_bytes(ckpt)
+    ckpt.metadata = {**ckpt.metadata, **METADATA}
+    save_checkpoint(ckpt, path)
+    assert path.read_bytes() == json_dumps_bytes(ckpt)
 
 
 def test_train_validates_config():
