@@ -7,7 +7,9 @@ train set under a 3-level quality policy (thresholds [2.0, 3.5]), `ablate`
 with benchmark_train_config(3), `train` of the `single_centroid` loss, of
 the default loss under `sgd-momentum` (the two arms `ablate` leaves out)
 and of the `wce_quality` loss through a tanh encoder (a trained head bias
-and the tanh backward), `score` of the test set under `max` and `ensemble`
+and the tanh backward), of the default loss at wide shapes (hidden
+[256, 256], batch 256, 3 epochs: the 480 training rows make a full and a
+partial batch through the large gradient products), `score` of the test set under `max` and `ensemble`
 (multi_centroid checkpoint) and `head` (wce checkpoint), `eval` of the
 ensemble scores, and `export` with the multi_centroid checkpoint; then
 `score` (ensemble), `eval` and `export` of `inputs/quoted.jsonl`, two bona
@@ -86,6 +88,9 @@ def _steps(out):
         ["train", "--config", config, "--data", train,
          "--set", "loss=wce_quality", "--set", 'encoder.activation="tanh"',
          "--out", os.path.join(out, "train_wce_quality_tanh")],
+        ["train", "--config", config, "--data", train,
+         "--set", "encoder.hidden=[256,256]", "--set", "batch_size=256",
+         "--set", "epochs=3", "--out", os.path.join(out, "train_wide")],
         ["score", "--checkpoint", mc, "--data", test, "--strategy", "max",
          "--out", os.path.join(out, "score_max")],
         ["score", "--checkpoint", mc, "--data", test, "--strategy", "ensemble",

@@ -134,8 +134,9 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
     Each line is a JSON object with a string `id` not seen before, a known
     `label`, `features` as a non-empty list of finite numbers as long as the
     first record's, and optionally `mos` (a number or null) and `augmented`
-    (true or false). Anything else, bytes that are not UTF-8 included, is
-    a ParseError or MissingField naming the line.
+    (true or false). Anything else, bytes that are not UTF-8 or an id that
+    does not encode as UTF-8 included, is a ParseError or MissingField
+    naming the line.
     """
     ids, labels, mos, augmented = [], [], [], []
     # features go straight into one flat buffer of doubles: holding the
@@ -160,6 +161,15 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
             m, aug = obj.get("mos"), obj.get("augmented", False)
             if not isinstance(rid, str):
                 raise ParseError(line_no, f"id must be a string, got {rid!r}")
+            if not rid.isascii():
+                # a JSON escape can name a lone surrogate, which no UTF-8
+                # output (scores.csv, embeddings.csv) can hold
+                try:
+                    rid.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(line_no, f"id {rid!r} holds a lone "
+                                              f"surrogate, which is not "
+                                              f"UTF-8") from None
             if rid in first_seen:
                 raise ParseError(line_no, f"duplicate id {rid!r} "
                                           f"(first on line {first_seen[rid]})")

@@ -133,11 +133,15 @@ class Encoder:
         cache = (acts, norms, Xhat)
         return Xhat, cache
 
-    def backward(self, cache, grad_embed: np.ndarray):
+    def backward(self, cache, grad_embed: np.ndarray, out=None):
         """Reverse-mode gradients for all parameters and the input.
 
         Returns (param_grads, grad_input) where param_grads is a list of
-        (grad_weight, grad_bias) matching self.layers.
+        (grad_weight, grad_bias) matching self.layers. Given `out`, such a
+        list of arrays (a trainer's views of its gradient buffer), the
+        gradients are written into it, `out` is returned as param_grads,
+        and the input gradient, which no trainer reads, is not computed:
+        grad_input is None. The cache is only read.
         """
         acts, norms, Xhat = cache
         G = as_rows(grad_embed)
@@ -150,12 +154,14 @@ class Encoder:
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
             dact = _act_grad(layer.activation, acts[li + 1])
-            GZ = GV if dact is None else GV * dact
-            gw = GZ.T @ acts[li]
-            gb = np.add.reduce(GZ, axis=0)
-            param_grads[li] = (gw, gb)
-            GV = GZ @ layer.weight
-        return param_grads, GV
+            # GV is this pass's own array, so the factor goes in place
+            GZ = GV if dact is None else np.multiply(GV, dact, out=GV)
+            gw, gb = (None, None) if out is None else out[li]
+            param_grads[li] = (np.matmul(GZ.T, acts[li], out=gw),
+                               np.add.reduce(GZ, axis=0, out=gb))
+            if li or out is None:
+                GV = GZ @ layer.weight
+        return param_grads, None if out is not None else GV
 
     def to_dict(self):
         return {
@@ -340,12 +346,13 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def _stream_json(value, write):
     """Writes json.dumps(value, sort_keys=True, separators=(",", ":")), byte
-    for byte. A dict with string keys and a list holding lists or dicts are
-    written here part by part, so the C encoder gets one innermost value at
-    a time (a parameter row, a number, a string, None): json.dump goes
-    through the slower pure-Python encoder, and one json.dumps of the whole
-    checkpoint holds all of its text at once. Any other dict is encoded
-    whole, which gives the same bytes."""
+    for byte. A dict with string keys and a list whose first item is a list
+    or dict are written here part by part, so the C encoder gets one
+    innermost value at a time (a parameter row, a number, a string, None):
+    json.dump goes through the slower pure-Python encoder, and one
+    json.dumps of the whole checkpoint holds all of its text at once. Any
+    other dict or list is encoded whole, which gives the same bytes; only
+    the first item is looked at, so a parameter row is not scanned."""
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         sep = "{"
         for key in sorted(value):
@@ -353,8 +360,8 @@ def _stream_json(value, write):
             _stream_json(value[key], write)
             sep = ","
         write("}" if value else "{}")
-    elif isinstance(value, (list, tuple)) and any(
-            isinstance(v, (list, tuple, dict)) for v in value):
+    elif (isinstance(value, (list, tuple)) and value
+          and isinstance(value[0], (list, tuple, dict))):
         sep = "["
         for item in value:
             write(sep)

@@ -211,29 +211,34 @@ class _Optimizer:
 
     The optimizer copies the parameters into one flat buffer it owns;
     ``params`` are views of that buffer, one per given array and shaped
-    like it, and the model trains through them. The moments are flat
-    buffers too. A step concatenates the gradients, runs each update op
-    once over the flat arrays, in the same floating-point order as a
-    per-array update, so the result is bitwise the same, and ends in one
+    like it, and the model trains through them. Beside it lies a flat
+    gradient buffer ``grad`` with views ``grads`` in the same order, which
+    the trainer fills before each ``step()``. The moments are flat buffers
+    too. A step runs each update op once over the flat arrays, in the same
+    floating-point order as a per-array update, so the result is bitwise
+    the same; it overwrites ``grad`` with the update and ends in one
     subtraction from the parameter buffer.
     """
 
     def __init__(self, params, config: OptimizerConfig):
         self.config = config
         self.flat = np.concatenate(params, axis=None)
+        self.grad = np.empty_like(self.flat)
         ends = list(accumulate(p.size for p in params))
-        self.params = [self.flat[i:j].reshape(p.shape)
-                       for p, i, j in zip(params, [0] + ends[:-1], ends)]
+        spans = list(zip(params, [0] + ends[:-1], ends))
+        self.params = [self.flat[i:j].reshape(p.shape) for p, i, j in spans]
+        self.grads = [self.grad[i:j].reshape(p.shape) for p, i, j in spans]
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0
 
-    def step(self, grads):
+    def step(self):
         c = self.config
         self.t += 1
-        # g and a are this step's own scratch, not kept between steps so
-        # that peak memory stays low; g ends up holding the update
-        g = np.concatenate(grads, axis=None)
+        # g, the gradient buffer, ends up holding the update; a is this
+        # step's own scratch, not kept between steps so that peak memory
+        # stays low
+        g = self.grad
         if c.kind == "sgd-momentum":
             self.m *= c.momentum
             self.m += g
@@ -347,9 +352,9 @@ def train(records: Dataset, config: TrainConfig):
                               config.encoder.embed_dim, config.centroid_init, rng)
     head = init_head(config.encoder.embed_dim, rng) if objective.has_head else None
 
-    # the one parameter order: the optimizer's buffer follows it (the float
-    # head bias enters as a 0-d array), and so does each step's gradient
-    # list (encoder pairs, then the loss's gradients that are not None)
+    # the one parameter order: the optimizer's buffers follow it (the float
+    # head bias enters as a 0-d array): encoder pairs, then the loss's
+    # gradients that are not None
     slots = [(layer, name) for layer in encoder.layers
              for name in ("weight", "bias")]
     if bank is not None:
@@ -361,6 +366,9 @@ def train(records: Dataset, config: TrainConfig):
     # from here on the model trains through the optimizer's views
     for (owner, name), view in zip(slots, opt.params):
         setattr(owner, name, view)
+    # backward writes the encoder's gradients straight into their views
+    n_enc = 2 * len(encoder.layers)
+    encoder_grads = list(zip(opt.grads[0:n_enc:2], opt.grads[1:n_enc:2]))
 
     report = TrainReport(config=config.to_dict())
     for epoch in range(1, config.epochs + 1):
@@ -382,11 +390,12 @@ def train(records: Dataset, config: TrainConfig):
                     raise DivergenceDetected(
                         f"epoch {epoch}, batch {b}: loss {out.value!r} "
                         f"out of bounds")
-                param_grads, _ = encoder.backward(cache, out.grad_embeddings)
-                grads = [g for pair in param_grads for g in pair]
-                grads += [g for g in (out.grad_centroids, out.grad_head_weight,
-                                      out.grad_head_bias) if g is not None]
-                opt.step(grads)
+                encoder.backward(cache, out.grad_embeddings, encoder_grads)
+                loss_grads = [g for g in (out.grad_centroids, out.grad_head_weight,
+                                          out.grad_head_bias) if g is not None]
+                for view, g in zip(opt.grads[n_enc:], loss_grads):
+                    view[...] = g
+                opt.step()
                 if bank is not None:
                     bank.renormalize()
             except ZeroNorm as exc:

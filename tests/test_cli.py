@@ -657,6 +657,29 @@ def test_jsonl_not_utf8_names_the_line(workspace, capsys, command):
     assert capsys.readouterr().err == "error: line 70: byte 0xff is not UTF-8\n"
 
 
+@pytest.mark.parametrize("command", ["train", "score", "export"])
+def test_id_with_lone_surrogate_names_the_line(workspace, capsys, command):
+    # the JSON escape "\udc80" is a valid JSON string but not UTF-8 text,
+    # so no output file could hold the id
+    tmp, data, ckpt = trained(workspace)
+    lines = data.read_text().splitlines(True)
+    record = json.loads(lines[0])
+    record["id"] = "\udc80"
+    bad = tmp / "surrogate.jsonl"
+    bad.write_text("".join([json.dumps(record) + "\n", *lines[1:]]))
+    assert bad.read_text().startswith('{"id": "\\udc80"')
+    capsys.readouterr()
+    if command == "train":
+        _, _, cfg = workspace
+        rc = run("train", "--config", cfg, "--data", bad, "--out", tmp / "o")
+    else:
+        rc = run(command, "--checkpoint", ckpt, "--data", bad,
+                 "--out", tmp / "o")
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: line 1: id '\\udc80' holds a "
+                                       "lone surrogate, which is not UTF-8\n")
+
+
 def test_scores_csv_not_utf8_names_the_line(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     # \r\n and a lone \r each end a line, as in text mode

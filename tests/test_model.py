@@ -1,4 +1,5 @@
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -225,6 +226,37 @@ def test_encoder_pass_matches_reference_bits(activation):
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip([g for pair in param_grads for g in pair], ref_grads))
         assert grad_in.tobytes() == ref_in.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_backward_into_buffer_matches_fresh_bits(activation):
+    # at wide shapes, for a full and a partial batch, the gradients that
+    # backward writes into views of one flat buffer are the bits of the
+    # arrays it returns without them; the cache is only read
+    rng = make_rng(12)
+    enc = init_encoder(64, (256, 256), 32, rng, activation=activation)
+    shapes = [a.shape for layer in enc.layers for a in (layer.weight, layer.bias)]
+    ends = list(accumulate(int(np.prod(s)) for s in shapes))
+    buffer = np.empty(ends[-1])
+    views = [buffer[i:j].reshape(s)
+             for s, i, j in zip(shapes, [0] + ends[:-1], ends)]
+    out = list(zip(views[0::2], views[1::2]))
+    for rows in (256, 100):
+        X = rng.normal(size=(rows, 64))
+        G = rng.normal(size=(rows, 32))
+        _, cache = enc.forward(X)
+        acts, norms, Xhat = cache
+        before = [a.tobytes() for a in (*acts, norms, Xhat)]
+        fresh, grad_in = enc.backward(cache, G)
+        assert grad_in.shape == X.shape
+        buffer.fill(np.nan)  # a gradient left unwritten shows as NaN
+        written, no_input = enc.backward(cache, G, out)
+        assert no_input is None
+        assert all(w is v for pw, pv in zip(written, out)
+                   for w, v in zip(pw, pv))
+        assert ([g.tobytes() for pair in fresh for g in pair]
+                == [v.tobytes() for v in views])
+        assert [a.tobytes() for a in (*acts, norms, Xhat)] == before
 
 
 def test_forward_norms_are_linalg_norms():

@@ -64,19 +64,21 @@ class _ReferenceOptimizer:
     """Per-array SGD-momentum or Adam: the loop the fused _Optimizer must
     match bit for bit. Built like _Optimizer; its `params`, the arrays the
     model trains through, are the given arrays themselves, each updated in
-    place, the 0-d head bias too."""
+    place, the 0-d head bias too, and its `grads` are one array of their
+    own per parameter, which the trainer fills before each step()."""
 
     def __init__(self, params, config):
         self.config = config
         self.params = list(params)
+        self.grads = [np.zeros_like(p) for p in params]
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
-    def step(self, grads):
+    def step(self):
         c = self.config
         self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, g, m, v in zip(self.params, self.grads, self.m, self.v):
             if c.kind == "sgd-momentum":
                 m *= c.momentum
                 m += g
@@ -106,12 +108,20 @@ def test_fused_optimizer_matches_reference(kind):
     assert [p.shape for p in a.params] == shapes
     assert all(np.shares_memory(p, a.flat) for p in a.params)
     assert all(np.array_equal(p, q) for p, q in zip(a.params, initial))
+    assert [g.shape for g in a.grads] == shapes
+    assert all(np.shares_memory(g, a.grad) for g in a.grads)
     for step in range(25):
         grads = [rng.normal(scale=10.0 ** (step % 7 - 3), size=s) for s in shapes]
-        # a transposed (non-C-contiguous) gradient must flatten in C order
+        # a transposed (non-C-contiguous) gradient must be copied into its
+        # view in C order
         grads[0] = np.ascontiguousarray(grads[0].T).T
-        a.step(grads)
-        b.step(grads)
+        assert not grads[0].flags.c_contiguous
+        for ga, gb, g in zip(a.grads, b.grads, grads):
+            ga[...] = g
+            gb[...] = g
+        assert np.array_equal(a.grad[:grads[0].size], grads[0].ravel())
+        a.step()
+        b.step()
     assert all(np.array_equal(p, q) for p, q in zip(a.params, ref))
 
 
@@ -156,14 +166,16 @@ def test_objectives_look_losses_up_by_name(small_records, monkeypatch,
 def test_sgd_first_step():
     opt = _Optimizer([np.array([1.0, 2.0])],
                      OptimizerConfig(kind="sgd-momentum", lr=0.1, momentum=0.0))
-    opt.step([np.array([1.0, -2.0])])
+    opt.grads[0][...] = [1.0, -2.0]
+    opt.step()
     assert np.allclose(opt.params[0], [0.9, 2.2])
 
 
 def test_zero_grad_no_move():
     before = np.array([1.0, 2.0])
     opt = _Optimizer([before], OptimizerConfig())
-    opt.step([np.zeros(2)])
+    opt.grads[0][...] = 0.0
+    opt.step()
     assert np.array_equal(opt.params[0], before)
 
 
@@ -172,7 +184,8 @@ def test_adam_first_step_magnitude():
     for g in (1e-4, 1.0, 1e4):
         opt = _Optimizer([np.array([0.0])],
                          OptimizerConfig(kind="adam", lr=0.001))
-        opt.step([np.array([g])])
+        opt.grads[0][...] = g
+        opt.step()
         assert abs(opt.params[0][0]) == pytest.approx(0.001, rel=1e-4)
 
 
@@ -203,6 +216,14 @@ def test_train_updates_the_flat_buffer(small_records, monkeypatch, loss):
     offsets = [a.__array_interface__["data"][0] - start for a in arrays]
     assert offsets == list(accumulate([0] + [a.nbytes for a in arrays[:-1]]))
     assert sum(a.size for a in arrays) == opt.flat.size
+    # the gradient views tile the gradient buffer in the same order
+    assert [g.shape for g in opt.grads] == [a.shape for a in arrays]
+    assert all(np.shares_memory(g, opt.grad) and g.flags.c_contiguous
+               for g in opt.grads)
+    start = opt.grad.__array_interface__["data"][0]
+    offsets = [g.__array_interface__["data"][0] - start for g in opt.grads]
+    assert offsets == list(accumulate([0] + [g.nbytes for g in opt.grads[:-1]]))
+    assert opt.grad.size == opt.flat.size
 
 
 @pytest.mark.parametrize("loss", ["wce", "wce_quality"])
@@ -216,7 +237,9 @@ def test_trained_head_bias_is_written_as_a_float(small_records, loss):
 METADATA = {"nested": {"z": [1, {"b": None, "a": [[], {}]}], "y": {}},
             "text": 'naïve ✓ "q" \\ \n\t\u2028 \U0001f600', "none": None,
             "floats": [1e-300, -0.0, 1.5e300, 2.0], "bools": [True, False],
-            "int_keys": {2: "b", 1: "a"}, "tuple": (1, "x")}
+            "int_keys": {2: "b", 1: "a"}, "tuple": (1, "x"),
+            "dict_after_number": [1, {"b": [2, 3], "a": 1}],
+            "list_first": [[1], 2, {"z": None}]}
 
 
 def json_dumps_bytes(ckpt):
