@@ -5,13 +5,14 @@ output, one `<sha256>  <path>` line per file, sorted by path.
 The session: `gen` of the benchmark_spec(3) train and test sets and of the
 train set under a 3-level quality policy (thresholds [2.0, 3.5]), `ablate`
 with benchmark_train_config(3), `train` of the `single_centroid` loss, of
-the default loss under `sgd-momentum` (the two arms `ablate` leaves out)
-and of the `wce_quality` loss through a tanh encoder (a trained head bias
-and the tanh backward), of the default loss at wide shapes (hidden
+the default loss under `sgd-momentum` (the two arms `ablate` leaves out),
+of the `wce_quality` loss through a tanh encoder (a trained head bias and
+the tanh backward) and of the default loss at wide shapes (hidden
 [256, 256], batch 256, 3 epochs: the 480 training rows make a full and a
-partial batch through the large gradient products), `score` of the test set under `max` and `ensemble`
-(multi_centroid checkpoint) and `head` (wce checkpoint), `eval` of the
-ensemble scores, and `export` with the multi_centroid checkpoint; then
+partial batch through the large gradient products), `score` of the test
+set under `max` and `ensemble` (multi_centroid checkpoint) and `head` (wce
+checkpoint), `eval` of the ensemble scores, and `export` with the
+multi_centroid checkpoint; then
 `score` (ensemble), `eval` and `export` of `inputs/quoted.jsonl`, two bona
 fide and two spoof test records whose ids hold `,`, `"`, `\n` and `\r`,
 so that the CSV quoting rule is in the digest. `manifest.json` and

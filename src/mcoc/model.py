@@ -139,9 +139,9 @@ class Encoder:
         Returns (param_grads, grad_input) where param_grads is a list of
         (grad_weight, grad_bias) matching self.layers. Given `out`, such a
         list of arrays (a trainer's views of its gradient buffer), the
-        gradients are written into it, `out` is returned as param_grads,
-        and the input gradient, which no trainer reads, is not computed:
-        grad_input is None. The cache is only read.
+        gradients are written into those arrays, which param_grads then
+        holds, and the input gradient, which no trainer reads, is not
+        computed: grad_input is None. The cache is only read.
         """
         acts, norms, Xhat = cache
         G = as_rows(grad_embed)
@@ -161,7 +161,7 @@ class Encoder:
                                np.add.reduce(GZ, axis=0, out=gb))
             if li or out is None:
                 GV = GZ @ layer.weight
-        return param_grads, None if out is not None else GV
+        return param_grads, (GV if out is None else None)
 
     def to_dict(self):
         return {
