@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .model import load_checkpoint, save_checkpoint
 from .scoring import (
+    POLARITY,
     STRATEGIES,
     compute_eer,
     embed,
@@ -121,7 +123,7 @@ def _write_manifest(outdir, command, resolved, seed=None):
         "resolved": resolved,
         "seed": seed,
         "package_version": __version__,
-        "polarity": "higher score = bona fide",
+        "polarity": POLARITY,
     })
 
 
@@ -200,7 +202,7 @@ def _cmd_score(args):
                     {"checkpoint": args.checkpoint, "data": args.data,
                      "strategy": args.strategy})
     print(f"scored {len(report.scores)} records (strategy={args.strategy}, "
-          f"higher score = bona fide); EER: {report.eer}")
+          f"{POLARITY}); EER: {report.eer}")
     return 0
 
 
@@ -216,7 +218,7 @@ def _cmd_eval(args):
         "threshold": threshold,
         "num_bonafide": int(bona.size),
         "num_spoof": int(spoof.size),
-        "polarity": "higher score = bona fide",
+        "polarity": POLARITY,
     }
     outdir = _outdir(args, "eval")
     _write_json(os.path.join(outdir, "summary.json"), summary)
@@ -257,11 +259,12 @@ def _cmd_ablate(args):
         rows.append((arm, config.loss, strategy, sreport.eer))
         print(f"{arm:28s} loss={config.loss:14s} strategy={strategy:8s} "
               f"EER={sreport.eer}")
+    # as metrics.csv: a float as its repr, a missing EER as an empty cell
     with open(os.path.join(outdir, "ablation.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("arm,loss,strategy,eer\n")
-        for arm, loss, strategy, eer in rows:
-            fh.write(f"{arm},{loss},{strategy},{eer!r}\n")
+              newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["arm", "loss", "strategy", "eer"])
+        w.writerows(rows)
     _write_manifest(outdir, "ablate",
                     {"config": base, "data": args.data, "test": args.test},
                     seed=base.get("seed"))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -263,10 +263,11 @@ class ClusterSpec:
 @dataclass(frozen=True)
 class SyntheticSpec:
     dim: int
-    clusters: tuple
+    clusters: tuple = field(metadata={"many": ClusterSpec})
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "clusters", tuple(self.clusters))
         require(is_int(self.dim) and self.dim >= 1,
                 "dim", self.dim, "an integer >= 1")
         require(is_int(self.seed) and self.seed >= 0,
@@ -283,25 +284,8 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict: errors.from_dict for the spec and each cluster.
-        Every error in a cluster starts with its name, `clusters[i]`."""
-        clusters = d.get("clusters")
-        require(isinstance(clusters, (list, tuple)), "clusters", clusters,
-                "a list of objects")
-        return from_dict(cls, {**d, "clusters": tuple(
-            _cluster(c, f"clusters[{i}]") for i, c in enumerate(clusters))},
-            "spec")
-
-
-def _cluster(d, name):
-    """from_dict for one cluster; a value error, which ClusterSpec raises
-    without knowing its place, gets the name in front."""
-    try:
-        return from_dict(ClusterSpec, d, name)
-    except ConfigError as exc:
-        if str(exc).startswith(name):
-            raise
-        raise ConfigError(f"{name}: {exc}") from exc
+        """Inverse of to_dict; errors name `spec` or `spec.clusters[i]`."""
+        return from_dict(cls, d, "spec")
 
 
 def _mos_band(band: str, policy: QualityPolicy):

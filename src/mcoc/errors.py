@@ -1,10 +1,13 @@
 """Exception hierarchy for the package, the value checks that raise
 ConfigError, and ``from_dict``, the one builder that turns a JSON object
-into a config dataclass. Every error raised on purpose is a McocError."""
+into a dataclass: every config, the gen spec and the checkpoint. Every
+error raised on purpose is a McocError."""
 
 import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass
+
+import numpy as np
 
 
 class McocError(Exception):
@@ -76,13 +79,41 @@ def require(ok, name, value, what):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
+_SHAPES = ("a finite number", "a list of finite numbers",
+           "a list of equal-length lists of finite numbers")
+
+
+def reals(value, name, ndim):
+    """`value`, a JSON number (ndim 0), list of numbers (1) or list of rows
+    of numbers (2), as a float64 array; any number that fails the is_real
+    rule is a ConfigError naming `name`. A row of floats costs one type set
+    and isfinite runs once over the array; only a row holding something
+    else is checked value by value."""
+    rows = [[value]] if ndim == 0 else [value] if ndim == 1 else value
+    try:
+        if isinstance(rows, list) and all(
+                isinstance(row, list) and (set(map(type, row)) <= {float}
+                                           or all(map(is_real, row)))
+                for row in rows):
+            arr = np.array(value, dtype=np.float64)  # unequal rows: ValueError
+            if arr.ndim == ndim and np.isfinite(arr).all():
+                return arr
+    except ValueError:
+        pass
+    raise ConfigError(f"{name} must be {_SHAPES[ndim]}")
+
+
 def from_dict(cls, d, name):
     """The dataclass `cls` built from the JSON object `d`, whose keys must
-    be fields of `cls`; a field left out takes its default. A field whose
-    default factory is a dataclass is a section and is built the same way
-    from its own object. An unknown key, a missing required field and a
-    section that is not an object are ConfigErrors naming the section
-    (`name`, then `name.section`); the values are checked by `cls`."""
+    be fields of `cls`; a field left out takes its default. An unknown key,
+    a missing required field and a section that is not an object are
+    ConfigErrors naming the section (`name`, then `name.key`); the values
+    are checked by `cls`. A field's metadata says how its value is read:
+    ``ndim``, an array of finite numbers converted by ``reals``; ``section``,
+    a dataclass built the same way (so is a field whose default factory is
+    a dataclass), or null too if ``optional``; ``many``, a list of sections
+    named `name.key[i]`, where a ConfigError an item raises without its
+    place gets that name in front."""
     require(isinstance(d, dict), name, d, "an object")
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(d) - set(known))
@@ -92,9 +123,30 @@ def from_dict(cls, d, name):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{name}: missing keys {missing}")
-    kwargs = dict(d)
-    for key, value in d.items():
-        section = known[key].default_factory
-        if is_dataclass(section):
-            kwargs[key] = from_dict(section, value, f"{name}.{key}")
-    return cls(**kwargs)
+    return cls(**{key: _read(known[key], value, f"{name}.{key}")
+                  for key, value in d.items()})
+
+
+def _read(f, value, name):
+    """The value of field `f` read as its metadata says (see from_dict)."""
+    meta = f.metadata
+    if "ndim" in meta:
+        return reals(value, name, meta["ndim"])
+    if "many" in meta:
+        require(isinstance(value, (list, tuple)), name, value,
+                "a list of objects")
+        return [_item(meta["many"], item, f"{name}[{i}]")
+                for i, item in enumerate(value)]
+    section = meta.get("section", f.default_factory)
+    if not is_dataclass(section) or (value is None and meta.get("optional")):
+        return value
+    return from_dict(section, value, name)
+
+
+def _item(cls, d, name):
+    try:
+        return from_dict(cls, d, name)
+    except ConfigError as exc:
+        if str(exc).startswith(name):
+            raise
+        raise ConfigError(f"{name}: {exc}") from exc

@@ -16,14 +16,16 @@ Conventions shared by every loss here:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .data import QUALITY_ABSENT
 from .errors import ConfigError, DimMismatch, MissingQuality, is_real, require
-from .model import BinaryHead, CentroidBank
 from .numerics import as_rows, logsumexp_softmax_rows, softplus_sigmoid
+
+if TYPE_CHECKING:  # model imports LossHyper from here
+    from .model import BinaryHead, CentroidBank
 
 
 @dataclass(frozen=True)

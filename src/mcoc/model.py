@@ -17,7 +17,8 @@ import numpy as np
 
 from .data import QualityPolicy
 from .errors import (ConfigError, DimMismatch, InvalidScheme, ZeroNorm,
-                     from_dict, is_real)
+                     from_dict, is_int, require)
+from .losses import LossHyper
 from .numerics import ZERO_NORM_EPS, as_rows
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -44,30 +45,6 @@ def _act_grad(name, A):
     return None
 
 
-_SHAPES = ("a finite number", "a list of finite numbers",
-           "a list of equal-length lists of finite numbers")
-
-
-def _reals(value, part, ndim):
-    """The checkpoint's `part`, a JSON number (ndim 0), list of numbers (1)
-    or list of rows of numbers (2), as a float64 array; any number that
-    fails the errors.is_real rule is a ConfigError naming `part`. A row of
-    floats costs one type set and isfinite runs once over the array; only
-    a row holding something else is checked value by value."""
-    rows = [[value]] if ndim == 0 else [value] if ndim == 1 else value
-    try:
-        if isinstance(rows, list) and all(
-                isinstance(row, list) and (set(map(type, row)) <= {float}
-                                           or all(map(is_real, row)))
-                for row in rows):
-            arr = np.array(value, dtype=np.float64)  # unequal rows: ValueError
-            if arr.ndim == ndim and np.isfinite(arr).all():
-                return arr
-    except ValueError:
-        pass
-    raise ConfigError(f"malformed checkpoint: {part} must be {_SHAPES[ndim]}")
-
-
 def _row_norms(V, keepdims=False):
     """L2 norm of each row: the sum np.linalg.norm(V, axis=1) takes, bit
     for bit, without its argument handling."""
@@ -76,20 +53,23 @@ def _row_norms(V, keepdims=False):
 
 @dataclass
 class Layer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-    activation: str = "identity"
+    weight: np.ndarray = field(metadata={"ndim": 2})  # (out, in)
+    bias: np.ndarray = field(metadata={"ndim": 1})  # (out,)
+    activation: str
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        require(self.activation in ACTIVATIONS, "activation", self.activation,
+                f"one of {', '.join(ACTIVATIONS)}")
 
 
+@dataclass(eq=False)  # compared and hashed by identity
 class Encoder:
     """Small dense network; forward returns unit rows, backward is exact."""
 
-    def __init__(self, layers):
-        self.layers = list(layers)
+    layers: list = field(metadata={"many": Layer})
+
+    def __post_init__(self):
+        self.layers = list(self.layers)
         if not self.layers:
             raise DimMismatch("encoder needs at least one layer")
         for layer in self.layers:
@@ -163,29 +143,6 @@ class Encoder:
                 GV = GZ @ layer.weight
         return param_grads, (GV if out is None else None)
 
-    def to_dict(self):
-        return {
-            "layers": [
-                {
-                    "weight": layer.weight.tolist(),
-                    "bias": layer.bias.tolist(),
-                    "activation": layer.activation,
-                }
-                for layer in self.layers
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            Layer(
-                weight=_reals(ld["weight"], f"encoder.layers[{i}].weight", 2),
-                bias=_reals(ld["bias"], f"encoder.layers[{i}].bias", 1),
-                activation=ld["activation"],
-            )
-            for i, ld in enumerate(d["layers"])
-        )
-
 
 def init_encoder(input_dim, hidden, embed_dim, rng,
                  activation: str = "relu") -> Encoder:
@@ -210,7 +167,7 @@ def init_encoder(input_dim, hidden, embed_dim, rng,
 class CentroidBank:
     """Q learnable unit-norm centroid rows, one per quality level."""
 
-    weights: np.ndarray  # (Q, D)
+    weights: np.ndarray = field(metadata={"ndim": 2})  # (Q, D)
 
     @property
     def num_centroids(self):
@@ -234,13 +191,6 @@ class CentroidBank:
         Q = self.num_centroids
         sims = np.clip(self.weights @ self.weights.T, -1.0, 1.0)
         return sims[np.triu_indices(Q, 1)]
-
-    def to_dict(self):
-        return {"weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(weights=_reals(d["weights"], "bank.weights", 2))
 
 
 CENTROID_INITS = ("orthogonal", "random-unit")
@@ -269,19 +219,12 @@ def init_centroids(num_centroids, dim, scheme, rng) -> CentroidBank:
 class BinaryHead:
     """Single logit over the embedding; positive logit means spoof."""
 
-    weight: np.ndarray  # (D,)
-    bias: float = 0.0  # train makes it a 0-d view of the optimizer's buffer
+    weight: np.ndarray = field(metadata={"ndim": 1})  # (D,)
+    # a 0-d array when loaded, and as train's view of the optimizer's buffer
+    bias: float = field(metadata={"ndim": 0})
 
     def logits(self, embeddings: np.ndarray) -> np.ndarray:
         return np.atleast_2d(embeddings) @ self.weight + self.bias
-
-    def to_dict(self):
-        return {"weight": self.weight.tolist(), "bias": float(self.bias)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(weight=_reals(d["weight"], "head.weight", 1),
-                   bias=float(_reals(d["bias"], "head.bias", 0)))
 
 
 def init_head(dim, rng) -> BinaryHead:
@@ -291,50 +234,62 @@ def init_head(dim, rng) -> BinaryHead:
 CHECKPOINT_VERSION = 1
 
 
+# how far a loaded centroid row's norm may be from 1; renormalize leaves
+# rows within a few ulps of it
+UNIT_NORM_TOL = 1e-9
+
+
 @dataclass
 class Checkpoint:
-    encoder: Encoder
-    bank: Optional[CentroidBank]
-    head: Optional[BinaryHead]
-    policy: QualityPolicy
-    hyper: dict
+    encoder: Encoder = field(metadata={"section": Encoder})
+    bank: Optional[CentroidBank] = field(
+        metadata={"section": CentroidBank, "optional": True})
+    head: Optional[BinaryHead] = field(
+        metadata={"section": BinaryHead, "optional": True})
+    policy: QualityPolicy = field(metadata={"section": QualityPolicy})
+    hyper: LossHyper = field(metadata={"section": LossHyper})
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        require(isinstance(self.metadata, dict), "checkpoint.metadata",
+                self.metadata, "an object")
+
     def to_dict(self):
-        return {
-            "version": CHECKPOINT_VERSION,
-            "encoder": self.encoder.to_dict(),
-            "bank": None if self.bank is None else self.bank.to_dict(),
-            "head": None if self.head is None else self.head.to_dict(),
-            "policy": asdict(self.policy),
-            "hyper": self.hyper,
-            "metadata": self.metadata,
-        }
+        """The JSON object from_dict reads; an array (a 0-d head bias too)
+        is written as its tolist()."""
+        parts = asdict(self, dict_factory=lambda items: {
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in items})
+        return {"version": CHECKPOINT_VERSION, **parts}
 
     @classmethod
+    @np.errstate(over="ignore")  # a row norm that overflows is inf: rejected
     def from_dict(cls, d):
-        """Raises ConfigError for another version, a missing or malformed
-        part (a parameter that is not finite JSON numbers among them), or a
-        bank or head whose dimension is not the encoder's."""
+        """Built by errors.from_dict, so a missing, unknown or malformed
+        part (a parameter that is not finite JSON numbers among them) is a
+        ConfigError naming it; so are another version, a bank or head whose
+        dimension is not the encoder's, and a centroid row that is not of
+        unit norm within UNIT_NORM_TOL."""
         version = d.get("version") if isinstance(d, dict) else None
-        if version != CHECKPOINT_VERSION:
+        # is_int: JSON true equals 1 in Python but is not a version
+        if not is_int(version) or version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r}")
         try:
-            ckpt = cls(
-                encoder=Encoder.from_dict(d["encoder"]),
-                bank=None if d["bank"] is None else CentroidBank.from_dict(d["bank"]),
-                head=None if d["head"] is None else BinaryHead.from_dict(d["head"]),
-                policy=from_dict(QualityPolicy, d["policy"],
-                                 "checkpoint.policy"),
-                hyper=d["hyper"],
-                metadata=d.get("metadata", {}),
-            )
-        except (KeyError, TypeError, ValueError, DimMismatch) as exc:
-            raise ConfigError(f"malformed checkpoint: {exc!r}") from exc
+            ckpt = from_dict(cls, {k: v for k, v in d.items() if k != "version"},
+                             "checkpoint")
+        except DimMismatch as exc:  # only Encoder checks dimensions
+            raise ConfigError(f"checkpoint.encoder: {exc}") from exc
         D = ckpt.encoder.embed_dim
-        if ckpt.bank is not None and ckpt.bank.weights.shape[1:] != (D,):
-            raise ConfigError(f"checkpoint bank has shape {ckpt.bank.weights.shape}, "
-                              f"the encoder embeds in {D} dimensions")
+        if ckpt.bank is not None:
+            W = ckpt.bank.weights
+            if W.shape[1:] != (D,):
+                raise ConfigError(f"checkpoint bank has shape {W.shape}, "
+                                  f"the encoder embeds in {D} dimensions")
+            norms = _row_norms(W)
+            i = int(np.abs(norms - 1.0).argmax())
+            require(abs(norms[i] - 1.0) <= UNIT_NORM_TOL,
+                    f"checkpoint.bank.weights[{i}]", float(norms[i]),
+                    f"a row of norm 1 within {UNIT_NORM_TOL}")
         if ckpt.head is not None and ckpt.head.weight.shape != (D,):
             raise ConfigError(f"checkpoint head has shape {ckpt.head.weight.shape}, "
                               f"the encoder embeds in {D} dimensions")

@@ -18,6 +18,8 @@ from .errors import ConfigError, EmptyClass, MissingQuality, ParseError
 from .model import BinaryHead, CentroidBank, Encoder
 
 STRATEGIES = ("labeled", "max", "ensemble", "head")
+# written into every score report, manifest and eval summary
+POLARITY = "higher score = bona fide"
 # Rows per encoder forward pass. The forward's activations are held for one
 # block at a time, so scoring memory is bounded by the block size rather
 # than by the number of records.
@@ -146,7 +148,7 @@ class ScoreReport:
     eer: Optional[float] = None
     threshold: Optional[float] = None
     class_stats: dict = field(default_factory=dict)
-    polarity: str = "higher score = bona fide"
+    polarity: str = POLARITY
 
     def to_dict(self):
         return {

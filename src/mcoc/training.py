@@ -424,7 +424,7 @@ def train(records: Dataset, config: TrainConfig):
         bank=bank,
         head=head,
         policy=config.policy,
-        hyper=asdict(config.hyper),
+        hyper=config.hyper,
         metadata={
             "seed": config.seed,
             "epochs": config.epochs,

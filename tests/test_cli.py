@@ -253,6 +253,23 @@ def test_ablate_trains_each_written_config_once(workspace, monkeypatch, lam,
     assert repr(written["multi_centroid_no_quality"]) == "0.0"
 
 
+def test_ablate_leaves_a_missing_eer_empty(workspace):
+    # a spoof-only test set has no EER; ablation.csv leaves the cell empty,
+    # as metrics.csv does
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    data = tmp / "tr" / "data.jsonl"
+    spoof = tmp / "spoof.jsonl"
+    spoof.write_text("".join(line for line in data.read_text().splitlines(True)
+                             if '"spoof"' in line))
+    assert run("ablate", "--config", cfg, "--data", data, "--test", spoof,
+               "--out", tmp / "ab") == 0
+    lines = (tmp / "ab" / "ablation.csv").read_text().splitlines()
+    assert lines[0] == "arm,loss,strategy,eer"
+    assert lines[1:] == [f"{arm},{sets[0][5:]},{strategy},"
+                         for arm, sets, strategy in ABLATION_ARMS]
+
+
 def _drop_first_mos(record):
     if record["id"] == "bonafide0_0000":
         del record["mos"]
@@ -475,35 +492,97 @@ def _add_head(d, bias):
     d["head"] = {"weight": [0.5] * len(d["bank"]["weights"][0]), "bias": bias}
 
 
-@pytest.mark.parametrize("damage", [
-    pytest.param(_edit_json(lambda d: d.update(version=2)), id="version-2"),
-    pytest.param(lambda text: text[:len(text) // 2], id="truncated-json"),
+def _set_layer(d, **kw):
+    d["encoder"]["layers"][0].update(kw)
+
+
+def _scale_row(d, factor):
+    d["bank"]["weights"][0] = [x * factor for x in d["bank"]["weights"][0]]
+
+
+WEIGHTS_2D = "must be a list of equal-length lists of finite numbers"
+
+
+@pytest.mark.parametrize("damage, expected", [
+    pytest.param(_edit_json(lambda d: d.update(version=2)),
+                 "unsupported checkpoint version 2", id="version-2"),
+    pytest.param(_edit_json(lambda d: d.update(version=True)),
+                 "unsupported checkpoint version True", id="version-true"),
+    pytest.param(lambda text: text[:len(text) // 2], "not a JSON checkpoint",
+                 id="truncated-json"),
     pytest.param(_edit_json(lambda d: [row.pop() for row in d["bank"]["weights"]]),
-                 id="bank-dim"),
+                 "checkpoint bank has shape (2, 5)", id="bank-dim"),
     pytest.param(_edit_json(lambda d: d.update(head={"weight": [0.5] * 5,
                                                      "bias": 0.0})),
-                 id="head-dim"),
-    pytest.param(_edit_json(lambda d: d.pop("policy")), id="missing-part"),
+                 "checkpoint head has shape (5,)", id="head-dim"),
+    pytest.param(_edit_json(lambda d: d.pop("policy")),
+                 "checkpoint: missing keys ['policy']", id="missing-part"),
     pytest.param(_edit_json(lambda d: d["policy"].update(tua=2.5)),
+                 "checkpoint.policy: unknown keys ['tua']",
                  id="policy-unknown-key"),
     pytest.param(_edit_json(lambda d: d.update(policy=[2.5])),
+                 "checkpoint.policy must be an object, got [2.5]",
                  id="policy-not-object"),
     pytest.param(lambda text: text.replace('"bias"', '"bi\xffas"', 1),
-                 id="not-utf8"),
+                 "not a JSON checkpoint", id="not-utf8"),
     # every parameter value must be a finite JSON number, not coerced
-    pytest.param(_edit_json(lambda d: _set_bank(d, True)), id="bank-bool"),
+    pytest.param(_edit_json(lambda d: _set_bank(d, True)),
+                 f"checkpoint.bank.weights {WEIGHTS_2D}", id="bank-bool"),
     pytest.param(_edit_json(lambda d: _set_bank(d, math.inf)),
-                 id="bank-infinity"),
+                 f"checkpoint.bank.weights {WEIGHTS_2D}", id="bank-infinity"),
     pytest.param(_edit_json(lambda d: _set_bank(d, 10 ** 400)),
+                 f"checkpoint.bank.weights {WEIGHTS_2D}",
                  id="bank-int-beyond-float"),
     pytest.param(_edit_json(lambda d: _add_head(d, "0.5")),
+                 "checkpoint.head.bias must be a finite number",
                  id="head-bias-string"),
-    pytest.param(_edit_json(lambda d: _add_head(d, True)), id="head-bias-bool"),
+    pytest.param(_edit_json(lambda d: _add_head(d, True)),
+                 "checkpoint.head.bias must be a finite number",
+                 id="head-bias-bool"),
     pytest.param(_edit_json(lambda d: d["encoder"]["layers"][0]["weight"][0]
                             .__setitem__(0, math.nan)),
+                 f"checkpoint.encoder.layers[0].weight {WEIGHTS_2D}",
                  id="encoder-nan"),
+    # every part is read through one schema and named when it is wrong
+    pytest.param(_edit_json(lambda d: d.update(extra=1)),
+                 "checkpoint: unknown keys ['extra']", id="unknown-key"),
+    pytest.param(_edit_json(lambda d: d.update(encoder=3)),
+                 "checkpoint.encoder must be an object, got 3",
+                 id="encoder-not-object"),
+    pytest.param(_edit_json(lambda d: d["encoder"].update(layers={})),
+                 "checkpoint.encoder.layers must be a list of objects, got {}",
+                 id="layers-not-list"),
+    pytest.param(_edit_json(lambda d: d["encoder"].update(layers=[])),
+                 "checkpoint.encoder: encoder needs at least one layer",
+                 id="no-layers"),
+    pytest.param(_edit_json(lambda d: _set_layer(d, activation="gelu")),
+                 "checkpoint.encoder.layers[0]: activation must be one of "
+                 "relu, tanh, identity, got 'gelu'", id="activation-gelu"),
+    pytest.param(_edit_json(lambda d: _set_layer(d, scale=1.0)),
+                 "checkpoint.encoder.layers[0]: unknown keys ['scale']",
+                 id="layer-unknown-key"),
+    pytest.param(_edit_json(lambda d: (_add_head(d, 0.0), d["head"].pop("bias"))),
+                 "checkpoint.head: missing keys ['bias']", id="head-no-bias"),
+    pytest.param(_edit_json(lambda d: d.update(hyper=5)),
+                 "checkpoint.hyper must be an object, got 5",
+                 id="hyper-not-object"),
+    pytest.param(_edit_json(lambda d: d["hyper"].update(alpha=-1)),
+                 "hyper: scales must be positive", id="hyper-alpha-negative"),
+    pytest.param(_edit_json(lambda d: d.update(metadata=[1])),
+                 "checkpoint.metadata must be an object, got [1]",
+                 id="metadata-not-object"),
+    pytest.param(_edit_json(lambda d: _scale_row(d, 0.0)),
+                 "checkpoint.bank.weights[0] must be a row of norm 1 within "
+                 "1e-09, got 0.0", id="bank-zero-row"),
+    pytest.param(_edit_json(lambda d: _scale_row(d, 20.0)),
+                 "checkpoint.bank.weights[0] must be a row of norm 1 within "
+                 "1e-09, got 20.", id="bank-norm-20"),
+    # the norm overflows to inf, with no warning line on stderr
+    pytest.param(_edit_json(lambda d: _set_bank(d, 1e300)),
+                 "checkpoint.bank.weights[0] must be a row of norm 1 within "
+                 "1e-09, got inf", id="bank-norm-overflow"),
 ])
-def test_bad_checkpoint_exits_2(workspace, capsys, damage):
+def test_bad_checkpoint_exits_2(workspace, capsys, damage, expected):
     tmp, data, ckpt = trained(workspace)
     bad = tmp / "bad.json"
     # latin-1 writes each character as one byte: "\xff" stays a lone 0xff
@@ -513,6 +592,7 @@ def test_bad_checkpoint_exits_2(workspace, capsys, damage):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert expected in err
 
 
 def test_labeled_on_spoof_without_mos_is_config_error(workspace, capsys):

@@ -75,23 +75,23 @@ def _spec(**cluster):
     (lambda: SyntheticSpec.from_dict({**_spec(), "sed": 7}),
      "spec: unknown keys ['sed']"),
     (lambda: SyntheticSpec.from_dict(_spec(labl="spoof")),
-     "clusters[0]: unknown keys ['labl']"),
+     "spec.clusters[0]: unknown keys ['labl']"),
     (lambda: SyntheticSpec.from_dict({"clusters": []}),
      "spec: missing keys ['dim']"),
     (lambda: SyntheticSpec.from_dict({"dim": 1, "clusters": [{"count": 1}]}),
-     "clusters[0]: missing keys ['mean', 'spread']"),
+     "spec.clusters[0]: missing keys ['mean', 'spread']"),
     (lambda: SyntheticSpec.from_dict({"dim": 1, "clusters": [3]}),
-     "clusters[0] must be an object, got 3"),
+     "spec.clusters[0] must be an object, got 3"),
     (lambda: SyntheticSpec.from_dict({"dim": 1}),
-     "clusters must be a list of objects, got None"),
+     "spec: missing keys ['clusters']"),
     (lambda: SyntheticSpec.from_dict(_spec(label=["spoof"])),
-     "clusters[0]: label must be 'bonafide' or 'spoof', got ['spoof']"),
+     "spec.clusters[0]: label must be 'bonafide' or 'spoof', got ['spoof']"),
     (lambda: SyntheticSpec.from_dict(_spec(label={"a": 1})),
-     "clusters[0]: label must be 'bonafide' or 'spoof', got {'a': 1}"),
+     "spec.clusters[0]: label must be 'bonafide' or 'spoof', got {'a': 1}"),
     (lambda: SyntheticSpec.from_dict(_spec(label=1)),
-     "clusters[0]: label must be 'bonafide' or 'spoof', got 1"),
+     "spec.clusters[0]: label must be 'bonafide' or 'spoof', got 1"),
     (lambda: SyntheticSpec.from_dict(_spec(count=2.5)),
-     "clusters[0]: count must be an integer >= 1, got 2.5"),
+     "spec.clusters[0]: count must be an integer >= 1, got 2.5"),
     (lambda: from_dict(QualityPolicy, {"num_levels": 2, "tua": 3},
                        "checkpoint.policy"),
      "checkpoint.policy: unknown keys ['tua']"),

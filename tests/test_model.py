@@ -18,6 +18,7 @@ from mcoc.model import (
     save_checkpoint,
 )
 from mcoc.data import QualityPolicy
+from mcoc.losses import LossHyper
 from mcoc.numerics import make_rng
 
 from numeric_reference import finite_diff_grad
@@ -160,7 +161,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         bank=init_centroids(2, 6, "orthogonal", rng),
         head=init_head(6, rng),
         policy=QualityPolicy(),
-        hyper={"alpha": 20.0},
+        hyper=LossHyper(alpha=20.0),
         metadata={"seed": 5},
     )
     path = tmp_path / "ckpt.json"

@@ -8,10 +8,11 @@ from mcoc import training
 from mcoc.data import benchmark_spec, generate_synthetic
 from mcoc.errors import ConfigError, DivergenceDetected
 from mcoc.losses import LossHyper
-from mcoc.model import save_checkpoint
+from mcoc.model import Checkpoint, save_checkpoint
 from mcoc.numerics import make_rng
 from mcoc.training import (
     LOSS_KINDS,
+    OBJECTIVES,
     OPTIMIZER_KINDS,
     EncoderConfig,
     OptimizerConfig,
@@ -265,6 +266,16 @@ def test_checkpoint_bytes_are_json_dumps(small_records, tmp_path, loss,
     ckpt.metadata = {**ckpt.metadata, **METADATA}
     save_checkpoint(ckpt, path)
     assert path.read_bytes() == json_dumps_bytes(ckpt)
+
+
+@pytest.mark.parametrize("loss", OBJECTIVES)
+def test_checkpoint_reads_back_its_own_dict(small_records, loss):
+    # wce has no bank and the centroid arms no head: both are written null
+    _, ckpt = train(small_records, quick_config(loss=loss, epochs=1))
+    d = ckpt.to_dict()
+    assert (d["bank"] is None) == (OBJECTIVES[loss].bank_size is None)
+    assert (d["head"] is None) != OBJECTIVES[loss].has_head
+    assert Checkpoint.from_dict(json.loads(json.dumps(d))).to_dict() == d
 
 
 def test_train_validates_config():
