@@ -15,11 +15,15 @@ checkpoint), `eval` of the ensemble scores, and `export` with the
 multi_centroid checkpoint; then
 `score` (ensemble), `eval` and `export` of `inputs/quoted.jsonl`, two bona
 fide and two spoof test records whose ids hold `,`, `"`, `\n` and `\r`,
-so that the CSV quoting rule is in the digest. `manifest.json` and
-`report.json` embed paths under DIR, so they are hashed with DIR (made
-absolute) replaced by `<out>`. Two commits that print the same list wrote
-byte-identical checkpoints, metrics, reports, manifests, summaries, scores,
-ablation table, histogram, embeddings and datasets.
+so that the CSV quoting rule is in the digest; then `score` (ensemble)
+and `export` of `inputs/odd.jsonl`, the same four records as a hand-made
+file may hold them (CRLF line ends, blank lines, non-ASCII ids, integer
+features and an integer mos), which load_jsonl reads line by line.
+`manifest.json` and `report.json` embed paths under DIR, so they are
+hashed with DIR (made absolute) replaced by `<out>`. Two commits that
+print the same list wrote byte-identical checkpoints, metrics, reports,
+manifests, summaries, scores, ablation table, histogram, embeddings and
+datasets.
 
 Usage: python3 scripts/output_digest.py --out DIR   (DIR must be empty or new)
 """
@@ -42,6 +46,8 @@ from mcoc.training import benchmark_train_config
 SEED = 3
 # ids that a CSV writer must quote
 QUOTED_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rid"]
+# ids that are not ASCII
+ODD_IDS = ["café", "naïve", "ünï", "日本"]
 # files that embed paths under the output directory
 WITH_PATHS = ("manifest.json", "report.json")
 
@@ -69,6 +75,8 @@ def _steps(out):
                            *np.flatnonzero(records.y == SPOOF)[:2]])
     quoted = os.path.join(inputs, "quoted.jsonl")
     save_jsonl(dataclasses.replace(picked, ids=QUOTED_IDS), quoted)
+    odd = os.path.join(inputs, "odd.jsonl")
+    _write_odd(picked, odd)
     train = os.path.join(out, "train", "data.jsonl")
     test = os.path.join(out, "test", "data.jsonl")
     ablate = os.path.join(out, "ablate")
@@ -108,7 +116,28 @@ def _steps(out):
          "--out", os.path.join(out, "eval_quoted")],
         ["export", "--checkpoint", mc, "--data", quoted,
          "--out", os.path.join(out, "export_quoted")],
+        ["score", "--checkpoint", mc, "--data", odd, "--strategy", "ensemble",
+         "--out", os.path.join(out, "score_odd")],
+        ["export", "--checkpoint", mc, "--data", odd,
+         "--out", os.path.join(out, "export_odd")],
     ]
+
+
+def _write_odd(records, path):
+    """`records` (two bona fide, then two spoof) with the ODD_IDS, the
+    first record's mos as an integer and the second's features rounded to
+    integers, one line each with CRLF ends and a blank line between."""
+    lines = []
+    for i, rid in enumerate(ODD_IDS):
+        feats = records.X[i].tolist()
+        obj = {"id": rid, "features": ([round(x) for x in feats] if i == 1
+                                       else feats),
+               "label": "bonafide" if records.y[i] == BONAFIDE else "spoof"}
+        if not np.isnan(records.mos[i]):
+            obj["mos"] = round(records.mos[i]) if i == 0 else records.mos[i]
+        lines.append(json.dumps(obj, ensure_ascii=False))
+    with open(path, "w", encoding="utf-8", newline="\r\n") as fh:
+        fh.write("\n\n".join(lines) + "\n")
 
 
 def _digests(out):

@@ -103,24 +103,26 @@ def reals(value, name, ndim):
     raise ConfigError(f"{name} must be {_SHAPES[ndim]}")
 
 
-def from_dict(cls, d, name):
+def from_dict(cls, d, name, complete=False):
     """The dataclass `cls` built from the JSON object `d`, whose keys must
-    be fields of `cls`; a field left out takes its default. An unknown key,
-    a missing required field and a section that is not an object are
+    be fields of `cls`; a field left out takes its default, unless
+    `complete`, under which every field is required. An unknown key, a
+    missing required field and a section that is not an object are
     ConfigErrors naming the section (`name`, then `name.key`); the values
     are checked by `cls`. A field's metadata says how its value is read:
     ``ndim``, an array of finite numbers converted by ``reals``; ``section``,
     a dataclass built the same way (so is a field whose default factory is
-    a dataclass), or null too if ``optional``; ``many``, a list of sections
-    named `name.key[i]`, where a ConfigError an item raises without its
-    place gets that name in front."""
+    a dataclass), or null too if ``optional``, and with every field required
+    if ``complete``; ``many``, a list of sections named `name.key[i]`, where
+    a ConfigError an item raises without its place gets that name in
+    front."""
     require(isinstance(d, dict), name, d, "an object")
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ConfigError(f"{name}: unknown keys {unknown}")
-    missing = [k for k, f in known.items() if k not in d
-               and f.default is MISSING and f.default_factory is MISSING]
+    missing = [k for k, f in known.items() if k not in d and (
+        complete or f.default is MISSING and f.default_factory is MISSING)]
     if missing:
         raise ConfigError(f"{name}: missing keys {missing}")
     return cls(**{key: _read(known[key], value, f"{name}.{key}")
@@ -140,7 +142,7 @@ def _read(f, value, name):
     section = meta.get("section", f.default_factory)
     if not is_dataclass(section) or (value is None and meta.get("optional")):
         return value
-    return from_dict(section, value, name)
+    return from_dict(section, value, name, meta.get("complete", False))
 
 
 def _item(cls, d, name):

@@ -246,8 +246,10 @@ class Checkpoint:
         metadata={"section": CentroidBank, "optional": True})
     head: Optional[BinaryHead] = field(
         metadata={"section": BinaryHead, "optional": True})
-    policy: QualityPolicy = field(metadata={"section": QualityPolicy})
-    hyper: LossHyper = field(metadata={"section": LossHyper})
+    # a checkpoint writes every key, so none is left to a training default
+    policy: QualityPolicy = field(
+        metadata={"section": QualityPolicy, "complete": True})
+    hyper: LossHyper = field(metadata={"section": LossHyper, "complete": True})
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -266,10 +268,11 @@ class Checkpoint:
     @np.errstate(over="ignore")  # a row norm that overflows is inf: rejected
     def from_dict(cls, d):
         """Built by errors.from_dict, so a missing, unknown or malformed
-        part (a parameter that is not finite JSON numbers among them) is a
-        ConfigError naming it; so are another version, a bank or head whose
-        dimension is not the encoder's, and a centroid row that is not of
-        unit norm within UNIT_NORM_TOL."""
+        part (a parameter that is not finite JSON numbers, or a policy or
+        hyper key left out, among them) is a ConfigError naming it; so are
+        another version, a bank or head whose dimension is not the
+        encoder's, and a centroid row that is not of unit norm within
+        UNIT_NORM_TOL."""
         version = d.get("version") if isinstance(d, dict) else None
         # is_int: JSON true equals 1 in Python but is not a version
         if not is_int(version) or version != CHECKPOINT_VERSION:

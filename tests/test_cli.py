@@ -568,6 +568,16 @@ WEIGHTS_2D = "must be a list of equal-length lists of finite numbers"
                  id="hyper-not-object"),
     pytest.param(_edit_json(lambda d: d["hyper"].update(alpha=-1)),
                  "hyper: scales must be positive", id="hyper-alpha-negative"),
+    # a checkpoint is read in full: no key falls back to a training default
+    pytest.param(_edit_json(lambda d: d["hyper"].pop("alpha")),
+                 "checkpoint.hyper: missing keys ['alpha']",
+                 id="hyper-no-alpha"),
+    pytest.param(_edit_json(lambda d: d["policy"].pop("num_levels")),
+                 "checkpoint.policy: missing keys ['num_levels']",
+                 id="policy-no-num-levels"),
+    pytest.param(_edit_json(lambda d: d.update(hyper={})),
+                 "checkpoint.hyper: missing keys ['alpha', 'm0', 'm1', 's', "
+                 "'m', 'lam']", id="hyper-empty"),
     pytest.param(_edit_json(lambda d: d.update(metadata=[1])),
                  "checkpoint.metadata must be an object, got [1]",
                  id="metadata-not-object"),

@@ -7,7 +7,8 @@ from dataclasses import asdict
 
 import pytest
 
-from mcoc.data import ClusterSpec, QualityPolicy, SyntheticSpec, benchmark_spec
+from mcoc.data import (ClusterSpec, QualityPolicy, SyntheticSpec, benchmark_spec,
+                       generate_synthetic)
 from mcoc.errors import ConfigError, from_dict
 from mcoc.training import OptimizerConfig, TrainConfig, benchmark_train_config
 
@@ -95,10 +96,17 @@ def _spec(**cluster):
     (lambda: from_dict(QualityPolicy, {"num_levels": 2, "tua": 3},
                        "checkpoint.policy"),
      "checkpoint.policy: unknown keys ['tua']"),
+    (lambda: SyntheticSpec.from_dict(_spec(mean=[0.0, 0.0])),
+     "spec.clusters[0]: mean has 2 values, dim is 1"),
+    (lambda: generate_synthetic(SyntheticSpec.from_dict(
+        _spec(mean=[1.7e308], spread=1e308, count=50))),
+     "spec.clusters[0]: mean and spread draw a feature beyond the float "
+     "range"),
 ], ids=["top", "section", "policy", "section-not-object", "not-object",
         "spec-top", "cluster-key", "spec-missing", "cluster-missing",
         "cluster-not-object", "no-clusters", "label-list", "label-dict",
-        "label-int", "count", "named-policy"])
+        "label-int", "count", "named-policy", "cluster-mean-length",
+        "cluster-overflow"])
 def test_errors_name_their_section(build, message):
     with pytest.raises(ConfigError) as info:
         build()

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mcoc.data import (
+    BLOCK_LINES,
     BONAFIDE,
     QUALITY_ABSENT,
     SPOOF,
@@ -19,6 +20,8 @@ from mcoc.data import (
 )
 from mcoc.errors import ConfigError, MissingField, MosOutOfRange, ParseError
 from mcoc.numerics import make_rng
+
+import jsonl_reference
 
 POLICY = QualityPolicy()
 COLUMNS = ("X", "y", "mos", "quality", "augmented")
@@ -139,9 +142,7 @@ def test_load_jsonl_errors(tmp_path):
 
 
 GOOD_LINE = '{"id":"a","features":[0.1,0.2],"label":"spoof"}'
-
-
-@pytest.mark.parametrize("line", [
+BAD_LINES = [
     '{"id":"b","features":[0.1],"label":"spoof"}',  # shorter than line 1
     '{"id":"b","features":[0.1,0.2,0.3],"label":"spoof"}',
     '{"id":"b","features":[],"label":"spoof"}',
@@ -162,7 +163,10 @@ GOOD_LINE = '{"id":"a","features":[0.1,0.2],"label":"spoof"}'
     '{"id":5,"features":[0.1,0.2],"label":"spoof"}',
     '{"id":"a","features":[0.1,0.2],"label":"spoof"}',  # duplicate id
     '[1, 2]',
-])
+]
+
+
+@pytest.mark.parametrize("line", BAD_LINES)
 def test_load_jsonl_rejects_bad_line(tmp_path, line):
     p = tmp_path / "bad.jsonl"
     p.write_text(GOOD_LINE + "\n" + line + "\n")
@@ -178,6 +182,115 @@ def test_load_jsonl_accepts_finite_features_whose_sum_overflows(tmp_path,
     p = tmp_path / "d.jsonl"
     p.write_text(f'{{"id":"a","features":{feats},"label":"spoof"}}\n')
     assert load_jsonl(p).X.tolist() == [feats]
+
+
+def _record(rid, feats=(0.1, 0.2), label="spoof", **extra):
+    return json.dumps({"id": rid, "features": list(feats), "label": label,
+                       **extra}).encode()
+
+
+# bad, blank and unusual lines, each case the list of byte strings (without
+# line ends) it spans; the block reader sends most of them down its
+# per-line path
+ODD_LINES = {
+    **{f"bad{i}": [line.encode()] for i, line in enumerate(BAD_LINES)},
+    "blank": [b""],
+    "blank-spaces": [b" \t "],
+    "blank-nbsp": ["\u00a0".encode()],
+    "crlf": [_record("c1") + b"\r"],
+    "lone-cr": [_record("c2") + b"\r" + _record("c3")],
+    "leading-space": [b" " + _record("w1")],
+    "trailing-space": [_record("w2") + b"  "],
+    "bom": [b"\xef\xbb\xbf" + _record("w3")],
+    "utf8-then-json": [b'{"id":"x\xff","features":[0.1,0.2],"label":"spoof"}',
+                       b"{oops"],
+    "json-then-utf8": [b"{oops", b"\xff"],
+    "utf8-in-other-key": [_record("u1")[:-1] + b',"note":"\xff"}'],
+    "utf8-ok-in-other-key": [_record("u2")[:-1] + ',"note":"é"}'.encode()],
+    "surrogate-id": [b'{"id":"\\ud800","features":[0.1,0.2],"label":"spoof"}'],
+    "non-ascii-id": [_record("été").replace(b"\\u00e9", "é".encode())],
+    "escaped-id": [_record("é2")],
+    "int-features": [_record("i1", (1, 2))],
+    "mixed-features": [_record("i2", (1, 0.5))],
+    "int-mos": [_record("i3", label="bonafide", mos=3)],
+    "null-mos": [_record("n1", label="bonafide", mos=None)],
+    "augmented": [_record("g1", label="bonafide", mos=1.5, augmented=True)],
+    "duplicate-across": [_record("d1"), _record("d2"), _record("d3"),
+                         _record("d1")],
+    "two-values": [_record("t1") + b"," + _record("t2")],
+    "two-values-space": [_record("t3") + b" " + _record("t4")],
+    "split-value": [b'{"id":"s1","features":[0.1,', b'0.2],"label":"spoof"}'],
+    "deep": [b"[" * 100_000],
+    "huge-int-id": [b'{"id":1' + b"0" * 5000
+                    + b',"features":[0.1,0.2],"label":"spoof"}'],
+}
+ODD_AT = (BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1)
+
+
+def _odd_file(path, cases, seed=0, crlf=False, final_newline=True):
+    """A file of good records with the lines of each (name, line number)
+    case inserted so that it starts at that line, in turn."""
+    rng = make_rng(seed)
+    lines = [GOOD_LINE.encode()]
+    for i in range(1, BLOCK_LINES + 8):
+        label = ("bonafide", "spoof")[rng.integers(2)]
+        extra = ({"mos": float(rng.uniform(1.0, 5.0))} if label == "bonafide"
+                 else {"mos": None} if rng.random() < 0.2 else {})
+        if rng.random() < 0.1:
+            extra["augmented"] = bool(rng.integers(2))
+        lines.append(_record(f"r{i}", rng.normal(size=2).tolist(), label,
+                             **extra))
+    for name, line_no in cases:
+        lines[line_no - 1:line_no - 1] = ODD_LINES[name]
+    end = b"\r\n" if crlf else b"\n"
+    path.write_bytes(end.join(lines) + (end if final_newline else b""))
+    return path
+
+
+def _outcome(load, path):
+    """The columns `load` reads from `path`, as bytes, or the type and
+    message of what it raises."""
+    try:
+        d = load(path, POLICY)
+    except Exception as exc:  # both readers must fail alike, whatever they raise
+        return type(exc), str(exc)
+    return d.ids, [(x.dtype, x.shape, x.tobytes()) for x in
+                   (d.X, d.y, d.mos, d.quality, d.augmented)]
+
+
+@pytest.mark.parametrize("line_no", ODD_AT)
+def test_block_reader_matches_line_reader_on_each_case(tmp_path, line_no):
+    for name in ODD_LINES:
+        path = _odd_file(tmp_path / f"{name}.jsonl", [(name, line_no)])
+        assert (_outcome(load_jsonl, path)
+                == _outcome(jsonl_reference.load_jsonl, path)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases=st.lists(st.tuples(st.sampled_from(sorted(ODD_LINES)),
+                                st.sampled_from(ODD_AT)), max_size=3),
+       seed=st.integers(0, 2**16), crlf=st.booleans(),
+       final_newline=st.booleans())
+def test_block_reader_matches_line_reader(tmp_path_factory, cases, seed, crlf,
+                                          final_newline):
+    path = _odd_file(tmp_path_factory.mktemp("odd") / "d.jsonl", cases, seed,
+                     crlf, final_newline)
+    assert (_outcome(load_jsonl, path)
+            == _outcome(jsonl_reference.load_jsonl, path))
+
+
+def test_clean_file_takes_the_block_path(tmp_path, monkeypatch):
+    recs = random_dataset(3 * BLOCK_LINES + 5, 4)
+    path = tmp_path / "d.jsonl"
+    save_jsonl(recs, path)
+
+    def no_line_path(*args):
+        raise AssertionError("a clean block was read line by line")
+
+    monkeypatch.setattr("mcoc.data._Columns.add_lines", no_line_path)
+    assert_same(load_jsonl(path, POLICY), recs)
+    path.write_bytes(path.read_bytes()[:-1])  # no newline after the last line
+    assert_same(load_jsonl(path, POLICY), recs)
 
 
 def test_jsonl_round_trip(tmp_path):
