@@ -5,8 +5,9 @@ accept repeated ``--set key=value`` overrides with dotted paths and
 ``--seed``; score, eval and export take neither. Every run writes a
 manifest.json with the resolved inputs, so it can be re-run bit-identically.
 
-Exit codes: 0 ok, 2 config error, 3 I/O error, 4 training divergence,
-1 anything else.
+Exit codes, one exception class each: 0 ok, 2 config error (ConfigError,
+of which MissingQuality is one), 3 I/O error (OSError), 4 training
+divergence (DivergenceDetected), 1 any other McocError.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from .data import (
     save_jsonl,
 )
 from .errors import (
+    UNDECODABLE,
     ConfigError,
     DivergenceDetected,
-    IoError,
     McocError,
-    MissingQuality,
     from_dict,
     require,
 )
@@ -70,13 +70,11 @@ ABLATION_ARMS = (
 
 
 def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             obj = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except UNDECODABLE as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return obj
@@ -89,7 +87,7 @@ def _apply_overrides(config: dict, pairs):
         key, raw = pair.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except UNDECODABLE:  # not JSON: the config check sees a string
             value = raw
         node = config
         parts = key.split(".")
@@ -355,12 +353,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MissingQuality) as exc:
-        # a missing quality level means the data does not fit the
-        # configured loss or strategy
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IoError, OSError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DivergenceDetected as exc:

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    UNDECODABLE,
     ConfigError,
-    MissingField,
     MosOutOfRange,
     ParseError,
     from_dict,
@@ -89,6 +89,16 @@ def quality_label(mos, policy: QualityPolicy):
     return levels.astype(np.int64) if m.ndim else int(levels)
 
 
+def record_levels(ids, mos, rows, policy: QualityPolicy):
+    """quality_label of the MOS of the records at the bool mask `rows`; a
+    MOS outside [1, 5] is a MosOutOfRange naming the first such record."""
+    try:
+        return quality_label(mos[rows], policy)
+    except MosOutOfRange as exc:
+        row = np.argmax(rows & ~((mos >= 1.0) & (mos <= 5.0)))
+        raise MosOutOfRange(f"record {ids[row]}: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """N utterances as columns, one row per record.
@@ -131,7 +141,7 @@ def make_dataset(ids, X, y, mos, augmented, policy: QualityPolicy) -> Dataset:
     bona = y == BONAFIDE
     rated = bona & ~augmented & ~np.isnan(mos)
     quality = np.full(y.shape, QUALITY_ABSENT, dtype=np.int64)
-    quality[rated] = quality_label(mos[rated], policy)
+    quality[rated] = record_levels(ids, mos, rated, policy)
     quality[bona & augmented] = 0
     return Dataset(list(ids), np.asarray(X, dtype=np.float64), y, mos,
                    quality, augmented)
@@ -144,8 +154,7 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
     `label`, `features` as a non-empty list of finite numbers as long as the
     first record's, and optionally `mos` (a number or null) and `augmented`
     (true or false). Anything else, bytes that are not UTF-8 or an id that
-    does not encode as UTF-8 included, is a ParseError or MissingField
-    naming the line.
+    does not encode as UTF-8 included, is a ParseError naming the line.
 
     Lines are read BLOCK_LINES at a time. A block is taken whole when every
     line parses cleanly and each column passes one test; any other block is
@@ -175,25 +184,17 @@ class _Columns:
 
     def add_block(self, lines, start):
         """Append the records of `lines`, the first of which is line `start`,
-        and return True if the block is UTF-8, every non-blank line scans to
-        one value ending at its newline, and every column passes its test:
-        ids unique ASCII strings, known labels, features floats of the
-        first record's length, all finite, mos a finite float or null,
-        augmented a bool. Otherwise change nothing and return False."""
+        and return True if every line is ASCII, as save_jsonl writes it, and
+        scans to one value ending at its newline (a blank line does not),
+        and every column passes its test: ids unique ASCII strings, known
+        labels, features floats of the first record's length, all finite,
+        mos a finite float or null, augmented a bool. Otherwise change
+        nothing and return False."""
         if not all(map(str.isascii, lines)):
-            try:
-                "".join(lines).encode("utf-8")
-            except UnicodeEncodeError:
-                return False
-        nos = range(start, start + len(lines))
-        if any(map(str.isspace, lines)):  # blank lines hold no record
-            nos = [n for n, line in zip(nos, lines) if not line.isspace()]
-            lines = [line for line in lines if not line.isspace()]
-            if not lines:
-                return True
+            return False
         try:
             objs, ends = zip(*[_scan(line, 0) for line in lines])
-        except (StopIteration, ValueError, RecursionError):
+        except (StopIteration, *UNDECODABLE):
             return False
         lengths = list(map(len, lines))
         lengths[-1] += not lines[-1].endswith("\n")  # a last line may have none
@@ -217,7 +218,7 @@ class _Columns:
                 and set(map(type, augmented)) == {bool}):
             return False
         dim = self.dim or len(feats[0])
-        seen = dict(zip(ids, nos))
+        seen = dict(zip(ids, range(start, start + len(lines))))
         if not (set(map(len, feats)) == {dim} and len(seen) == len(ids)
                 and self.first_seen.keys().isdisjoint(seen)):
             return False
@@ -244,13 +245,13 @@ class _Columns:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except UNDECODABLE as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(line_no, "expected a JSON object")
             for key in ("id", "features", "label"):
                 if key not in obj:
-                    raise MissingField(f"line {line_no}: missing {key!r}")
+                    raise ParseError(line_no, f"missing {key!r}")
             rid, feats, label = obj["id"], obj["features"], obj["label"]
             m, aug = obj.get("mos"), obj.get("augmented", False)
             if not isinstance(rid, str):

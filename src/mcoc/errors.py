@@ -11,7 +11,7 @@ import numpy as np
 
 
 class McocError(Exception):
-    pass
+    """Any error raised on purpose; cli.main gives each kind one exit code."""
 
 
 class ZeroNorm(McocError):
@@ -33,18 +33,6 @@ class ParseError(McocError):
         self.line_no = line_no
 
 
-class MissingField(McocError):
-    pass
-
-
-class MissingQuality(McocError):
-    """Bona fide sample used in a quality-dependent path without a quality level."""
-
-
-class InvalidScheme(McocError):
-    pass
-
-
 class EmptyClass(McocError):
     """EER requested with one of the two score lists empty."""
 
@@ -57,8 +45,15 @@ class ConfigError(McocError):
     pass
 
 
-class IoError(McocError):
-    pass
+class MissingQuality(ConfigError):
+    """Bona fide sample used in a quality-dependent path without a quality
+    level: the data does not fit the configured loss or strategy."""
+
+
+# what json raises for text it cannot decode: ValueError for malformed JSON
+# (JSONDecodeError), bytes that are not UTF-8 and integers over the digit
+# limit; RecursionError for nesting too deep for the decoder
+UNDECODABLE = (ValueError, RecursionError)
 
 
 def is_int(value):

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .data import QualityPolicy
-from .errors import (ConfigError, DimMismatch, InvalidScheme, ZeroNorm,
+from .errors import (UNDECODABLE, ConfigError, DimMismatch, ZeroNorm,
                      from_dict, is_int, require)
 from .losses import LossHyper
 from .numerics import ZERO_NORM_EPS, as_rows
@@ -206,12 +206,12 @@ def init_centroids(num_centroids, dim, scheme, rng) -> CentroidBank:
         W /= np.linalg.norm(W, axis=1, keepdims=True)
     elif scheme == "orthogonal":
         if num_centroids > dim:
-            raise InvalidScheme("orthogonal scheme needs Q <= D")
+            raise ConfigError("orthogonal scheme needs Q <= D")
         G = rng.normal(size=(dim, dim))
         Qm, _ = np.linalg.qr(G)
         W = Qm[:, :num_centroids].T.copy()
     else:
-        raise InvalidScheme(f"unknown scheme {scheme!r}")
+        raise ConfigError(f"unknown scheme {scheme!r}")
     return CentroidBank(weights=W)
 
 
@@ -344,6 +344,6 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+        except UNDECODABLE as exc:
             raise ConfigError(f"{path}: not a JSON checkpoint: {exc}") from exc
     return Checkpoint.from_dict(d)

@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (BONAFIDE, QUALITY_ABSENT, SPOOF, Dataset, QualityPolicy,
-                   quality_label, utf8_lines)
+from .data import (_LABEL_CODES, _LABEL_NAMES, BONAFIDE, QUALITY_ABSENT, SPOOF,
+                   Dataset, QualityPolicy, record_levels, utf8_lines)
 from .errors import ConfigError, EmptyClass, MissingQuality, ParseError
 from .model import BinaryHead, CentroidBank, Encoder
 
@@ -25,7 +25,8 @@ POLARITY = "higher score = bona fide"
 # than by the number of records.
 BLOCK_ROWS = 256
 # scores.csv labels; empty for a record without one
-_SCORE_LABELS = {"": None, "bonafide": BONAFIDE, "spoof": SPOOF}
+_SCORE_LABELS = {"": None, **_LABEL_CODES}
+_SCORE_NAMES = {code: name for name, code in _SCORE_LABELS.items()}
 _FLOAT_MAX = np.finfo(np.float64).max
 
 
@@ -170,7 +171,7 @@ def _quality_levels(records: Dataset, policy):
     if np.any(unrated):
         raise MissingQuality(f"record {records.ids[np.argmax(unrated)]}: "
                              f"labeled strategy needs mos or quality")
-    levels[unset] = quality_label(records.mos[unset], policy)
+    levels[unset] = record_levels(records.ids, records.mos, unset, policy)
     return levels
 
 
@@ -184,7 +185,8 @@ def build_report(records: Dataset, scores: np.ndarray,
     bona, spoof = scores[bona_mask], scores[~bona_mask]
     if bona.size and spoof.size:
         report.eer, report.threshold = compute_eer(bona, spoof)
-    for name, part in (("bonafide", bona), ("spoof", spoof)):
+    for name, part in ((_LABEL_NAMES[BONAFIDE], bona),
+                       (_LABEL_NAMES[SPOOF], spoof)):
         if part.size:
             report.class_stats[name] = {
                 "mean": float(np.mean(part)),
@@ -222,8 +224,8 @@ def write_scores_csv(report: ScoreReport, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,score,label,strategy\n")
         for i, s, lab in zip(report.ids, report.scores, report.labels):
-            name = "" if lab is None else ("bonafide" if lab == BONAFIDE else "spoof")
-            fh.write(f"{_csv_field(i)},{float(s)!r},{name},{report.strategy}\n")
+            fh.write(f"{_csv_field(i)},{float(s)!r},{_SCORE_NAMES[lab]},"
+                     f"{report.strategy}\n")
 
 
 def read_scores_csv(path):
@@ -287,7 +289,7 @@ def export_embeddings(records: Dataset, encoder: Encoder, path,
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["id", "label", "quality"]
                           + [f"e{k}" for k in range(encoder.embed_dim)]) + "\n")
-        names = np.where(records.y == BONAFIDE, "bonafide", "spoof").tolist()
+        names = map(_LABEL_NAMES.__getitem__, records.y.tolist())
         # converted row by row, so that the Python floats of only one row
         # exist at a time
         for rid, name, q, emb in zip(records.ids, names,

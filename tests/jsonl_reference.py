@@ -9,7 +9,7 @@ from array import array
 import numpy as np
 
 from mcoc.data import _LABEL_CODES, QualityPolicy, make_dataset
-from mcoc.errors import MissingField, ParseError, is_real
+from mcoc.errors import UNDECODABLE, ParseError, is_real
 
 
 def load_jsonl(path, policy: QualityPolicy = QualityPolicy()):
@@ -22,13 +22,13 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except UNDECODABLE as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(line_no, "expected a JSON object")
             for key in ("id", "features", "label"):
                 if key not in obj:
-                    raise MissingField(f"line {line_no}: missing {key!r}")
+                    raise ParseError(line_no, f"missing {key!r}")
             rid, feats, label = obj["id"], obj["features"], obj["label"]
             m, aug = obj.get("mos"), obj.get("augmented", False)
             if not isinstance(rid, str):

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from mcoc import cli
 from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec
+from mcoc.errors import (ConfigError, DivergenceDetected, EmptyClass,
+                         MissingQuality, MosOutOfRange, ParseError, ZeroNorm)
 from mcoc.scoring import STRATEGIES, read_scores_csv
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
 
@@ -789,6 +791,116 @@ def test_config_not_utf8_exits_2(workspace, capsys, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+DEEP = "[" * 100_000  # nesting too deep for the JSON decoder
+HUGE_INT = "1" + "0" * 5000  # over the 4,300-digit integer conversion limit
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("gen", DEEP, id="gen-deep"),
+    pytest.param("train", DEEP, id="train-deep"),
+    pytest.param("score", DEEP, id="score-deep"),
+    pytest.param("train", HUGE_INT, id="train-huge-int"),
+])
+def test_undecodable_json_file_exits_2(workspace, capsys, command, text):
+    tmp, data, _ = trained(workspace)
+    bad = tmp / "bad.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    argv = {"gen": ["--spec", bad],
+            "train": ["--config", bad, "--data", data],
+            "score": ["--checkpoint", bad, "--data", data]}[command]
+    rc = run(command, *argv, "--out", tmp / "o")
+    assert rc == 2
+    what = "not a JSON checkpoint" if command == "score" else "invalid JSON"
+    assert re.fullmatch(rf"config error: {re.escape(str(bad))}: {what}: .+\n",
+                        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", [pytest.param(DEEP, id="deep"),
+                                   pytest.param(HUGE_INT, id="huge-int")])
+def test_undecodable_set_value_is_a_string_the_config_rejects(workspace,
+                                                               capsys, value):
+    tmp, _, cfg = workspace
+    rc = run("train", "--config", cfg, "--data", tmp / "absent.jsonl",
+             "--set", f"epochs={value}", "--out", tmp / "o")
+    assert rc == 2
+    assert capsys.readouterr().err == (f"config error: epochs must be an "
+                                       f"integer, got {value!r}\n")
+
+
+@pytest.mark.parametrize("line, cause", [
+    pytest.param(DEEP, "maximum recursion depth exceeded", id="deep"),
+    pytest.param('{"id": %s, "features": [0.1], "label": "spoof"}' % HUGE_INT,
+                 "Exceeds the limit", id="huge-int-id"),
+])
+def test_undecodable_jsonl_line_names_the_line(workspace, capsys, line, cause):
+    tmp, data, ckpt = trained(workspace)
+    lines = data.read_text().splitlines(True)
+    lines[40] = line + "\n"
+    data.write_text("".join(lines))
+    capsys.readouterr()
+    rc = run("score", "--checkpoint", ckpt, "--data", data, "--out", tmp / "o")
+    assert rc == 1
+    assert re.fullmatch(rf"error: line 41: invalid JSON: {cause}.*\n",
+                        capsys.readouterr().err)
+
+
+def test_missing_config_file_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    rc = run("train", "--config", cfg, "--data", tmp_path / "d.jsonl",
+             "--out", tmp_path / "o")
+    assert rc == 3
+    assert capsys.readouterr().err == (f"io error: [Errno 2] No such file or "
+                                       f"directory: {str(cfg)!r}\n")
+
+
+@pytest.mark.parametrize("command, bad_id", [
+    ("train", "bonafide1_0004"), ("score", "spoof2_0003"),
+])
+def test_mos_out_of_range_names_the_record(workspace, capsys, command, bad_id):
+    tmp, data, ckpt = trained(workspace)
+    bad = tmp / "bad_mos.jsonl"
+
+    def set_mos(record):
+        # every spoof record gets a MOS too, so the labeled strategy scores it
+        record["mos"] = 7.0 if record["id"] == bad_id else record.get("mos", 3.0)
+
+    rewrite_jsonl(data, bad, set_mos)
+    capsys.readouterr()
+    if command == "train":
+        _, _, cfg = workspace
+        rc = run("train", "--config", cfg, "--data", bad, "--out", tmp / "o")
+    else:
+        rc = run("score", "--checkpoint", ckpt, "--data", bad,
+                 "--strategy", "labeled", "--out", tmp / "o")
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: record {bad_id}: mos=7.0 "
+                                       f"outside [1, 5]\n")
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    pytest.param(ConfigError("c"), 2, "config error", id="ConfigError"),
+    pytest.param(MissingQuality("q"), 2, "config error", id="MissingQuality"),
+    pytest.param(FileNotFoundError(2, "No such file or directory", "s.csv"),
+                 3, "io error", id="FileNotFoundError"),
+    pytest.param(DivergenceDetected("d"), 4, "divergence",
+                 id="DivergenceDetected"),
+    pytest.param(ParseError(5, "p"), 1, "error", id="ParseError"),
+    pytest.param(ZeroNorm("z"), 1, "error", id="ZeroNorm"),
+    pytest.param(MosOutOfRange("m"), 1, "error", id="MosOutOfRange"),
+    pytest.param(EmptyClass("e"), 1, "error", id="EmptyClass"),
+])
+def test_each_error_class_has_one_exit_code(tmp_path, monkeypatch, capsys,
+                                            exc, code, prefix):
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "read_scores_csv", fail)
+    assert run("eval", "--scores", tmp_path / "s.csv",
+               "--out", tmp_path / "ev") == code
+    assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
 @pytest.mark.parametrize("records, val_fraction", [(1, 0.6), (3, 0.9)])

@@ -18,7 +18,7 @@ from mcoc.data import (
     quality_label,
     save_jsonl,
 )
-from mcoc.errors import ConfigError, MissingField, MosOutOfRange, ParseError
+from mcoc.errors import ConfigError, MosOutOfRange, ParseError
 from mcoc.numerics import make_rng
 
 import jsonl_reference
@@ -133,7 +133,7 @@ def test_load_jsonl_errors(tmp_path):
     assert exc.value.line_no == 2
 
     p.write_text('{"id":"u1","label":"bonafide"}\n')
-    with pytest.raises(MissingField):
+    with pytest.raises(ParseError, match="^line 1: missing 'features'$"):
         load_jsonl(p)
 
     p.write_text('{"id":"u1","features":[null],"label":"spoof"}\n')
@@ -277,6 +277,16 @@ def test_block_reader_matches_line_reader(tmp_path_factory, cases, seed, crlf,
                      crlf, final_newline)
     assert (_outcome(load_jsonl, path)
             == _outcome(jsonl_reference.load_jsonl, path))
+
+
+@pytest.mark.parametrize("name", ["deep", "huge-int-id"])
+@pytest.mark.parametrize("load", [load_jsonl, jsonl_reference.load_jsonl],
+                         ids=["block", "reference"])
+def test_undecodable_line_is_a_parse_error(tmp_path, name, load):
+    # nesting too deep for the decoder, an integer over the digit limit
+    path = _odd_file(tmp_path / "d.jsonl", [(name, BLOCK_LINES)])
+    with pytest.raises(ParseError, match=f"^line {BLOCK_LINES}: invalid JSON: "):
+        load(path, POLICY)
 
 
 def test_clean_file_takes_the_block_path(tmp_path, monkeypatch):

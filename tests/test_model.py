@@ -4,7 +4,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from mcoc.errors import DimMismatch, InvalidScheme, ZeroNorm
+from mcoc.errors import ConfigError, DimMismatch, ZeroNorm
 from mcoc.model import (
     BinaryHead,
     CentroidBank,
@@ -141,9 +141,9 @@ def test_init_centroids_random_unit_deterministic():
 
 
 def test_init_centroids_bad_scheme():
-    with pytest.raises(InvalidScheme):
+    with pytest.raises(ConfigError):
         init_centroids(2, 4, "banana", make_rng(0))
-    with pytest.raises(InvalidScheme):
+    with pytest.raises(ConfigError):
         init_centroids(5, 4, "orthogonal", make_rng(0))
 
 
