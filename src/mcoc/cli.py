@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     DivergenceDetected,
     McocError,
+    echo,
     from_dict,
     require,
 )
@@ -83,7 +84,7 @@ def _load_json(path):
 def _apply_overrides(config: dict, pairs):
     for pair in pairs or ():
         if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not key=value")
+            raise ConfigError(f"override {echo(pair)} is not key=value")
         key, raw = pair.split("=", 1)
         try:
             value = json.loads(raw)
@@ -94,7 +95,7 @@ def _apply_overrides(config: dict, pairs):
         for p in parts[:-1]:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"cannot descend into {key!r}")
+                raise ConfigError(f"cannot descend into {echo(key)}")
         node[parts[-1]] = value
     return config
 

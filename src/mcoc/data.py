@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     MosOutOfRange,
     ParseError,
+    echo,
     from_dict,
     is_int,
     is_real,
@@ -96,7 +97,7 @@ def record_levels(ids, mos, rows, policy: QualityPolicy):
         return quality_label(mos[rows], policy)
     except MosOutOfRange as exc:
         row = np.argmax(rows & ~((mos >= 1.0) & (mos <= 5.0)))
-        raise MosOutOfRange(f"record {ids[row]}: {exc}") from None
+        raise MosOutOfRange(f"record {echo(ids[row])}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,21 +256,21 @@ class _Columns:
             rid, feats, label = obj["id"], obj["features"], obj["label"]
             m, aug = obj.get("mos"), obj.get("augmented", False)
             if not isinstance(rid, str):
-                raise ParseError(line_no, f"id must be a string, got {rid!r}")
+                raise ParseError(line_no, f"id must be a string, got {echo(rid)}")
             if not rid.isascii():
                 # a JSON escape can name a lone surrogate, which no UTF-8
                 # output (scores.csv, embeddings.csv) can hold
                 try:
                     rid.encode("utf-8")
                 except UnicodeEncodeError:
-                    raise ParseError(line_no, f"id {rid!r} holds a lone "
+                    raise ParseError(line_no, f"id {echo(rid)} holds a lone "
                                               f"surrogate, which is not "
                                               f"UTF-8") from None
             if rid in self.first_seen:
-                raise ParseError(line_no, f"duplicate id {rid!r} (first on "
+                raise ParseError(line_no, f"duplicate id {echo(rid)} (first on "
                                           f"line {self.first_seen[rid]})")
             if not (isinstance(label, str) and label in _LABEL_CODES):
-                raise ParseError(line_no, f"unknown label {label!r}")
+                raise ParseError(line_no, f"unknown label {echo(label)}")
             # a row of floats with a finite sum is all finite; any other
             # row, one whose sum overflows included, is checked value by value
             if not (isinstance(feats, list) and feats
@@ -284,10 +285,10 @@ class _Columns:
                 raise ParseError(line_no, f"{len(feats)} features, the first "
                                           f"record has {self.dim}")
             if m is not None and not is_real(m):
-                raise ParseError(line_no, f"mos must be a number or null, got {m!r}")
+                raise ParseError(line_no, f"mos must be a number or null, got {echo(m)}")
             if not isinstance(aug, bool):
                 raise ParseError(line_no, f"augmented must be true or false, "
-                                          f"got {aug!r}")
+                                          f"got {echo(aug)}")
             self.first_seen[rid] = line_no
             self.ids.append(rid)
             self.features.extend(feats)

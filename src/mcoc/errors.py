@@ -69,9 +69,24 @@ def is_real(value):
     return is_int(value) and abs(value) <= sys.float_info.max
 
 
+# the most characters of a value or a record id that a message echoes
+ECHO_MAX = 100
+
+
+def echo(value):
+    """repr(value), the form in which every message names a value or a
+    record id: one line, as repr escapes line breaks and every other
+    control character, and at most ECHO_MAX characters of it, followed by
+    `… (N chars)`, N the length of the whole repr, where it is longer."""
+    text = repr(value)
+    if len(text) <= ECHO_MAX:
+        return text
+    return f"{text[:ECHO_MAX]}… ({len(text)} chars)"
+
+
 def require(ok, name, value, what):
     if not ok:
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+        raise ConfigError(f"{name} must be {what}, got {echo(value)}")
 
 
 _SHAPES = ("a finite number", "a list of finite numbers",
@@ -115,7 +130,7 @@ def from_dict(cls, d, name, complete=False):
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(d) - set(known))
     if unknown:
-        raise ConfigError(f"{name}: unknown keys {unknown}")
+        raise ConfigError(f"{name}: unknown keys {echo(unknown)}")
     missing = [k for k, f in known.items() if k not in d and (
         complete or f.default is MISSING and f.default_factory is MISSING)]
     if missing:

@@ -3,9 +3,10 @@
 Conventions shared by every loss here:
   * embeddings arrive already unit-normalized; gradients are taken against
     them as given, the encoder applies its normalization Jacobian
-  * every centroid loss reads one similarity matrix S = E @ W.T per call;
-    its margin and quality terms each give a value and dL/dS, and one
-    helper (_chain) maps dL/dS to the gradients of E and W
+  * every centroid loss reads one similarity matrix S = E @ W.T and checks
+    the quality levels once per call; its margin term gives a value and
+    dL/dS, its quality term a value and dL/dS on the bona fide rows, and
+    one helper (_chain) maps dL/dS to the gradients of E and W
   * labels: 0 = bonafide, 1 = spoof; quality = -1 marks "absent"
   * on exact similarity ties the lowest-index centroid wins, and the
     subgradient goes to that same centroid
@@ -81,51 +82,76 @@ class LossOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _levels(batch: Batch, bank: CentroidBank) -> np.ndarray:
-    """Every row's quality level, once each bona fide row is known to have
-    one with a centroid in the bank (MissingQuality otherwise)."""
-    q = batch.quality[batch.labels == 0]
-    if (q == QUALITY_ABSENT).any():
-        raise MissingQuality("bona fide sample without a quality level")
-    if (q >= bank.num_centroids).any() or (q < 0).any():
+def _levels(batch: Batch, bank: CentroidBank):
+    """(bona, q): the bona fide row mask and the quality level of each bona
+    fide row, once every such level is known to have a centroid in the bank
+    (MissingQuality otherwise). One range check passes a good batch, an
+    all-spoof one among them; only a batch that fails it is searched for
+    the reason, an absent level before one outside the bank."""
+    bona = batch.labels == 0
+    q = batch.quality[bona]
+    if q.size and (np.minimum.reduce(q) < 0
+                   or np.maximum.reduce(q) >= bank.num_centroids):
+        if (q == QUALITY_ABSENT).any():
+            raise MissingQuality("bona fide sample without a quality level")
         raise MissingQuality("quality level outside the centroid bank")
-    return batch.quality
+    return bona, q
 
 
-def _margin_term(S, labels, levels, hyper: LossHyper):
+def _cells(cols, width):
+    """Flat index of (i, cols[i]) for every row i of a C-ordered array
+    `width` columns wide: what take and put read and write, where a pair of
+    index arrays costs more."""
+    flat = np.arange(0, cols.size * width, width)
+    flat += cols
+    return flat
+
+
+def _margin_term(S, bona, q, hyper: LossHyper):
     """(value, dL/dS) of the softplus margin loss, averaged over the rows.
-    A bona fide row is measured against the centroid of its level, a spoof
+    A bona fide row is measured against the centroid of its level q, a spoof
     row against its most similar centroid."""
-    spoof = labels == 1
-    rows = np.arange(S.shape[0])
-    idx = np.where(spoof, np.argmax(S, axis=1), levels)
-    margins = np.where(spoof, hyper.m1, hyper.m0)
-    sign = np.where(spoof, -1.0, 1.0)  # (-1)^y
-    z = hyper.alpha * (margins - S[rows, idx]) * sign
+    n = S.shape[0]
+    idx = S.argmax(axis=1)
+    idx[bona] = q
+    cells = _cells(idx, S.shape[1])
+    margins = np.where(bona, hyper.m0, hyper.m1)
+    # dz/ds, -alpha * (-1)^y: z = (s - margin) * slope is, bit for bit,
+    # alpha * (margin - s) * (-1)^y, as negating a difference or a factor
+    # is exact
+    slope = np.where(bona, -hyper.alpha, hyper.alpha)
+    z = S.take(cells)
+    z -= margins
+    z *= slope
     loss, sig = softplus_sigmoid(z)
-    dS = np.zeros_like(S)
-    # dL_i/dS[i, idx_i] = sigma(z_i) * (-alpha * sign_i), averaged over N
-    dS[rows, idx] = sig * (-hyper.alpha * sign) / S.shape[0]
-    return float(np.add.reduce(loss) / S.shape[0]), dS
+    # dL_i/dS[i, idx_i] = sigma(z_i) * slope_i, averaged over N
+    sig *= slope
+    sig /= n
+    dS = np.zeros(S.shape)
+    dS.put(cells, sig)
+    return float(np.add.reduce(loss) / n), dS
 
 
-def _quality_term(S, labels, levels, hyper: LossHyper):
-    """(value, dL/dS) of the additive-margin softmax over quality levels on
-    the bona fide rows, normalized by their count (0 and 0 without any)."""
-    bona = labels == 0
-    q = levels[bona]
+def _quality_term(S, bona, q, hyper: LossHyper):
+    """(value, dL/dS[bona]) of the additive-margin softmax over quality
+    levels on the bona fide rows, normalized by their count (0 and an empty
+    gradient without any). The gradient is a new array, the caller's to
+    scale in place."""
     B = max(q.size, 1)
-    rows = np.arange(q.size)
-    U = S[bona]
-    Z = hyper.s * U
-    Z[rows, q] = hyper.s * (U[rows, q] - hyper.m)
-    lse, P = logsumexp_softmax_rows(Z)
-    value = float(np.add.reduce(lse - Z[rows, q]) / B)
-    G = hyper.s * P
-    G[rows, q] -= hyper.s
-    dS = np.zeros_like(S)
-    dS[bona] = G / B
-    return value, dS
+    Z = S[bona]
+    cells = _cells(q, Z.shape[1])
+    target = Z.take(cells)
+    target -= hyper.m
+    target *= hyper.s
+    Z *= hyper.s
+    Z.put(cells, target)
+    lse, G = logsumexp_softmax_rows(Z)
+    lse -= target
+    value = float(np.add.reduce(lse) / B)
+    G *= hyper.s
+    G.put(cells, G.take(cells) - hyper.s)
+    G /= B
+    return value, G
 
 
 def _chain(value, dS, batch: Batch, bank: CentroidBank,
@@ -142,7 +168,7 @@ def margin_one_class_loss(batch: Batch, bank: CentroidBank,
     batch. Bona fide samples are pushed above m0 against their own-quality
     centroid; spoof samples are pushed below m1 against their best centroid."""
     S = bank.similarities(batch.embeddings)
-    value, dS = _margin_term(S, batch.labels, _levels(batch, bank), hyper)
+    value, dS = _margin_term(S, *_levels(batch, bank), hyper)
     return _chain(value, dS, batch, bank, {"one_class": value})
 
 
@@ -153,7 +179,7 @@ def oc_softmax_loss(batch: Batch, bank: CentroidBank,
     if bank.num_centroids != 1:
         raise ValueError("oc_softmax_loss requires a single-centroid bank")
     S = bank.similarities(batch.embeddings)
-    value, dS = _margin_term(S, batch.labels, np.zeros_like(batch.labels), hyper)
+    value, dS = _margin_term(S, batch.labels == 0, 0, hyper)
     return _chain(value, dS, batch, bank, {"one_class": value})
 
 
@@ -163,20 +189,27 @@ def quality_loss(batch: Batch, bank: CentroidBank,
     normalized by the bona fide count. The margin applies to the target
     logit; non-target logits are plain scaled similarities."""
     S = bank.similarities(batch.embeddings)
-    value, dS = _quality_term(S, batch.labels, _levels(batch, bank), hyper)
+    bona, q = _levels(batch, bank)
+    value, G = _quality_term(S, bona, q, hyper)
+    dS = np.zeros(S.shape)  # zero on the spoof rows
+    dS[bona] = G
     return _chain(value, dS, batch, bank, {"quality": value})
 
 
 def combined_loss(batch: Batch, bank: CentroidBank,
                   hyper: LossHyper) -> LossOutput:
-    """One-class term plus lam * quality term. At lam == 0 the quality term
-    is reported in diagnostics but contributes nothing, bitwise: 0.0 * dS
-    adds zeros to the margin gradient."""
+    """One-class term plus lam * quality term. The quality gradient G has
+    only the bona fide rows, so lam * G is added into those rows of the
+    margin gradient: the values of the whole-matrix sum dS_oc + lam * dS_ql,
+    whose spoof rows add zeros. At lam == 0 the quality term is reported in
+    diagnostics but contributes nothing: lam * G is zeros."""
     S = bank.similarities(batch.embeddings)
-    levels = _levels(batch, bank)
-    oc, dS_oc = _margin_term(S, batch.labels, levels, hyper)
-    ql, dS_ql = _quality_term(S, batch.labels, levels, hyper)
-    return _chain(oc + hyper.lam * ql, dS_oc + hyper.lam * dS_ql, batch, bank,
+    bona, q = _levels(batch, bank)
+    oc, dS = _margin_term(S, bona, q, hyper)
+    ql, G = _quality_term(S, bona, q, hyper)
+    G *= hyper.lam
+    dS[bona] += G
+    return _chain(oc + hyper.lam * ql, dS, batch, bank,
                   {"one_class": oc, "quality": ql})
 
 
@@ -184,16 +217,20 @@ def wce_loss(batch: Batch, head: BinaryHead,
              class_weights=(1.0, 1.0)) -> LossOutput:
     """Weighted sigmoid cross-entropy on the head logit (spoof = positive
     class). Mean of per-sample weighted losses over the batch."""
+    n = batch.size
     logits = head.logits(batch.embeddings)
     y = batch.labels  # int 0/1: exact in float64 arithmetic
     w = np.where(y == 1, class_weights[1], class_weights[0])
-    per, sig = softplus_sigmoid(logits, y)
-    value = float(np.add.reduce(w * per) / batch.size)
-    dlogit = w * (sig - y) / batch.size
-    grad_emb = dlogit[:, None] * head.weight[None, :]
+    per, dlogit = softplus_sigmoid(logits, y)
+    per *= w
+    value = float(np.add.reduce(per) / n)
+    # w * (sigmoid - y) / n, computed in place
+    dlogit -= y
+    dlogit *= w
+    dlogit /= n
     return LossOutput(
         value=value,
-        grad_embeddings=grad_emb,
+        grad_embeddings=np.multiply.outer(dlogit, head.weight),
         grad_head_weight=batch.embeddings.T @ dlogit,
         grad_head_bias=float(np.add.reduce(dlogit)),
         diagnostics={"one_class": value},
@@ -207,10 +244,16 @@ def wce_quality_loss(batch: Batch, bank: CentroidBank, head: BinaryHead,
     quality gradient and the head only the WCE one."""
     ce = wce_loss(batch, head, class_weights)
     ql = quality_loss(batch, bank, hyper)
+    # ce + lam * ql, written over the quality gradients, which are this
+    # call's own
+    grad_embeddings = ql.grad_embeddings
+    grad_embeddings *= hyper.lam
+    grad_embeddings += ce.grad_embeddings
+    ql.grad_centroids *= hyper.lam
     return LossOutput(
         value=ce.value + hyper.lam * ql.value,
-        grad_embeddings=ce.grad_embeddings + hyper.lam * ql.grad_embeddings,
-        grad_centroids=hyper.lam * ql.grad_centroids,
+        grad_embeddings=grad_embeddings,
+        grad_centroids=ql.grad_centroids,
         grad_head_weight=ce.grad_head_weight,
         grad_head_bias=ce.grad_head_bias,
         diagnostics={"one_class": ce.value, "quality": ql.value},

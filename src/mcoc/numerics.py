@@ -41,7 +41,7 @@ def logsumexp_softmax_rows(Z: np.ndarray):
     """(logsumexp, softmax) of each row of Z from one row max m and one
     exp(Z - m): the bits of m + log(sum(exp(Z - m))) and
     exp(Z - m) / sum(exp(Z - m)) computed apart."""
-    m = Z.max(axis=1, keepdims=True)
+    m = np.maximum.reduce(Z, axis=1, keepdims=True)
     e = np.exp(Z - m)
     total = np.add.reduce(e, axis=1, keepdims=True)
     lse = m + np.log(total)

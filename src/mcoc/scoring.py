@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import (_LABEL_CODES, _LABEL_NAMES, BONAFIDE, QUALITY_ABSENT, SPOOF,
                    Dataset, QualityPolicy, record_levels, utf8_lines)
-from .errors import ConfigError, EmptyClass, MissingQuality, ParseError
+from .errors import ConfigError, EmptyClass, MissingQuality, ParseError, echo
 from .model import BinaryHead, CentroidBank, Encoder
 
 STRATEGIES = ("labeled", "max", "ensemble", "head")
@@ -53,14 +53,15 @@ def score_matrix(E, strategy: str, bank: Optional[CentroidBank] = None,
             raise ConfigError("head strategy needs a binary head")
         return -head.logits(E)
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ValueError(f"unknown strategy {echo(strategy)}")
     if bank is None:
         raise ConfigError(f"{strategy} strategy needs a centroid bank")
     sims = bank.similarities(E)
+    # the bits of np.max and np.mean over axis 1, without their wrappers
     if strategy == "max":
-        return np.max(sims, axis=1)
+        return np.maximum.reduce(sims, axis=1)
     if strategy == "ensemble":
-        return np.mean(sims, axis=1)
+        return np.add.reduce(sims, axis=1) / bank.num_centroids
     if quality is None:
         raise MissingQuality("labeled strategy needs a quality level")
     quality = np.asarray(quality, dtype=np.int64)
@@ -86,10 +87,9 @@ def head_score(embedding, head: BinaryHead) -> float:
 
 def _rates_at(thresholds, bona_sorted, spoof_sorted):
     """FAR = fraction of spoof scores >= t, FRR = fraction of bona scores < t."""
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    far = (len(spoof_sorted) - np.searchsorted(spoof_sorted, thresholds, side="left")) \
-        / len(spoof_sorted)
-    frr = np.searchsorted(bona_sorted, thresholds, side="left") / len(bona_sorted)
+    far = (spoof_sorted.size - spoof_sorted.searchsorted(thresholds)) \
+        / spoof_sorted.size
+    frr = bona_sorted.searchsorted(thresholds) / bona_sorted.size
     return far, frr
 
 
@@ -104,7 +104,8 @@ def compute_eer(bona_scores, spoof_scores):
     Both results are finite for any finite scores: a sentinel that a step of
     1.0 cannot move (past 2**53) is the next float, or the largest float with
     the rates past the support, and a sum that overflows is taken in halves.
-    Below 2**52 none of this applies.
+    Below 2**52 none of this applies. The scalar steps run on Python floats,
+    whose IEEE arithmetic gives numpy's bits and never warns.
     """
     bona = np.sort(np.asarray(bona_scores, dtype=np.float64))
     spoof = np.sort(np.asarray(spoof_scores, dtype=np.float64))
@@ -118,26 +119,36 @@ def compute_eer(bona_scores, spoof_scores):
     distinct[0] = True
     np.not_equal(both[1:], both[:-1], out=distinct[1:])
     uniq = both[distinct]
+    # thresholds: a sentinel below, the midpoints, a sentinel above; each
+    # is within [-max, max] as it is made, so none needs clipping
+    thr = np.empty(uniq.size + 1)
+    mids = thr[1:-1]
     with np.errstate(over="ignore"):
-        mids = (uniq[:-1] + uniq[1:]) / 2.0
-        lo = min(uniq[0] - 1.0, np.nextafter(uniq[0], -np.inf))
-        hi = max(uniq[-1] + 1.0, np.nextafter(uniq[-1], np.inf))
-    mids = np.where(np.isfinite(mids), mids, uniq[:-1] / 2.0 + uniq[1:] / 2.0)
-    thr = np.clip(np.concatenate([[lo], mids, [hi]]), -_FLOAT_MAX, _FLOAT_MAX)
+        np.add(uniq[:-1], uniq[1:], out=mids)
+    mids /= 2.0
+    overflowed = ~np.isfinite(mids)
+    if overflowed.any():
+        mids[overflowed] = (uniq[:-1][overflowed] / 2.0
+                            + uniq[1:][overflowed] / 2.0)
+    first, last = float(uniq[0]), float(uniq[-1])
+    thr[0] = max(min(first - 1.0, math.nextafter(first, -math.inf)),
+                 -_FLOAT_MAX)
+    thr[-1] = min(max(last + 1.0, math.nextafter(last, math.inf)), _FLOAT_MAX)
     far, frr = _rates_at(thr, bona, spoof)
     far[-1], frr[-1] = 0.0, 1.0
     diff = far - frr  # non-increasing in the threshold
-    i = int(np.argmax(diff <= 0.0))  # first operating point at or past the crossing
+    i = int((diff <= 0.0).argmax())  # first operating point at or past the crossing
     if diff[i] == 0.0:
         return float(far[i]), float(thr[i])
     j = i - 1  # diff[0] = 1 > 0, so j >= 0
-    t = diff[j] / (diff[j] - diff[i])
-    eer = far[j] + t * (far[i] - far[j])
-    with np.errstate(over="ignore"):
-        threshold = thr[j] + t * (thr[i] - thr[j])
-    if not np.isfinite(threshold):
-        threshold = (1.0 - t) * thr[j] + t * thr[i]
-    return float(eer), float(threshold)
+    d_j, d_i = float(diff[j]), float(diff[i])
+    t = d_j / (d_j - d_i)
+    eer = float(far[j]) + t * (float(far[i]) - float(far[j]))
+    t_j, t_i = float(thr[j]), float(thr[i])
+    threshold = t_j + t * (t_i - t_j)
+    if not math.isfinite(threshold):
+        threshold = (1.0 - t) * t_j + t * t_i
+    return eer, threshold
 
 
 @dataclass
@@ -169,7 +180,7 @@ def _quality_levels(records: Dataset, policy):
     unset = levels == QUALITY_ABSENT
     unrated = unset & np.isnan(records.mos)
     if np.any(unrated):
-        raise MissingQuality(f"record {records.ids[np.argmax(unrated)]}: "
+        raise MissingQuality(f"record {echo(records.ids[np.argmax(unrated)])}: "
                              f"labeled strategy needs mos or quality")
     levels[unset] = record_levels(records.ids, records.mos, unset, policy)
     return levels
@@ -247,11 +258,11 @@ def read_scores_csv(path):
                 except (TypeError, ValueError):  # None: the row is too short
                     score = math.nan
                 if not math.isfinite(score):
-                    raise ParseError(rows.line_num, f"score {row['score']!r} "
+                    raise ParseError(rows.line_num, f"score {echo(row['score'])} "
                                                     f"is not a finite number")
                 label = row.get("label") or ""
                 if label not in _SCORE_LABELS:
-                    raise ParseError(rows.line_num, f"unknown label {label!r}")
+                    raise ParseError(rows.line_num, f"unknown label {echo(label)}")
                 ids.append(row["id"])
                 scores.append(score)
                 labels.append(_SCORE_LABELS[label])

@@ -31,7 +31,7 @@ import numpy as np
 from .data import (BONAFIDE, QUALITY_ABSENT, Dataset, QualityPolicy,
                    balance_augmentation)
 from .errors import (ConfigError, DivergenceDetected, MissingQuality, ZeroNorm,
-                     from_dict, is_int, is_real, require)
+                     echo, from_dict, is_int, is_real, require)
 from .losses import (
     Batch,
     LossHyper,
@@ -97,7 +97,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
-            raise ConfigError(f"unknown optimizer {self.kind!r}")
+            raise ConfigError(f"unknown optimizer {echo(self.kind)}")
         require(is_real(self.lr) and self.lr > 0,
                 "optimizer.lr", self.lr, "a number > 0")
         b = self.betas
@@ -126,7 +126,7 @@ class EncoderConfig:
         require(is_int(self.embed_dim) and self.embed_dim >= 2,
                 "encoder.embed_dim", self.embed_dim, "an integer >= 2")
         if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {echo(self.activation)}")
 
 
 @dataclass(frozen=True)
@@ -147,14 +147,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss {self.loss!r}")
+            raise ConfigError(f"unknown loss {echo(self.loss)}")
         for name in ("batch_size", "epochs", "seed"):
             value = getattr(self, name)
             require(is_int(value), name, value, "an integer")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.centroid_init not in CENTROID_INITS:
-            raise ConfigError(f"unknown centroid_init {self.centroid_init!r}")
+            raise ConfigError(f"unknown centroid_init {echo(self.centroid_init)}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         require(is_real(self.val_fraction) and 0 <= self.val_fraction < 1,
@@ -291,11 +291,11 @@ class TrainReport:
             w.writerows(astuple(e) for e in self.epochs)
 
 
-def _val_eers(encoder, bank, head, X_val, y_val):
-    if X_val.shape[0] == 0:
-        return None, None, None
-    bona = y_val == BONAFIDE
-    if not np.any(bona) or np.all(bona):
+def _val_eers(encoder, bank, head, X_val, bona):
+    """Validation EERs (ensemble, max, head; None where the arm has no bank
+    or head). `bona` is the bona fide mask of the validation rows, or None
+    when they cannot give an EER: no rows, or only one class."""
+    if bona is None:
         return None, None, None
     emb, _ = encoder.forward(X_val)
     out = []
@@ -316,7 +316,7 @@ def check_quality(records: Dataset, config: TrainConfig):
         return
     unrated = (records.y == BONAFIDE) & (records.quality == QUALITY_ABSENT)
     if np.any(unrated):
-        raise MissingQuality(f"record {records.ids[np.argmax(unrated)]}: "
+        raise MissingQuality(f"record {echo(records.ids[np.argmax(unrated)])}: "
                              f"{config.loss} loss needs mos on bona fide "
                              f"records")
 
@@ -353,14 +353,17 @@ def train(records: Dataset, config: TrainConfig):
     head = init_head(config.encoder.embed_dim, rng) if objective.has_head else None
 
     # the one parameter order: the optimizer's buffers follow it (the float
-    # head bias enters as a 0-d array): encoder pairs, then the loss's
-    # gradients that are not None
+    # head bias enters as a 0-d array): encoder pairs, then the parameters
+    # of the bank and the head, whose gradients the loss output names
     slots = [(layer, name) for layer in encoder.layers
              for name in ("weight", "bias")]
+    loss_grad_names = []
     if bank is not None:
         slots.append((bank, "weights"))
+        loss_grad_names.append("grad_centroids")
     if head is not None:
         slots += [(head, "weight"), (head, "bias")]
+        loss_grad_names += ["grad_head_weight", "grad_head_bias"]
     opt = _Optimizer([np.asarray(getattr(owner, name), dtype=np.float64)
                       for owner, name in slots], config.optimizer)
     # from here on the model trains through the optimizer's views
@@ -369,6 +372,13 @@ def train(records: Dataset, config: TrainConfig):
     # backward writes the encoder's gradients straight into their views
     n_enc = 2 * len(encoder.layers)
     encoder_grads = list(zip(opt.grads[0:n_enc:2], opt.grads[1:n_enc:2]))
+
+    # the validation set is fixed, so whether it can give an EER is too
+    val_bona = val.y == BONAFIDE
+    if not 0 < np.count_nonzero(val_bona) < len(val):
+        val_bona = None
+    # each step copies the loss's bank and head gradients into these views
+    loss_grads = list(zip(opt.grads[n_enc:], loss_grad_names))
 
     report = TrainReport(config=config.to_dict())
     for epoch in range(1, config.epochs + 1):
@@ -391,10 +401,8 @@ def train(records: Dataset, config: TrainConfig):
                         f"epoch {epoch}, batch {b}: loss {out.value!r} "
                         f"out of bounds")
                 encoder.backward(cache, out.grad_embeddings, encoder_grads)
-                loss_grads = [g for g in (out.grad_centroids, out.grad_head_weight,
-                                          out.grad_head_bias) if g is not None]
-                for view, g in zip(opt.grads[n_enc:], loss_grads):
-                    view[...] = g
+                for view, name in loss_grads:
+                    view[...] = getattr(out, name)
                 opt.step()
                 if bank is not None:
                     bank.renormalize()
@@ -406,7 +414,8 @@ def train(records: Dataset, config: TrainConfig):
             total_ql += out.diagnostics.get("quality", 0.0) * nb
             seen += nb
 
-        eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, val.X, val.y)
+        eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, val.X,
+                                               val_bona)
         cosines = bank.pairwise_cosines() if bank is not None else np.array([])
         report.epochs.append(EpochMetrics(
             epoch=epoch,
@@ -416,7 +425,9 @@ def train(records: Dataset, config: TrainConfig):
             val_eer_ensemble=eer_ens,
             val_eer_max=eer_max,
             val_eer_head=eer_head,
-            centroid_cosine=float(np.mean(cosines)) if cosines.size else None,
+            # np.mean's bits, without its wrapper
+            centroid_cosine=(float(np.add.reduce(cosines) / cosines.size)
+                             if cosines.size else None),
         ))
 
     ckpt = Checkpoint(

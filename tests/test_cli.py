@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mcoc import cli
 from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec
-from mcoc.errors import (ConfigError, DivergenceDetected, EmptyClass,
+from mcoc.errors import (ECHO_MAX, ConfigError, DivergenceDetected, EmptyClass,
                          MissingQuality, MosOutOfRange, ParseError, ZeroNorm)
 from mcoc.scoring import STRATEGIES, read_scores_csv
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
@@ -288,7 +288,7 @@ def _drop_first_mos(record):
                  "orthogonal centroid_init", id="bank-arms-only"),
     # only the quality arms need it, and the first of them is wce_quality
     pytest.param(_drop_first_mos, None, [],
-                 "record bonafide0_0000: wce_quality loss needs mos",
+                 "record 'bonafide0_0000': wce_quality loss needs mos",
                  id="bonafide-without-mos"),
 ])
 def test_bad_ablate_input_exits_2_before_training(workspace, capsys,
@@ -614,7 +614,7 @@ def test_labeled_on_spoof_without_mos_is_config_error(workspace, capsys):
              "--strategy", "labeled", "--out", tmp / "sc")
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: record spoof2_") and err.count("\n") == 1
+    assert err.startswith("config error: record 'spoof2_") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("loss", ["multi_centroid", "wce_quality"])
@@ -628,7 +628,7 @@ def test_train_on_bonafide_without_mos_is_config_error(workspace, capsys, loss):
              "--out", tmp / "run")
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: record bonafide0_0000: {loss} loss")
+    assert err.startswith(f"config error: record 'bonafide0_0000': {loss} loss")
     assert err.count("\n") == 1
 
 
@@ -650,7 +650,7 @@ def test_train_on_one_bonafide_record_without_mos(workspace, capsys, loss,
     assert rc == code
     if code:
         assert capsys.readouterr().err == (
-            f"config error: record bonafide0_0000: {loss} loss needs mos "
+            f"config error: record 'bonafide0_0000': {loss} loss needs mos "
             f"on bona fide records\n")
 
 
@@ -826,8 +826,10 @@ def test_undecodable_set_value_is_a_string_the_config_rejects(workspace,
     rc = run("train", "--config", cfg, "--data", tmp / "absent.jsonl",
              "--set", f"epochs={value}", "--out", tmp / "o")
     assert rc == 2
+    # the value is echoed as the first ECHO_MAX characters of its repr
+    shown = f"{repr(value)[:ECHO_MAX]}… ({len(repr(value))} chars)"
     assert capsys.readouterr().err == (f"config error: epochs must be an "
-                                       f"integer, got {value!r}\n")
+                                       f"integer, got {shown}\n")
 
 
 @pytest.mark.parametrize("line, cause", [
@@ -876,9 +878,37 @@ def test_mos_out_of_range_names_the_record(workspace, capsys, command, bad_id):
         rc = run("score", "--checkpoint", ckpt, "--data", bad,
                  "--strategy", "labeled", "--out", tmp / "o")
     assert rc == 1
-    assert capsys.readouterr().err == (f"error: record {bad_id}: mos=7.0 "
+    assert capsys.readouterr().err == (f"error: record {bad_id!r}: mos=7.0 "
                                        f"outside [1, 5]\n")
 
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+@pytest.mark.parametrize("bad_id", ["a\nb", "cr\rid\x1b", "x" * 5000])
+def test_record_named_in_an_error_is_one_bounded_line(workspace, capsys,
+                                                      command, bad_id):
+    # the id is echoed escaped and cut, so the message stays one short line
+    tmp, data, ckpt = trained(workspace)
+    bad = tmp / "odd_id.jsonl"
+
+    def rename(record):
+        record["mos"] = record.get("mos", 3.0)
+        if record["id"] == "bonafide1_0004":
+            record["id"], record["mos"] = bad_id, 7.0
+
+    rewrite_jsonl(data, bad, rename)
+    capsys.readouterr()
+    if command == "train":
+        _, _, cfg = workspace
+        rc = run("train", "--config", cfg, "--data", bad, "--out", tmp / "o")
+    else:
+        rc = run("score", "--checkpoint", ckpt, "--data", bad,
+                 "--strategy", "labeled", "--out", tmp / "o")
+    assert rc == 1
+    shown = repr(bad_id) if len(repr(bad_id)) <= ECHO_MAX else (
+        f"{repr(bad_id)[:ECHO_MAX]}… ({len(repr(bad_id))} chars)")
+    assert capsys.readouterr().err == (f"error: record {shown}: mos=7.0 "
+                                       f"outside [1, 5]\n")
 
 @pytest.mark.parametrize("exc, code, prefix", [
     pytest.param(ConfigError("c"), 2, "config error", id="ConfigError"),
@@ -984,14 +1014,21 @@ _RECORDS = st.fixed_dictionaries(
     },
     optional={"mos": st.floats(1, 5) | _JSON, "augmented": st.booleans() | _JSON},
 )
+# ids that a message must escape (line breaks, other control characters)
+# or cut (longer than the echo bound)
+_ODD_IDS = (st.text(st.sampled_from("a\n\r\t\x00\x1b\x7f\x85\u2028"),
+                    min_size=1, max_size=4)
+            | st.text("ab\n\r", min_size=ECHO_MAX, max_size=3 * ECHO_MAX))
 _GOOD_RECORDS = st.lists(
     st.fixed_dictionaries(
         {
-            "id": st.text("abcd", min_size=1, max_size=2),
+            "id": st.text("abcd", min_size=1, max_size=2) | _ODD_IDS,
             "features": st.lists(st.floats(-3, 3), min_size=6, max_size=6),
             "label": st.sampled_from(["bonafide", "spoof"]),
         },
-        optional={"mos": st.floats(1, 5) | st.none(), "augmented": st.booleans()},
+        # a mos of 7.0 is an error that names its record
+        optional={"mos": st.floats(1, 5) | st.none() | st.just(7.0),
+                  "augmented": st.booleans()},
     ),
     max_size=8, unique_by=lambda r: r["id"])
 _BAD_LINES = (_RECORDS.map(json.dumps) | _JSON.map(json.dumps)
@@ -1012,7 +1049,11 @@ _KEYS = ("epochs", "batch_size", "seed", "loss", "val_fraction",
          "hyper", "hyper.lam", "hyper.m0", "policy", "policy.num_levels",
          "policy.thresholds", "optimizer.kind", "optimizer.lr",
          "optimizer.betas", "encoder.hidden", "encoder.embed_dim", "nonsense")
-_VALUES = _JSON.map(json.dumps) | st.text("ab1", max_size=3)
+_VALUES = (_JSON.map(json.dumps) | st.text("ab1", max_size=3)
+           | st.text('[1a"\n\r', min_size=ECHO_MAX, max_size=4 * ECHO_MAX))
+# the longest one-line message: its fixed text, a temporary path and at most
+# one echoed value
+_LINE_MAX = 3 * ECHO_MAX
 _SETS = st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES).map("=".join),
                  max_size=3)
 
@@ -1060,6 +1101,7 @@ def test_fuzzed_input_gives_exit_code_and_one_line(fuzz_checkpoint, lines,
             assert rc in (0, 1, 2, 3, 4), (argv, err)
             if rc:
                 assert err.count("\n") == 1 and err.endswith("\n"), err
+                assert len(err) <= _LINE_MAX, err
 
 
 _CELLS = (st.sampled_from(["bonafide", "spoof", "", "nan", "inf", "1e999",

@@ -9,7 +9,7 @@ import pytest
 
 from mcoc.data import (ClusterSpec, QualityPolicy, SyntheticSpec, benchmark_spec,
                        generate_synthetic)
-from mcoc.errors import ConfigError, from_dict
+from mcoc.errors import ECHO_MAX, ConfigError, echo, from_dict
 from mcoc.training import OptimizerConfig, TrainConfig, benchmark_train_config
 
 POLICY_3 = QualityPolicy(num_levels=3, thresholds=(2.0, 3.5))
@@ -117,3 +117,24 @@ def test_cluster_label_is_a_name():
     assert ClusterSpec(1, (0.0,), 1.0, "spoof").label == "spoof"
     with pytest.raises(ConfigError):
         ClusterSpec(1, (0.0,), 1.0, 1)
+
+
+@pytest.mark.parametrize("value", ["epochs", 3, 0.5, None, [1, "a"], "a\nb\r\x00",
+                                   "x" * (ECHO_MAX - 2)])
+def test_echo_is_the_repr_of_a_short_value(value):
+    assert echo(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", ["x" * (ECHO_MAX - 1), "[" * 100_000,
+                                   "\n" * ECHO_MAX, list(range(1000))])
+def test_echo_cuts_a_long_value_and_counts_it(value):
+    text = repr(value)
+    assert echo(value) == f"{text[:ECHO_MAX]}… ({len(text)} chars)"
+    assert "\n" not in echo(value) and "\r" not in echo(value)
+
+
+def test_config_error_echoes_a_bounded_value():
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(epochs="9" * 100_000)
+    assert len(str(info.value)) < 2 * ECHO_MAX
+    assert str(info.value).endswith("… (100002 chars)")

@@ -9,6 +9,7 @@ from mcoc.losses import (
     LossHyper,
     LossOutput,
     QUALITY_ABSENT,
+    _levels,
     combined_loss,
     margin_one_class_loss,
     oc_softmax_loss,
@@ -19,6 +20,7 @@ from mcoc.losses import (
 from mcoc.model import BinaryHead, CentroidBank, init_centroids
 from mcoc.numerics import make_rng
 
+import loss_reference as prev
 from numeric_reference import (
     finite_diff_grad,
     logsumexp_rows,
@@ -500,3 +502,92 @@ def test_centroid_losses_match_reference():
                 diff = getattr(got, name) - getattr(want, name)
                 assert np.max(np.abs(diff)) <= 1e-12, (where, name)
     assert ties > 0
+
+
+# ---- the previous composition (tests/loss_reference.py): same bits ----
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("q_levels", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["mixed", "all_spoof", "all_bonafide",
+                                  "one_row", "ties"])
+def test_losses_match_previous_composition_bitwise(kind, q_levels, lam):
+    # every loss against the code it replaced: == on the value and the
+    # diagnostics, np.array_equal on each gradient; the wide scales push
+    # sigmoids and softmaxes to 0 and 1
+    rng = make_rng(21 + 7 * q_levels + int(10 * lam))
+    ties = 0
+    for trial in range(20):
+        hyper = (LossHyper(lam=lam) if trial % 2 else
+                 LossHyper(alpha=400.0, s=400.0, lam=lam))
+        n = 1 if kind == "one_row" else int(rng.integers(2, 33))
+        dim = int(rng.choice([4, 16]))
+        emb = rng.normal(size=(n, dim))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        labels = rng.integers(0, 2, size=n)
+        if kind in ("all_spoof", "all_bonafide"):
+            labels[:] = kind == "all_spoof"
+        qual = np.where(labels == 0, rng.integers(0, q_levels, size=n),
+                        QUALITY_ABSENT)
+        W = init_centroids(q_levels, dim, "random-unit", rng).weights
+        if kind == "ties":  # pairs of equal centroids: the lower index wins
+            W = W[np.arange(q_levels) // 2 * 2]
+            sims = emb @ W.T
+            ties += int(np.sum(sims[:, 1:] == sims[:, :1]))
+        batch, bank = Batch(emb, labels, qual), CentroidBank(W)
+        head = BinaryHead(weight=rng.normal(size=dim) * 30.0,
+                          bias=float(rng.normal()))
+        weights = (1.0, 1.0) if trial % 3 else (0.7, 2.5)
+        pairs = [
+            (margin_one_class_loss(batch, bank, hyper),
+             prev.ref_margin_one_class_loss(batch, bank, hyper)),
+            (quality_loss(batch, bank, hyper),
+             prev.ref_quality_loss(batch, bank, hyper)),
+            (combined_loss(batch, bank, hyper),
+             prev.ref_combined_loss(batch, bank, hyper)),
+            (oc_softmax_loss(batch, CentroidBank(W[:1]), hyper),
+             prev.ref_oc_softmax_loss(batch, CentroidBank(W[:1]), hyper)),
+            (wce_loss(batch, head, weights),
+             prev.ref_wce_loss(batch, head, weights)),
+            (wce_quality_loss(batch, bank, head, hyper, weights),
+             prev.ref_wce_quality_loss(batch, bank, head, hyper, weights)),
+        ]
+        for k, (got, want) in enumerate(pairs):
+            where = (kind, trial, k)
+            assert got.value == want.value, where
+            assert got.diagnostics == want.diagnostics, where
+            for name in ("grad_embeddings", "grad_centroids",
+                         "grad_head_weight"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), (where, name)
+                assert a is None or np.array_equal(a, b), (where, name)
+            assert got.grad_head_bias == want.grad_head_bias, where
+    assert kind != "ties" or q_levels == 1 or ties > 0
+
+
+@pytest.mark.parametrize("fn", [margin_one_class_loss, quality_loss,
+                                combined_loss])
+@pytest.mark.parametrize("quality, message", [
+    # an absent level and one outside the bank: the absent one is named
+    ([QUALITY_ABSENT, 2, 0, 1], "bona fide sample without a quality level"),
+    ([2, QUALITY_ABSENT, 0, 1], "bona fide sample without a quality level"),
+    ([0, 1, 2, 1], "quality level outside the centroid bank"),
+    ([0, -2, 1, 1], "quality level outside the centroid bank"),
+])
+def test_level_check_names_the_first_reason(fn, quality, message):
+    rng = make_rng(22)
+    batch, bank = random_batch(rng, 4, 2, 5)
+    bad = Batch(batch.embeddings, np.zeros(4, dtype=np.int64),
+                np.array(quality))
+    for loss in (fn, getattr(prev, f"ref_{fn.__name__}")):
+        with pytest.raises(MissingQuality) as info:
+            loss(bad, bank, HYPER)
+        assert str(info.value) == message
+
+
+def test_all_spoof_batch_passes_the_level_check():
+    # no bona fide row: no level to check, and no minimum of an empty array
+    rng = make_rng(23)
+    batch, bank = random_batch(rng, 5, 2, 4, all_spoof=True)
+    bona, q = _levels(batch, bank)
+    assert not bona.any() and q.size == 0
+    assert combined_loss(batch, bank, HYPER).diagnostics["quality"] == 0.0

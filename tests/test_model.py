@@ -283,6 +283,45 @@ def test_one_bad_row_in_a_batch_raises(bad_row, message):
     assert str(info.value) == message
 
 
+
+@pytest.mark.parametrize("X", [
+    [[3.0, 4.0], [0.0, 0.0], [1e200, 1e200]],  # zero row before overflow
+    [[1e200, 1e200], [3.0, 4.0], [0.0, 0.0]],  # overflowing row first
+    [[np.nan, 1.0], [0.0, 0.0]],  # a NaN norm beside a zero one
+])
+def test_zero_row_is_named_before_a_non_finite_one(X):
+    # the one range check fails; the search that follows names the zero row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and warns of no overflow on the way
+        with pytest.raises(ZeroNorm) as info:
+            identity_encoder(2).forward(np.array(X))
+    assert str(info.value) == ("encoder produced a zero vector before "
+                               "normalization")
+
+
+def test_nan_row_is_a_non_finite_norm():
+    with pytest.raises(ZeroNorm) as info:
+        identity_encoder(2).forward(np.array([[3.0, 4.0], [np.nan, 1.0]]))
+    assert str(info.value) == ("encoder produced a vector of non-finite norm "
+                               "before normalization")
+
+
+def test_zero_centroid_row_is_a_collapse():
+    bank = CentroidBank(np.array([[0.6, 0.8], [0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ZeroNorm) as info:
+        bank.renormalize()
+    assert str(info.value) == "centroid collapsed to the zero vector"
+
+
+def test_nan_centroid_row_is_not_a_collapse():
+    # as before the range check: a NaN norm passes and gives a NaN row
+    bank = CentroidBank(np.array([[0.6, 0.8], [np.nan, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bank.renormalize()
+    assert np.isnan(bank.weights[1]).all()
+    assert bank.weights[0].tolist() == [0.6, 0.8]
+
 def test_pairwise_cosines_upper_triangle_order():
     W = make_rng(6).normal(size=(4, 5))
     bank = CentroidBank(W / np.linalg.norm(W, axis=1, keepdims=True))

@@ -4,6 +4,7 @@ benchmark's own tests. Reads perfbench/spans.py; writes nothing."""
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -22,3 +23,11 @@ def test_every_traced_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert not missing, missing
+
+
+def test_train_takes_records_then_config():
+    # the tracer's training.train hook reads these two arguments, by place
+    # or by name, to count the samples trained on
+    from mcoc.training import train
+    params = list(inspect.signature(train).parameters)
+    assert params[:2] == ["records", "config"]

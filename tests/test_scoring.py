@@ -33,6 +33,8 @@ from mcoc.scoring import (
     write_scores_csv,
 )
 
+from numeric_reference import ref_compute_eer
+
 BANK = CentroidBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
@@ -155,6 +157,38 @@ def test_eer_finite_for_any_finite_scores(bona, spoof):
         eer, threshold = compute_eer(bona, spoof)
     assert 0.0 <= eer <= 1.0 and np.isfinite(threshold)
 
+
+
+wide_scores = st.lists(st.one_of(st.floats(allow_nan=False,
+                                           allow_infinity=False),
+                                 st.sampled_from([0.0, 0.5, -0.5, 1.0])),
+                       min_size=1, max_size=8)
+
+
+@given(wide_scores, wide_scores)
+def test_eer_matches_previous_bits(bona, spoof):
+    # the numpy-scalar code it replaced, at every magnitude, with ties
+    assert compute_eer(bona, spoof) == ref_compute_eer(bona, spoof)
+
+
+@pytest.mark.parametrize("bona, spoof", [
+    ([-FLOAT_MAX], [-FLOAT_MAX]), ([FLOAT_MAX], [FLOAT_MAX]),
+    ([-FLOAT_MAX, FLOAT_MAX], [0.0]), ([-1.7e308], [-1.6e308, 1e308]),
+    ([1.7e308, 1.5e308], [1.6e308, 1.65e308]), ([2.0 ** 53], [2.0 ** 53 + 2]),
+    ([-0.0], [0.0]), ([5e-324], [-5e-324, 0.0]),
+])
+def test_eer_matches_previous_bits_at_the_extremes(bona, spoof):
+    assert compute_eer(bona, spoof) == ref_compute_eer(bona, spoof)
+
+
+def test_eer_matches_previous_bits_randomized():
+    rng = make_rng(101)
+    for _ in range(300):
+        bona = rng.normal(0.5, 0.4, size=int(rng.integers(1, 130)))
+        spoof = rng.normal(-0.2, 0.4, size=int(rng.integers(1, 130)))
+        if rng.random() < 0.3:
+            bona, spoof = np.round(bona, 1), np.round(spoof, 1)
+        assert compute_eer(bona, spoof) == ref_compute_eer(bona, spoof)
 
 unit_scores = st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=1,
                        max_size=6)
