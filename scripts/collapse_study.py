@@ -27,10 +27,8 @@ def main():
         test_recs = generate_synthetic(benchmark_spec(seed, train=False))
         for lam in (0.1, 0.0):
             report, ckpt = train(train_recs, benchmark_train_config(seed, lam))
-            ens = score_dataset(test_recs, ckpt.encoder, ckpt.bank,
-                                "ensemble", ckpt.policy)
-            mx = score_dataset(test_recs, ckpt.encoder, ckpt.bank,
-                               "max", ckpt.policy)
+            ens = score_dataset(test_recs, ckpt.encoder, ckpt.bank, "ensemble")
+            mx = score_dataset(test_recs, ckpt.encoder, ckpt.bank, "max")
             cos = report.epochs[-1].centroid_cosine
             print(f"{seed:>4} {lam:>5.2f} {ens.eer:>12.4f} {mx.eer:>8.4f} "
                   f"{cos:>12.4f}")

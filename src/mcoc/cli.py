@@ -75,9 +75,9 @@ def _load_json(path):
         try:
             obj = json.load(fh)
         except UNDECODABLE as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+            raise ConfigError(f"{echo(path)}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+        raise ConfigError(f"{echo(path)}: expected a JSON object")
     return obj
 
 
@@ -132,7 +132,7 @@ def _require_features(records, dim, path, source):
     against a `source` with no records (dim 0)."""
     got = records.X.shape[1]
     if len(records) and dim and got != dim:
-        raise ConfigError(f"{path}: {got} features per record, "
+        raise ConfigError(f"{echo(path)}: {got} features per record, "
                           f"{source} has {dim}")
 
 
@@ -185,7 +185,7 @@ def _cmd_train(args):
 
 def _score_records(records, ckpt, strategy, embeddings=None):
     return score_dataset(records, ckpt.encoder, ckpt.bank, strategy,
-                         ckpt.policy, head=ckpt.head, embeddings=embeddings)
+                         head=ckpt.head, embeddings=embeddings)
 
 
 def _cmd_score(args):
@@ -281,8 +281,7 @@ def _cmd_export(args):
     outdir = _outdir(args, "export")
     export_distributions(report, os.path.join(outdir, "histogram.csv"),
                          bins=args.bins)
-    export_embeddings(records, ckpt.encoder,
-                      os.path.join(outdir, "embeddings.csv"), embeddings=E)
+    export_embeddings(records, E, os.path.join(outdir, "embeddings.csv"))
     _write_manifest(outdir, "export",
                     {"checkpoint": args.checkpoint, "data": args.data,
                      "strategy": args.strategy, "bins": args.bins})

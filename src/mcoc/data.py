@@ -1,7 +1,9 @@
 """Columnar datasets, JSONL I/O, MOS thresholding, synthetic data, augmentation.
 
-Detection labels: 0 = bonafide, 1 = spoof. Quality levels exist only for bona
-fide records; spoof records carry ``QUALITY_ABSENT`` throughout.
+Detection labels: 0 = bonafide, 1 = spoof. ``make_dataset`` alone decides
+each record's quality level: 0 for an augmented bona fide record, the level
+of its MOS for any other record that has one, whatever its class, and
+``QUALITY_ABSENT`` for the rest. Every given MOS is checked there, once.
 
 The gen spec, its clusters and a quality policy are built from JSON by
 ``errors.from_dict`` and check their own values. A cluster's ``label`` is
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import (
     UNDECODABLE,
     ConfigError,
+    MissingQuality,
     MosOutOfRange,
     ParseError,
     echo,
@@ -90,16 +93,6 @@ def quality_label(mos, policy: QualityPolicy):
     return levels.astype(np.int64) if m.ndim else int(levels)
 
 
-def record_levels(ids, mos, rows, policy: QualityPolicy):
-    """quality_label of the MOS of the records at the bool mask `rows`; a
-    MOS outside [1, 5] is a MosOutOfRange naming the first such record."""
-    try:
-        return quality_label(mos[rows], policy)
-    except MosOutOfRange as exc:
-        row = np.argmax(rows & ~((mos >= 1.0) & (mos <= 5.0)))
-        raise MosOutOfRange(f"record {echo(ids[row])}: {exc}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """N utterances as columns, one row per record.
@@ -134,18 +127,32 @@ class Dataset:
 
 def make_dataset(ids, X, y, mos, augmented, policy: QualityPolicy) -> Dataset:
     """Dataset of the given columns with quality derived from them: level 0
-    for augmented bona fide records, the MOS level for other bona fide
-    records with a MOS, absent for the rest."""
+    for augmented bona fide records, the MOS level for every other record
+    with a MOS (NaN is none), absent for the rest. A MOS outside [1, 5] is
+    a MosOutOfRange naming the first such record, whatever its class."""
+    ids = list(ids)
     y = np.asarray(y, dtype=np.int64)
     mos = np.asarray(mos, dtype=np.float64)
     augmented = np.asarray(augmented, dtype=bool)
-    bona = y == BONAFIDE
-    rated = bona & ~augmented & ~np.isnan(mos)
+    rated = ~np.isnan(mos)
     quality = np.full(y.shape, QUALITY_ABSENT, dtype=np.int64)
-    quality[rated] = record_levels(ids, mos, rated, policy)
-    quality[bona & augmented] = 0
-    return Dataset(list(ids), np.asarray(X, dtype=np.float64), y, mos,
-                   quality, augmented)
+    try:
+        quality[rated] = quality_label(mos[rated], policy)
+    except MosOutOfRange as exc:
+        row = np.argmax(rated & ~((mos >= 1.0) & (mos <= 5.0)))
+        raise MosOutOfRange(f"record {echo(ids[row])}: {exc}") from None
+    quality[(y == BONAFIDE) & augmented] = 0
+    return Dataset(ids, np.asarray(X, dtype=np.float64), y, mos, quality,
+                   augmented)
+
+
+def require_quality(records: Dataset, rows, need: str):
+    """MissingQuality `record ID: <need>` naming the first record of the
+    bool mask `rows` (True: every record) that has no quality level."""
+    unrated = rows & (records.quality == QUALITY_ABSENT)
+    if np.any(unrated):
+        raise MissingQuality(f"record {echo(records.ids[np.argmax(unrated)])}: "
+                             f"{need}")
 
 
 def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
@@ -436,7 +443,8 @@ def balance_augmentation(records: Dataset, fraction: float, noise_scale: float,
     """Augment a seeded random subset of exactly round(fraction * N) records:
     additive Gaussian feature noise, drawn in one call for the chosen rows
     in row order, and bona fide quality dropped to level 0 unconditionally,
-    even at noise_scale=0.
+    even at noise_scale=0, as make_dataset levels an augmented bona fide
+    record.
 
     Meant for training splits only; never call this on validation data.
     """
@@ -448,7 +456,7 @@ def balance_augmentation(records: Dataset, fraction: float, noise_scale: float,
     noise = rng.normal(0.0, 1.0, size=(len(rows), X.shape[1]))
     X[rows] += noise * float(noise_scale)
     quality = records.quality.copy()
-    quality[rows] = np.where(records.y[rows] == BONAFIDE, 0, QUALITY_ABSENT)
+    quality[rows[records.y[rows] == BONAFIDE]] = 0
     augmented = records.augmented.copy()
     augmented[rows] = True
     return replace(records, X=X, quality=quality, augmented=augmented)

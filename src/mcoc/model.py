@@ -178,10 +178,6 @@ class CentroidBank:
     def num_centroids(self):
         return self.weights.shape[0]
 
-    @property
-    def dim(self):
-        return self.weights.shape[1]
-
     def renormalize(self):
         norms = _row_norms(self.weights, keepdims=True)
         # one check passes a good bank; only a bank that fails it is
@@ -355,5 +351,6 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             d = json.load(fh)
         except UNDECODABLE as exc:
-            raise ConfigError(f"{path}: not a JSON checkpoint: {exc}") from exc
+            raise ConfigError(f"{echo(path)}: not a JSON checkpoint: "
+                              f"{exc}") from exc
     return Checkpoint.from_dict(d)

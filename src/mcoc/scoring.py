@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .data import (_LABEL_CODES, _LABEL_NAMES, BONAFIDE, QUALITY_ABSENT, SPOOF,
-                   Dataset, QualityPolicy, record_levels, utf8_lines)
+                   Dataset, require_quality, utf8_lines)
 from .errors import ConfigError, EmptyClass, MissingQuality, ParseError, echo
 from .model import BinaryHead, CentroidBank, Encoder
 
@@ -173,19 +173,6 @@ class ScoreReport:
         }
 
 
-def _quality_levels(records: Dataset, policy):
-    """Inference-time quality of each record for the labeled strategy: its
-    own level, or else the level of its MOS, for either class."""
-    levels = records.quality.copy()
-    unset = levels == QUALITY_ABSENT
-    unrated = unset & np.isnan(records.mos)
-    if np.any(unrated):
-        raise MissingQuality(f"record {echo(records.ids[np.argmax(unrated)])}: "
-                             f"labeled strategy needs mos or quality")
-    levels[unset] = record_levels(records.ids, records.mos, unset, policy)
-    return levels
-
-
 def build_report(records: Dataset, scores: np.ndarray,
                  strategy: str) -> ScoreReport:
     """Score report of the records; EER is filled in when both classes are
@@ -209,15 +196,17 @@ def build_report(records: Dataset, scores: np.ndarray,
 
 def score_dataset(records: Dataset, encoder: Encoder,
                   bank: Optional[CentroidBank], strategy: str,
-                  policy: QualityPolicy = QualityPolicy(),
                   head: Optional[BinaryHead] = None,
                   embeddings: Optional[np.ndarray] = None) -> ScoreReport:
-    """Encode and score every record (see score_matrix and build_report).
-    `embeddings`, when given, are the rows of embed(records, encoder)."""
+    """Encode and score every record (see score_matrix and build_report);
+    `labeled` reads each record's own quality level, which every record
+    must have. `embeddings`, when given, are the rows of
+    embed(records, encoder)."""
     E = embed(records, encoder) if embeddings is None else embeddings
-    quality = _quality_levels(records, policy) if strategy == "labeled" else None
-    return build_report(records, score_matrix(E, strategy, bank, head, quality),
-                        strategy)
+    if strategy == "labeled":
+        require_quality(records, True, "labeled strategy needs mos or quality")
+    return build_report(records, score_matrix(E, strategy, bank, head,
+                                              records.quality), strategy)
 
 
 def _csv_field(text):
@@ -291,15 +280,13 @@ def export_distributions(report: ScoreReport, path, bins: int = 30):
                         int(bona_counts[k]), int(spoof_counts[k])])
 
 
-def export_embeddings(records: Dataset, encoder: Encoder, path,
-                      embeddings: Optional[np.ndarray] = None):
-    """Embedding CSV for external projection tools: id, label, quality, then
-    one column per embedding dimension. `embeddings`, when given, are the
+def export_embeddings(records: Dataset, E: np.ndarray, path):
+    """Embedding CSV for external projection tools: id, label, quality (empty
+    where absent), then one column per embedding dimension. `E` holds the
     rows of embed(records, encoder)."""
-    E = embed(records, encoder) if embeddings is None else embeddings
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["id", "label", "quality"]
-                          + [f"e{k}" for k in range(encoder.embed_dim)]) + "\n")
+                          + [f"e{k}" for k in range(E.shape[1])]) + "\n")
         names = map(_LABEL_NAMES.__getitem__, records.y.tolist())
         # converted row by row, so that the Python floats of only one row
         # exist at a time

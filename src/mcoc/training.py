@@ -28,10 +28,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .data import (BONAFIDE, QUALITY_ABSENT, Dataset, QualityPolicy,
-                   balance_augmentation)
-from .errors import (ConfigError, DivergenceDetected, MissingQuality, ZeroNorm,
-                     echo, from_dict, is_int, is_real, require)
+from .data import (BONAFIDE, Dataset, QualityPolicy, balance_augmentation,
+                   require_quality)
+from .errors import (ConfigError, DivergenceDetected, ZeroNorm, echo,
+                     from_dict, is_int, is_real, require)
 from .losses import (
     Batch,
     LossHyper,
@@ -312,13 +312,9 @@ def check_quality(records: Dataset, config: TrainConfig):
     """MissingQuality naming the first bona fide record without a quality
     level, when the configured loss reads quality levels. Checked on the
     whole set, so the answer does not depend on the seeded split."""
-    if not OBJECTIVES[config.loss].needs_quality:
-        return
-    unrated = (records.y == BONAFIDE) & (records.quality == QUALITY_ABSENT)
-    if np.any(unrated):
-        raise MissingQuality(f"record {echo(records.ids[np.argmax(unrated)])}: "
-                             f"{config.loss} loss needs mos on bona fide "
-                             f"records")
+    if OBJECTIVES[config.loss].needs_quality:
+        require_quality(records, records.y == BONAFIDE,
+                        f"{config.loss} loss needs mos on bona fide records")
 
 
 def train(records: Dataset, config: TrainConfig):

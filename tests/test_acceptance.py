@@ -253,8 +253,7 @@ def test_synthetic_end_to_end(benchmark_runs):
         report, ckpt, test_recs, dt = benchmark_runs[(seed, 0.1)]
         assert dt < 60.0, f"seed {seed}: training took {dt:.1f}s"
         assert len(report.epochs) <= 50
-        sr = score_dataset(test_recs, ckpt.encoder, ckpt.bank, "ensemble",
-                           ckpt.policy)
+        sr = score_dataset(test_recs, ckpt.encoder, ckpt.bank, "ensemble")
         assert sr.eer <= 0.02, f"seed {seed}: ensemble EER {sr.eer}"
     ok("synthetic end-to-end: test EER <= 2% (ensemble), <= 50 epochs, "
        "< 60 s, seeds 1-5")
@@ -279,10 +278,8 @@ def test_ensemble_vs_max(benchmark_runs):
     eers_ens, eers_max = [], []
     for seed in SEEDS:
         _, ckpt, test_recs, _ = benchmark_runs[(seed, 0.1)]
-        ens = score_dataset(test_recs, ckpt.encoder, ckpt.bank, "ensemble",
-                            ckpt.policy)
-        mx = score_dataset(test_recs, ckpt.encoder, ckpt.bank, "max",
-                           ckpt.policy)
+        ens = score_dataset(test_recs, ckpt.encoder, ckpt.bank, "ensemble")
+        mx = score_dataset(test_recs, ckpt.encoder, ckpt.bank, "max")
         eers_ens.append(ens.eer)
         eers_max.append(mx.eer)
         # pointwise mean <= max for every utterance

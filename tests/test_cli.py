@@ -8,6 +8,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,8 @@ from mcoc import cli
 from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec
 from mcoc.errors import (ECHO_MAX, ConfigError, DivergenceDetected, EmptyClass,
-                         MissingQuality, MosOutOfRange, ParseError, ZeroNorm)
+                         MissingQuality, MosOutOfRange, ParseError, ZeroNorm,
+                         echo)
 from mcoc.scoring import STRATEGIES, read_scores_csv
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
 
@@ -464,6 +466,7 @@ def test_export_bins_below_one_exits_2_before_reading(tmp_path, capsys, bins):
     "hyper.lam=true", "policy.num_levels=true", 'policy.thresholds=["3"]',
     "policy=3", "class_weights=[1]", "class_weights=[1, 0]",
     "optimizer.lrr=1", "policy.foo=1", "encoder=[]",
+    "epochs", "seed.x=1", "hyper.lam=-1",
     # seven orthogonal centroids do not fit in the config's 6-d embedding
     'policy={"num_levels": 7, "thresholds": [1.5, 2, 2.5, 3, 3.5, 4]}',
 ])
@@ -580,6 +583,20 @@ WEIGHTS_2D = "must be a list of equal-length lists of finite numbers"
     pytest.param(_edit_json(lambda d: d.update(hyper={})),
                  "checkpoint.hyper: missing keys ['alpha', 'm0', 'm1', 's', "
                  "'m', 'lam']", id="hyper-empty"),
+    pytest.param(_edit_json(lambda d: [row.pop() for row in
+                                       d["encoder"]["layers"][1]["weight"]]),
+                 "checkpoint.encoder: layer dims do not chain",
+                 id="layers-do-not-chain"),
+    pytest.param(_edit_json(lambda d: d["encoder"]["layers"][0]["bias"].pop()),
+                 "checkpoint.encoder: layer weight must be (out, in) and bias "
+                 "(out,)", id="bias-length"),
+    # rows of unequal length: numpy cannot stack them
+    pytest.param(_edit_json(lambda d: d["bank"]["weights"][0].pop()),
+                 f"checkpoint.bank.weights {WEIGHTS_2D}", id="bank-ragged-row"),
+    pytest.param(_edit_json(lambda d: d["encoder"]["layers"][0]["weight"][0]
+                            .pop()),
+                 f"checkpoint.encoder.layers[0].weight {WEIGHTS_2D}",
+                 id="layer-ragged-row"),
     pytest.param(_edit_json(lambda d: d.update(metadata=[1])),
                  "checkpoint.metadata must be an object, got [1]",
                  id="metadata-not-object"),
@@ -663,7 +680,7 @@ def test_feature_count_mismatch_exits_2(workspace, capsys, command):
     rc = run(command, "--checkpoint", ckpt, "--data", short, "--out", tmp / "o")
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == (f"config error: {short}: 5 features per record, "
+    assert err == (f"config error: {echo(str(short))}: 5 features per record, "
                    f"the checkpoint has 6\n")
 
 
@@ -814,7 +831,8 @@ def test_undecodable_json_file_exits_2(workspace, capsys, command, text):
     rc = run(command, *argv, "--out", tmp / "o")
     assert rc == 2
     what = "not a JSON checkpoint" if command == "score" else "invalid JSON"
-    assert re.fullmatch(rf"config error: {re.escape(str(bad))}: {what}: .+\n",
+    shown = re.escape(echo(str(bad)))
+    assert re.fullmatch(rf"config error: {shown}: {what}: .+\n",
                         capsys.readouterr().err)
 
 
@@ -881,6 +899,93 @@ def test_mos_out_of_range_names_the_record(workspace, capsys, command, bad_id):
     assert capsys.readouterr().err == (f"error: record {bad_id!r}: mos=7.0 "
                                        f"outside [1, 5]\n")
 
+
+@pytest.mark.parametrize("command", ["train", "score", "export", "ablate"])
+@pytest.mark.parametrize("bad_id, augmented", [
+    pytest.param("spoof2_0003", False, id="spoof"),
+    pytest.param("bonafide1_0004", True, id="augmented-bonafide"),
+])
+def test_any_mos_out_of_range_is_rejected_at_load(workspace, capsys, command,
+                                                  bad_id, augmented):
+    # every MOS is checked at load, also where no level is read from it:
+    # a spoof record under ensemble scoring, an augmented bona fide record
+    tmp, data, ckpt = trained(workspace)
+    _, _, cfg = workspace
+    bad = tmp / "bad_mos.jsonl"
+
+    def set_mos(record):
+        if record["id"] == bad_id:
+            record["mos"], record["augmented"] = 9.0, augmented
+
+    rewrite_jsonl(data, bad, set_mos)
+    capsys.readouterr()
+    argv = {"train": ["--config", cfg, "--data", bad],
+            "score": ["--checkpoint", ckpt, "--data", bad,
+                      "--strategy", "ensemble"],
+            "export": ["--checkpoint", ckpt, "--data", bad],
+            "ablate": ["--config", cfg, "--data", data, "--test", bad]}[command]
+    rc = run(command, *argv, "--out", tmp / "o")
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: record {bad_id!r}: mos=9.0 "
+                                       f"outside [1, 5]\n")
+
+
+def test_export_quality_of_a_spoof_record_is_its_labeled_level(workspace):
+    tmp, data, ckpt = trained(workspace)
+    rated = tmp / "rated.jsonl"
+    # spoof records alternate between a low and a high MOS
+    mos = {}
+
+    def rate_spoof(record):
+        if record["label"] == "spoof":
+            record["mos"] = mos[record["id"]] = 2.0 if len(mos) % 2 else 4.0
+
+    rewrite_jsonl(data, rated, rate_spoof)
+    assert run("export", "--checkpoint", ckpt, "--data", rated,
+               "--out", tmp / "ex") == 0
+    assert run("score", "--checkpoint", ckpt, "--data", rated,
+               "--strategy", "labeled", "--out", tmp / "sc") == 0
+    with open(tmp / "ex" / "embeddings.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    quality = {r["id"]: r["quality"] for r in rows}
+    assert {rid: quality[rid] for rid in mos} == {
+        rid: "1" if m == 4.0 else "0" for rid, m in mos.items()}
+    # labeled scoring reads the similarity to the centroid of that level
+    E = np.array([[float(r[f"e{k}"]) for k in range(6)] for r in rows])
+    bank = np.array(json.loads(ckpt.read_text())["bank"]["weights"])
+    levels = np.array([int(r["quality"]) for r in rows])
+    ids, scores, _ = read_scores_csv(tmp / "sc" / "scores.csv")
+    assert ids == [r["id"] for r in rows]
+    own = (E @ bank.T)[np.arange(len(rows)), levels]
+    assert np.max(np.abs(np.array(scores) - own)) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["config", "config-not-object",
+                                   "checkpoint", "data"])
+def test_path_with_a_line_break_is_echoed_on_one_line(workspace, capsys, which):
+    tmp, data, ckpt = trained(workspace)
+    odd = tmp / "line\nbreak"
+    odd.mkdir()
+    path = odd / "file"
+    if which == "data":
+        rewrite_jsonl(data, path, lambda r: r["features"].pop())
+    else:
+        path.write_text("[1]" if which == "config-not-object" else "{")
+    argv, what = {
+        "config": (["train", "--config", path, "--data", data],
+                   "invalid JSON: "),
+        "config-not-object": (["train", "--config", path, "--data", data],
+                              "expected a JSON object"),
+        "checkpoint": (["score", "--checkpoint", path, "--data", data],
+                       "not a JSON checkpoint: "),
+        "data": (["score", "--checkpoint", ckpt, "--data", path],
+                 "5 features per record"),
+    }[which]
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {echo(str(path))}: {what}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["train", "score"])

@@ -62,7 +62,8 @@ def reference_augmentation(data, fraction, noise_scale, rng):
         if i in chosen:
             noise = rng.normal(0.0, 1.0, size=data.X[i].shape) * float(noise_scale)
             X[i] = data.X[i] + noise
-            quality[i] = 0 if data.y[i] == BONAFIDE else QUALITY_ABSENT
+            if data.y[i] == BONAFIDE:
+                quality[i] = 0
             augmented[i] = True
     return X, quality, augmented
 
@@ -123,6 +124,17 @@ def test_load_jsonl_fills_quality(tmp_path):
     assert recs.quality.tolist() == [1, QUALITY_ABSENT, 0]
     assert np.isnan(recs.mos[1])
     assert recs.augmented.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("label, augmented", [
+    pytest.param(SPOOF, False, id="spoof"),
+    pytest.param(SPOOF, True, id="augmented-spoof"),
+    pytest.param(BONAFIDE, True, id="augmented-bonafide"),
+])
+def test_every_mos_is_range_checked(label, augmented):
+    with pytest.raises(MosOutOfRange,
+                       match=r"^record 'u': mos=9\.0 outside \[1, 5\]$"):
+        make_dataset(["u"], [[1.0, 2.0]], [label], [9.0], [augmented], POLICY)
 
 
 def test_load_jsonl_errors(tmp_path):
@@ -380,6 +392,15 @@ def test_augment_spoof_keeps_no_quality():
     r = one_record(SPOOF)
     out = balance_augmentation(r, 1.0, 0.1, make_rng(0))
     assert out.quality.tolist() == [QUALITY_ABSENT]
+    assert out.augmented.tolist() == [True]
+
+
+def test_spoof_mos_gives_its_level_augmented_or_not():
+    # the level make_dataset gives an augmented spoof record, so that a
+    # saved and reloaded training split keeps it
+    r = one_record(SPOOF, mos=4.0)
+    out = balance_augmentation(r, 1.0, 0.1, make_rng(0))
+    assert r.quality.tolist() == out.quality.tolist() == [1]
     assert out.augmented.tolist() == [True]
 
 

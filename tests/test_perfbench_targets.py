@@ -31,3 +31,13 @@ def test_train_takes_records_then_config():
     from mcoc.training import train
     params = list(inspect.signature(train).parameters)
     assert params[:2] == ["records", "config"]
+
+
+def test_io_functions_take_path_where_the_tracer_reads_it():
+    # the tracer's load_jsonl hook reads `path` as the first argument, and
+    # its save hooks read it as the second, by place or by name
+    from mcoc.data import load_jsonl, save_jsonl
+    from mcoc.model import save_checkpoint
+    assert list(inspect.signature(load_jsonl).parameters)[0] == "path"
+    for fn in (save_jsonl, save_checkpoint):
+        assert list(inspect.signature(fn).parameters)[1] == "path", fn

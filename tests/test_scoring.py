@@ -176,6 +176,8 @@ def test_eer_matches_previous_bits(bona, spoof):
     ([-FLOAT_MAX, FLOAT_MAX], [0.0]), ([-1.7e308], [-1.6e308, 1e308]),
     ([1.7e308, 1.5e308], [1.6e308, 1.65e308]), ([2.0 ** 53], [2.0 ** 53 + 2]),
     ([-0.0], [0.0]), ([5e-324], [-5e-324, 0.0]),
+    # t_j + t * (t_i - t_j) overflows, so the threshold is taken in halves
+    ([-1e308], [-FLOAT_MAX, FLOAT_MAX]),
 ])
 def test_eer_matches_previous_bits_at_the_extremes(bona, spoof):
     assert compute_eer(bona, spoof) == ref_compute_eer(bona, spoof)
@@ -220,7 +222,7 @@ def scored():
     records = generate_synthetic(benchmark_spec(1, train=False), policy)
     encoder = init_encoder(8, (16,), 8, make_rng(0))
     bank = CentroidBank(np.eye(8)[:2])
-    report = score_dataset(records, encoder, bank, "ensemble", policy)
+    report = score_dataset(records, encoder, bank, "ensemble")
     return records, encoder, bank, report
 
 
@@ -233,14 +235,14 @@ def test_score_dataset_summary(scored):
 
 def test_score_dataset_deterministic(scored):
     records, encoder, bank, report = scored
-    again = score_dataset(records, encoder, bank, "ensemble", QualityPolicy())
+    again = score_dataset(records, encoder, bank, "ensemble")
     assert again.scores == report.scores and again.eer == report.eer
 
 
 def test_score_dataset_no_labels_no_eer(scored):
     records, encoder, bank, _ = scored
     bona_only = records.take(np.flatnonzero(records.y == 0))
-    rep = score_dataset(bona_only, encoder, bank, "max", QualityPolicy())
+    rep = score_dataset(bona_only, encoder, bank, "max")
     assert rep.eer is None and "spoof" not in rep.class_stats
 
 
@@ -268,7 +270,7 @@ def test_histogram_counts_conserved(tmp_path, scored):
 def test_histogram_single_class(tmp_path, scored):
     records, encoder, bank, _ = scored
     bona_only = records.take(np.flatnonzero(records.y == 0))
-    rep = score_dataset(bona_only, encoder, bank, "ensemble", QualityPolicy())
+    rep = score_dataset(bona_only, encoder, bank, "ensemble")
     path = tmp_path / "hist.csv"
     export_distributions(rep, path, bins=5)
     with open(path) as fh:
@@ -280,7 +282,7 @@ def test_export_embeddings(tmp_path, scored):
     records, encoder, _, _ = scored
     path = tmp_path / "emb.csv"
     first = records.take(np.arange(10))
-    export_embeddings(first, encoder, path)
+    export_embeddings(first, embed(first, encoder), path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
@@ -333,14 +335,14 @@ def write_both(tmp_path, scored, ids):
     for the records renamed `ids`; one record has no label in scores.csv."""
     records, encoder, bank, _ = scored
     odd = odd_records(records, ids)
-    report = score_dataset(odd, encoder, bank, "ensemble", QualityPolicy())
+    report = score_dataset(odd, encoder, bank, "ensemble")
     report.labels[1] = None
     scores, ref_scores, emb, ref_emb = (
         tmp_path / name for name in ("scores.csv", "ref_scores.csv",
                                      "embeddings.csv", "ref_embeddings.csv"))
     write_scores_csv(report, scores)
     reference_scores_csv(report, ref_scores)
-    export_embeddings(odd, encoder, emb)
+    export_embeddings(odd, embed(odd, encoder), emb)
     reference_embeddings_csv(odd, embed(odd, encoder), ref_emb)
     return [(scores.read_bytes(), ref_scores.read_bytes()),
             (emb.read_bytes(), ref_emb.read_bytes())]
@@ -404,7 +406,7 @@ def one_row_reference(records, encoder, bank, head, policy, strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_blocked_scores_match_one_row_reference(wide, strategy):
     records, encoder, bank, head, policy = wide
-    report = score_dataset(records, encoder, bank, strategy, policy, head=head)
+    report = score_dataset(records, encoder, bank, strategy, head=head)
     ref = one_row_reference(records, encoder, bank, head, policy, strategy)
     assert len(report.scores) == WIDE_ROWS
     assert np.max(np.abs(np.array(report.scores) - ref)) <= 1e-12
@@ -413,8 +415,8 @@ def test_blocked_scores_match_one_row_reference(wide, strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_blocked_scores_repeat_bitwise(wide, strategy):
     records, encoder, bank, head, policy = wide
-    a = score_dataset(records, encoder, bank, strategy, policy, head=head)
-    b = score_dataset(records, encoder, bank, strategy, policy, head=head)
+    a = score_dataset(records, encoder, bank, strategy, head=head)
+    b = score_dataset(records, encoder, bank, strategy, head=head)
     assert a.scores == b.scores and a.eer == b.eer
 
 
