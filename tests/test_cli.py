@@ -1154,8 +1154,25 @@ _KEYS = ("epochs", "batch_size", "seed", "loss", "val_fraction",
          "hyper", "hyper.lam", "hyper.m0", "policy", "policy.num_levels",
          "policy.thresholds", "optimizer.kind", "optimizer.lr",
          "optimizer.betas", "encoder.hidden", "encoder.embed_dim", "nonsense")
+
+
+def _ints_at_most_40(raw):
+    """Whether every integer in the JSON of a --set value is at most 40, the
+    bound of _SCALARS: a long run of digits is a valid epoch count that
+    trains for ever, or a layer width too large to allocate, not bad
+    input."""
+    try:
+        value = json.loads(raw)
+    except ValueError:
+        return True
+    while isinstance(value, list) and value:
+        value = value[0]
+    return not isinstance(value, int) or value <= 40
+
+
 _VALUES = (_JSON.map(json.dumps) | st.text("ab1", max_size=3)
-           | st.text('[1a"\n\r', min_size=ECHO_MAX, max_size=4 * ECHO_MAX))
+           | st.text('[1a"\n\r', min_size=ECHO_MAX, max_size=4 * ECHO_MAX)
+           .filter(_ints_at_most_40))
 # the longest one-line message: its fixed text, a temporary path and at most
 # one echoed value
 _LINE_MAX = 3 * ECHO_MAX
