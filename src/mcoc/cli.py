@@ -75,9 +75,9 @@ def _load_json(path):
         try:
             obj = json.load(fh)
         except UNDECODABLE as exc:
-            raise ConfigError(f"{echo(path)}: invalid JSON: {exc}") from exc
+            raise ConfigError(f"{path!r}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError(f"{echo(path)}: expected a JSON object")
+        raise ConfigError(f"{path!r}: expected a JSON object")
     return obj
 
 
@@ -132,7 +132,7 @@ def _require_features(records, dim, path, source):
     against a `source` with no records (dim 0)."""
     got = records.X.shape[1]
     if len(records) and dim and got != dim:
-        raise ConfigError(f"{echo(path)}: {got} features per record, "
+        raise ConfigError(f"{path!r}: {got} features per record, "
                           f"{source} has {dim}")
 
 

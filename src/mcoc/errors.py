@@ -74,8 +74,8 @@ ECHO_MAX = 100
 
 
 def echo(value):
-    """repr(value), the form in which every message names a value, a record
-    id or a file path: one line, as repr escapes line breaks and every other
+    """repr(value), the form in which every message names a value or a
+    record id: one line, as repr escapes line breaks and every other
     control character, and at most ECHO_MAX characters of it, followed by
     `… (N chars)`, N the length of the whole repr, where it is longer."""
     text = repr(value)

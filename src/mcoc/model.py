@@ -351,6 +351,5 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             d = json.load(fh)
         except UNDECODABLE as exc:
-            raise ConfigError(f"{echo(path)}: not a JSON checkpoint: "
-                              f"{exc}") from exc
+            raise ConfigError(f"{path!r}: not a JSON checkpoint: {exc}") from exc
     return Checkpoint.from_dict(d)

@@ -195,7 +195,7 @@ def build_report(records: Dataset, scores: np.ndarray,
 
 
 def score_dataset(records: Dataset, encoder: Encoder,
-                  bank: Optional[CentroidBank], strategy: str,
+                  bank: Optional[CentroidBank], strategy: str, *,
                   head: Optional[BinaryHead] = None,
                   embeddings: Optional[np.ndarray] = None) -> ScoreReport:
     """Encode and score every record (see score_matrix and build_report);

@@ -9,7 +9,8 @@ branch.
 
 ``TrainConfig`` and its sections check every value when they are built:
 known names for the loss, optimizer, activation and centroid init; JSON
-integers for batch_size, epochs, seed and the encoder widths; finite
+integers for batch_size, epochs, seed and the encoder widths, with epochs
+at most MAX_EPOCHS and each width at most MAX_WIDTH; finite
 numbers in range for the optimizer settings, fractions, noise scale and
 class weights; and that orthogonal centroids fit in the embedding. A bad
 value is a ``ConfigError`` (CLI exit 2) before any data is read.
@@ -111,6 +112,12 @@ class OptimizerConfig:
                 "optimizer.momentum", self.momentum, "a number in [0, 1)")
 
 
+# the most epochs and the widest encoder layer a config may ask for: more is
+# a run that does not end, or a weight matrix too large to hold
+MAX_EPOCHS = 10_000
+MAX_WIDTH = 4096
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     hidden: tuple = (32, 32)
@@ -120,11 +127,12 @@ class EncoderConfig:
     def __post_init__(self):
         h = self.hidden
         require(isinstance(h, (list, tuple))
-                and all(is_int(x) and x >= 1 for x in h),
-                "encoder.hidden", h, "a list of integers >= 1")
+                and all(is_int(x) and 1 <= x <= MAX_WIDTH for x in h),
+                "encoder.hidden", h, f"a list of integers in [1, {MAX_WIDTH}]")
         object.__setattr__(self, "hidden", tuple(h))
-        require(is_int(self.embed_dim) and self.embed_dim >= 2,
-                "encoder.embed_dim", self.embed_dim, "an integer >= 2")
+        require(is_int(self.embed_dim) and 2 <= self.embed_dim <= MAX_WIDTH,
+                "encoder.embed_dim", self.embed_dim,
+                f"an integer in [2, {MAX_WIDTH}]")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {echo(self.activation)}")
 
@@ -157,6 +165,8 @@ class TrainConfig:
             raise ConfigError(f"unknown centroid_init {echo(self.centroid_init)}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        require(self.epochs <= MAX_EPOCHS, "epochs", self.epochs,
+                f"at most {MAX_EPOCHS}")
         require(is_real(self.val_fraction) and 0 <= self.val_fraction < 1,
                 "val_fraction", self.val_fraction, "a number in [0, 1)")
         require(is_real(self.augment_fraction)

@@ -239,6 +239,14 @@ def test_score_dataset_deterministic(scored):
     assert again.scores == report.scores and again.eer == report.eer
 
 
+def test_score_dataset_takes_head_by_keyword(scored):
+    # a policy passed in the place the parameter had is refused, not read
+    # as the head
+    records, encoder, bank, _ = scored
+    with pytest.raises(TypeError):
+        score_dataset(records, encoder, bank, "ensemble", QualityPolicy())
+
+
 def test_score_dataset_no_labels_no_eer(scored):
     records, encoder, bank, _ = scored
     bona_only = records.take(np.flatnonzero(records.y == 0))

@@ -289,6 +289,19 @@ def test_train_validates_config():
         OptimizerConfig(kind="nope")
 
 
+def test_epochs_and_widths_are_bounded_from_above():
+    TrainConfig(epochs=training.MAX_EPOCHS)
+    EncoderConfig(hidden=(training.MAX_WIDTH,), embed_dim=training.MAX_WIDTH)
+    with pytest.raises(ConfigError, match="^epochs must be at most 10000, "):
+        TrainConfig(epochs=training.MAX_EPOCHS + 1)
+    with pytest.raises(ConfigError, match=r"^encoder\.hidden must be a list "
+                                          r"of integers in \[1, 4096\]"):
+        EncoderConfig(hidden=(8, training.MAX_WIDTH + 1))
+    with pytest.raises(ConfigError, match=r"^encoder\.embed_dim must be an "
+                                          r"integer in \[2, 4096\]"):
+        EncoderConfig(embed_dim=training.MAX_WIDTH + 1)
+
+
 def test_config_round_trip_and_unknown_keys():
     cfg = benchmark_train_config(3)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
