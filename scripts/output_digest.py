@@ -66,7 +66,7 @@ def _steps(out):
     test_spec = _dump(benchmark_spec(SEED, train=False).to_dict(),
                       os.path.join(inputs, "test_spec.json"))
     policy_spec = _dump({**benchmark_spec(SEED, train=True).to_dict(),
-                         "policy": {"num_levels": 3, "thresholds": [2.0, 3.5]}},
+                         "policy": {"thresholds": [2.0, 3.5]}},
                         os.path.join(inputs, "policy_spec.json"))
     config = _dump(benchmark_train_config(SEED).to_dict(),
                    os.path.join(inputs, "config.json"))

@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from . import __version__
 from .data import (
     BONAFIDE,
     SPOOF,
-    QualityPolicy,
     SyntheticSpec,
     generate_synthetic,
     load_jsonl,
@@ -38,7 +36,7 @@ from .errors import (
     DivergenceDetected,
     McocError,
     echo,
-    from_dict,
+    load_json,
     require,
 )
 from .model import load_checkpoint, save_checkpoint
@@ -68,17 +66,6 @@ ABLATION_ARMS = (
      ["loss=multi_centroid", "hyper.lam=0.0"], "ensemble"),
     ("multi_centroid_max_score", ["loss=multi_centroid"], "max"),
 )
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except UNDECODABLE as exc:
-            raise ConfigError(f"{path!r}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path!r}: expected a JSON object")
-    return obj
 
 
 def _apply_overrides(config: dict, pairs):
@@ -138,23 +125,18 @@ def _require_features(records, dim, path, source):
 
 def _config_dict(path, args):
     """The JSON object at `path` with the --set overrides and --seed."""
-    config = _apply_overrides(_load_json(path), args.set)
+    config = _apply_overrides(load_json(path), args.set)
     if args.seed is not None:
         config["seed"] = args.seed
     return config
 
 
 def _cmd_gen(args):
-    spec_dict = _config_dict(args.spec, args)
-    # the policy sits beside the spec and moves every bona fide MOS, so the
-    # manifest records both
-    policy = from_dict(QualityPolicy, spec_dict.pop("policy", {}), "policy")
-    spec = SyntheticSpec.from_dict(spec_dict)
-    records = generate_synthetic(spec, policy)
+    spec = SyntheticSpec.from_dict(_config_dict(args.spec, args))
+    records = generate_synthetic(spec)
     outdir = _outdir(args, "gen")
     save_jsonl(records, os.path.join(outdir, "data.jsonl"))
-    _write_manifest(outdir, "gen", {**spec.to_dict(), "policy": asdict(policy)},
-                    seed=spec.seed)
+    _write_manifest(outdir, "gen", spec.to_dict(), seed=spec.seed)
     print(f"wrote {len(records)} records to {outdir}/data.jsonl")
     return 0
 

@@ -5,7 +5,7 @@ each record's quality level: 0 for an augmented bona fide record, the level
 of its MOS for any other record that has one, whatever its class, and
 ``QUALITY_ABSENT`` for the rest. Every given MOS is checked there, once.
 
-The gen spec, its clusters and a quality policy are built from JSON by
+The gen spec, its clusters and its quality policy are built from JSON by
 ``errors.from_dict`` and check their own values. A cluster's ``label`` is
 its JSON name, "bonafide" or "spoof"; ``generate_synthetic`` maps it to 0/1.
 """
@@ -53,33 +53,25 @@ _scan = json.JSONDecoder().scan_once  # (value, end) of the JSON at an index
 
 @dataclass(frozen=True)
 class QualityPolicy:
-    """MOS bucketing: level = number of cut points <= mos (boundary goes up)."""
+    """MOS bucketing by ascending cut points inside (1, 5): level = number
+    of cut points <= mos (boundary goes up), so one level more than cuts."""
 
-    tau: float = 2.5
-    num_levels: int = 2
-    thresholds: tuple = ()
+    thresholds: tuple = (2.5,)
 
     def __post_init__(self):
-        require(is_real(self.tau), "policy.tau", self.tau, "a number")
-        require(is_int(self.num_levels) and self.num_levels >= 1,
-                "policy.num_levels", self.num_levels, "an integer >= 1")
         t = self.thresholds
         require(isinstance(t, (list, tuple)) and all(map(is_real, t)),
                 "policy.thresholds", t, "a list of numbers")
         cuts = tuple(float(x) for x in t)
-        if not cuts and self.num_levels == 2:
-            cuts = (float(self.tau),)
-        if not cuts and self.num_levels > 2:
-            raise ConfigError("policy: num_levels > 2 requires explicit thresholds")
-        if len(cuts) != self.num_levels - 1:
-            raise ConfigError(
-                f"policy: need {self.num_levels - 1} thresholds, got {len(cuts)}"
-            )
         if any(not (1.0 < x < 5.0) for x in cuts):
             raise ConfigError("policy: thresholds must lie strictly inside (1, 5)")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ConfigError("policy: thresholds must be strictly ascending")
         object.__setattr__(self, "thresholds", cuts)
+
+    @property
+    def num_levels(self):
+        return len(self.thresholds) + 1
 
 
 def quality_label(mos, policy: QualityPolicy):
@@ -374,9 +366,13 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """The clusters to sample; `policy` places each bona fide MOS band and
+    levels the records, as the training config's policy levels its data."""
+
     dim: int
     clusters: tuple = field(metadata={"many": ClusterSpec})
     seed: int = 0
+    policy: QualityPolicy = field(default_factory=QualityPolicy)
 
     def __post_init__(self):
         object.__setattr__(self, "clusters", tuple(self.clusters))
@@ -396,18 +392,18 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; errors name `spec` or `spec.clusters[i]`."""
+        """Inverse of to_dict; errors name `spec`, `spec.policy` or
+        `spec.clusters[i]`."""
         return from_dict(cls, d, "spec")
 
 
 def _mos_band(band: str, policy: QualityPolicy):
     lo, hi = 1.0, 5.0
-    tau = policy.thresholds[0] if policy.thresholds else 2.5
-    return (lo, tau) if band == "low" else (tau, hi)
+    cut = policy.thresholds[0] if policy.thresholds else 2.5
+    return (lo, cut) if band == "low" else (cut, hi)
 
 
-def generate_synthetic(spec: SyntheticSpec,
-                       policy: QualityPolicy = QualityPolicy()) -> Dataset:
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Sample the configured Gaussian clusters with a seeded generator.
 
     Bona fide records get a synthetic MOS drawn uniformly inside their
@@ -424,7 +420,7 @@ def generate_synthetic(spec: SyntheticSpec,
             raise ConfigError(f"spec.clusters[{ci}]: mean and spread draw a "
                               f"feature beyond the float range")
         if c.label == "bonafide":
-            lo, hi = _mos_band(c.quality_band, policy)
+            lo, hi = _mos_band(c.quality_band, spec.policy)
             # keep a margin off the cut so the band assignment is unambiguous
             width = hi - lo
             mos.append(rng.uniform(lo + 0.02 * width, hi - 0.02 * width,
@@ -435,7 +431,7 @@ def generate_synthetic(spec: SyntheticSpec,
         ids += [f"{c.label}{ci}_{i:04d}" for i in range(c.count)]
     return make_dataset(ids, np.concatenate(X), np.concatenate(y),
                         np.concatenate(mos), np.zeros(len(ids), dtype=bool),
-                        policy)
+                        spec.policy)
 
 
 def balance_augmentation(records: Dataset, fraction: float, noise_scale: float,

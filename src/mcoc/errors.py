@@ -1,8 +1,10 @@
 """Exception hierarchy for the package, the value checks that raise
-ConfigError, and ``from_dict``, the one builder that turns a JSON object
-into a dataclass: every config, the gen spec and the checkpoint. Every
-error raised on purpose is a McocError."""
+ConfigError, ``load_json``, the one reader of a JSON input file, and
+``from_dict``, the one builder that turns a JSON object into a dataclass:
+every config, the gen spec and the checkpoint. Every error raised on
+purpose is a McocError."""
 
+import json
 import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass
@@ -111,6 +113,19 @@ def reals(value, name, ndim):
     except ValueError:
         pass
     raise ConfigError(f"{name} must be {_SHAPES[ndim]}")
+
+
+def load_json(path):
+    """The JSON object in the file at `path`, read as UTF-8; text that does
+    not decode to one is a ConfigError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except UNDECODABLE as exc:
+            raise ConfigError(f"{path!r}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path!r}: expected a JSON object")
+    return obj
 
 
 def from_dict(cls, d, name, complete=False):

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .data import QualityPolicy
-from .errors import (UNDECODABLE, ConfigError, DimMismatch, ZeroNorm, echo,
-                     from_dict, is_int, require)
+from .errors import (ConfigError, DimMismatch, ZeroNorm, echo, from_dict,
+                     is_int, load_json, require)
 from .losses import LossHyper
 from .numerics import ZERO_NORM_EPS, as_rows
 
@@ -237,7 +237,7 @@ def init_head(dim, rng) -> BinaryHead:
     return BinaryHead(weight=rng.normal(0.0, np.sqrt(1.0 / dim), size=dim), bias=0.0)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # how far a loaded centroid row's norm may be from 1; renormalize leaves
@@ -347,9 +347,4 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except UNDECODABLE as exc:
-            raise ConfigError(f"{path!r}: not a JSON checkpoint: {exc}") from exc
-    return Checkpoint.from_dict(d)
+    return Checkpoint.from_dict(load_json(path))

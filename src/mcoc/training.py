@@ -159,8 +159,7 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "seed"):
             value = getattr(self, name)
             require(is_int(value), name, value, "an integer")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        require(self.seed >= 0, "seed", self.seed, ">= 0")
         if self.centroid_init not in CENTROID_INITS:
             raise ConfigError(f"unknown centroid_init {echo(self.centroid_init)}")
         if self.epochs < 1 or self.batch_size < 1:

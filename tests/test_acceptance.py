@@ -333,5 +333,5 @@ def test_quality_labeling_conformance():
     levels = [quality_label(m, policy) for m in grid]
     assert all(a <= b for a, b in zip(levels, levels[1:]))
     assert levels[0] == 0 and levels[-1] == 1
-    ok("quality labeling: boundary mos=tau -> level 1; monotone on a "
+    ok("quality labeling: boundary mos=2.5 -> level 1; monotone on a "
        "1000-point grid")

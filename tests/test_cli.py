@@ -120,7 +120,7 @@ def test_gen_manifest_records_the_policy(workspace):
     # the policy differ in their manifests too, and the recorded spec
     # re-runs the command
     tmp, spec, _ = workspace
-    policy = {"num_levels": 3, "thresholds": [2.0, 3.5], "tau": 3.0}
+    policy = {"thresholds": [2.0, 3.5]}
     run("gen", "--spec", spec, "--out", tmp / "a")
     run("gen", "--spec", spec, "--set", f"policy={json.dumps(policy)}",
         "--out", tmp / "b")
@@ -285,8 +285,7 @@ def _drop_first_mos(record):
                  id="test-feature-count"),
     # 3 centroids do not fit a 2-d embedding; the wce arm has no bank
     pytest.param(None, None,
-                 ['policy={"num_levels": 3, "thresholds": [2.0, 3.5]}',
-                  "encoder.embed_dim=2"],
+                 ['policy={"thresholds": [2.0, 3.5]}', "encoder.embed_dim=2"],
                  "orthogonal centroid_init", id="bank-arms-only"),
     # only the quality arms need it, and the first of them is wce_quality
     pytest.param(_drop_first_mos, None, [],
@@ -461,6 +460,7 @@ def test_export_bins_below_one_exits_2_before_reading(tmp_path, capsys, bins):
     'optimizer.lr="x"', "optimizer.lr=1e999", "optimizer.lr=1" + "0" * 400,
     "optimizer.betas=[0.9]", "optimizer.eps=0", "optimizer.momentum=1",
     'val_fraction="x"', "augment_fraction=-1", 'noise_scale="x"',
+    "seed=-" + "1" * 400,
     'encoder.activation="foo"', "encoder.hidden=[0]", "encoder.embed_dim=1",
     "hyper.m0=0.1", 'hyper.lam="x"', "hyper.foo=1", "policy.num_levels=3",
     "hyper.lam=true", "policy.num_levels=true", 'policy.thresholds=["3"]',
@@ -470,8 +470,11 @@ def test_export_bins_below_one_exits_2_before_reading(tmp_path, capsys, bins):
     # a run that does not end, or a layer too large to hold
     "epochs=10001", "epochs=" + "1" * 400, "encoder.hidden=[4097]",
     "encoder.embed_dim=" + "1" * 400,
-    # seven orthogonal centroids do not fit in the config's 6-d embedding
+    # a policy is its thresholds alone: a num_levels or tau key is unknown
     'policy={"num_levels": 7, "thresholds": [1.5, 2, 2.5, 3, 3.5, 4]}',
+    'policy={"tau": 3.0, "thresholds": [2.5]}',
+    # seven orthogonal centroids do not fit in the config's 6-d embedding
+    'policy={"thresholds": [1.5, 2, 2.5, 3, 3.5, 4]}',
 ])
 def test_bad_train_config_exits_2_before_loading(workspace, capsys, override):
     tmp, _, cfg = workspace
@@ -482,6 +485,7 @@ def test_bad_train_config_exits_2_before_loading(workspace, capsys, override):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert len(err.rstrip("\n")) <= 300, err
 
 
 def _edit_json(change):
@@ -512,12 +516,16 @@ WEIGHTS_2D = "must be a list of equal-length lists of finite numbers"
 
 
 @pytest.mark.parametrize("damage, expected", [
-    pytest.param(_edit_json(lambda d: d.update(version=2)),
-                 "unsupported checkpoint version 2", id="version-2"),
+    pytest.param(_edit_json(lambda d: d.update(version=1)),
+                 "unsupported checkpoint version 1", id="version-1"),
+    pytest.param(_edit_json(lambda d: d.update(version=3)),
+                 "unsupported checkpoint version 3", id="version-3"),
     pytest.param(_edit_json(lambda d: d.update(version=True)),
                  "unsupported checkpoint version True", id="version-true"),
-    pytest.param(lambda text: text[:len(text) // 2], "not a JSON checkpoint",
+    pytest.param(lambda text: text[:len(text) // 2], "invalid JSON",
                  id="truncated-json"),
+    pytest.param(lambda text: "[" + text + "]", "expected a JSON object",
+                 id="not-an-object"),
     pytest.param(_edit_json(lambda d: [row.pop() for row in d["bank"]["weights"]]),
                  "checkpoint bank has shape (2, 5)", id="bank-dim"),
     pytest.param(_edit_json(lambda d: d.update(head={"weight": [0.5] * 5,
@@ -528,11 +536,16 @@ WEIGHTS_2D = "must be a list of equal-length lists of finite numbers"
     pytest.param(_edit_json(lambda d: d["policy"].update(tua=2.5)),
                  "checkpoint.policy: unknown keys ['tua']",
                  id="policy-unknown-key"),
+    pytest.param(_edit_json(lambda d: d["policy"].update(num_levels=2)),
+                 "checkpoint.policy: unknown keys ['num_levels']",
+                 id="policy-num-levels"),
+    pytest.param(_edit_json(lambda d: d["policy"].update(tau=2.5)),
+                 "checkpoint.policy: unknown keys ['tau']", id="policy-tau"),
     pytest.param(_edit_json(lambda d: d.update(policy=[2.5])),
                  "checkpoint.policy must be an object, got [2.5]",
                  id="policy-not-object"),
     pytest.param(lambda text: text.replace('"bias"', '"bi\xffas"', 1),
-                 "not a JSON checkpoint", id="not-utf8"),
+                 "invalid JSON", id="not-utf8"),
     # every parameter value must be a finite JSON number, not coerced
     pytest.param(_edit_json(lambda d: _set_bank(d, True)),
                  f"checkpoint.bank.weights {WEIGHTS_2D}", id="bank-bool"),
@@ -580,9 +593,9 @@ WEIGHTS_2D = "must be a list of equal-length lists of finite numbers"
     pytest.param(_edit_json(lambda d: d["hyper"].pop("alpha")),
                  "checkpoint.hyper: missing keys ['alpha']",
                  id="hyper-no-alpha"),
-    pytest.param(_edit_json(lambda d: d["policy"].pop("num_levels")),
-                 "checkpoint.policy: missing keys ['num_levels']",
-                 id="policy-no-num-levels"),
+    pytest.param(_edit_json(lambda d: d["policy"].pop("thresholds")),
+                 "checkpoint.policy: missing keys ['thresholds']",
+                 id="policy-no-thresholds"),
     pytest.param(_edit_json(lambda d: d.update(hyper={})),
                  "checkpoint.hyper: missing keys ['alpha', 'm0', 'm1', 's', "
                  "'m', 'lam']", id="hyper-empty"),
@@ -727,8 +740,10 @@ def test_training_failure_exits_4(workspace, capsys, overrides, cause):
     pytest.param(None, ["sed=7"], id="unknown-key"),
     pytest.param(lambda d: d["clusters"][2].update(labl="spoof"), [],
                  id="unknown-cluster-key"),
-    pytest.param(None, ['policy={"num_levels": 2, "tua": 2.5}'],
+    pytest.param(None, ['policy={"thresholds": [2.5], "tua": 2.5}'],
                  id="unknown-policy-key"),
+    pytest.param(None, ['policy={"tau": 3.0, "thresholds": [2.5]}'],
+                 id="policy-tau"),
     pytest.param(lambda d: d["clusters"][2].update(label=["spoof"]), [],
                  id="label-list"),
     pytest.param(lambda d: d["clusters"][0].update(mean=[1.7e308] * 6,
@@ -833,9 +848,8 @@ def test_undecodable_json_file_exits_2(workspace, capsys, command, text):
             "score": ["--checkpoint", bad, "--data", data]}[command]
     rc = run(command, *argv, "--out", tmp / "o")
     assert rc == 2
-    what = "not a JSON checkpoint" if command == "score" else "invalid JSON"
     shown = re.escape(repr(str(bad)))
-    assert re.fullmatch(rf"config error: {shown}: {what}: .+\n",
+    assert re.fullmatch(rf"config error: {shown}: invalid JSON: .+\n",
                         capsys.readouterr().err)
 
 
@@ -985,7 +999,7 @@ def test_path_in_a_message_is_whole_on_one_line(workspace, capsys, which,
         "config-not-object": (["train", "--config", path, "--data", data],
                               "expected a JSON object"),
         "checkpoint": (["score", "--checkpoint", path, "--data", data],
-                       "not a JSON checkpoint: "),
+                       "invalid JSON: "),
         "data": (["score", "--checkpoint", ckpt, "--data", path],
                  "5 features per record"),
     }[which]
@@ -1084,6 +1098,26 @@ def test_feature_norm_overflow_is_not_scored_as_zero(workspace, capsys):
     err = capsys.readouterr().err
     assert re.fullmatch(r"divergence: epoch 1, batch \d+: encoder produced a "
                         r"vector of non-finite norm before normalization\n", err)
+
+
+def test_train_without_validation_has_no_val_eer(workspace, capsys):
+    # no validation rows: training runs to the end and every validation EER
+    # is missing, not 0
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "data")
+    capsys.readouterr()
+    rc = run("train", "--config", cfg, "--data", tmp / "data" / "data.jsonl",
+             "--set", "val_fraction=0", "--out", tmp / "run")
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("final val EER: None\n")
+    with open(tmp / "run" / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(row[f"val_eer_{s}"] == "" for row in rows
+               for s in ("ensemble", "max", "head"))
+    report = json.loads((tmp / "run" / "report.json").read_text())
+    assert all(e[f"val_eer_{s}"] is None for e in report["epochs"]
+               for s in ("ensemble", "max", "head"))
 
 
 def _strict_json(text):
@@ -1245,13 +1279,14 @@ def test_fuzzed_scores_csv_gives_exit_code_and_one_line(header, rows):
 
 _SPEC_KEYS = ("dim", "seed", "clusters", "policy")
 _CLUSTER_KEYS = ("count", "mean", "spread", "label", "quality_band")
-_POLICY_KEYS = ("tau", "num_levels", "thresholds")
+_POLICY_KEYS = ("thresholds",)
 # copied, so that an edit never changes a value hypothesis hands out again
 _SPEC_VALUES = (_JSON | st.integers(-1, 8) | st.floats(-1, 3)
                 | st.sampled_from(["bonafide", "spoof", "low", "high",
                                    [1.0] * 6, [0.5, 4.0],
-                                   {"num_levels": 3, "thresholds": [2.0, 3.5]}])
-                | st.dictionaries(st.sampled_from(_POLICY_KEYS + ("taus",)),
+                                   {"thresholds": [2.0, 3.5]}])
+                | st.dictionaries(st.sampled_from(
+                    _POLICY_KEYS + ("tau", "num_levels", "taus")),
                                   st.integers(1, 4) | _JSON, max_size=2)
                 ).map(copy.deepcopy)
 

@@ -3,7 +3,7 @@ dataclass: round trips through to_dict and JSON, and the errors that name
 their section."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -12,7 +12,7 @@ from mcoc.data import (ClusterSpec, QualityPolicy, SyntheticSpec, benchmark_spec
 from mcoc.errors import ECHO_MAX, ConfigError, echo, from_dict
 from mcoc.training import OptimizerConfig, TrainConfig, benchmark_train_config
 
-POLICY_3 = QualityPolicy(num_levels=3, thresholds=(2.0, 3.5))
+POLICY_3 = QualityPolicy(thresholds=(2.0, 3.5))
 
 
 def through_json(d):
@@ -43,6 +43,22 @@ def test_train_config_with_policy_round_trip():
     assert TrainConfig.from_dict(through_json(cfg.to_dict())) == cfg
 
 
+def test_spec_with_policy_round_trip():
+    spec = SyntheticSpec(dim=1, clusters=(ClusterSpec(1, (0.0,), 1.0,
+                                                      "bonafide", "high"),),
+                         policy=POLICY_3)
+    assert spec.to_dict()["policy"] == {"thresholds": (2.0, 3.5)}
+    assert SyntheticSpec.from_dict(through_json(spec.to_dict())) == spec
+
+
+def test_policy_is_its_thresholds():
+    assert [f.name for f in fields(QualityPolicy)] == ["thresholds"]
+    assert QualityPolicy().thresholds == (2.5,)
+    assert QualityPolicy().num_levels == 2
+    assert POLICY_3.num_levels == 3
+    assert QualityPolicy(thresholds=[]).num_levels == 1
+
+
 def test_spec_json_keeps_label_names():
     d = benchmark_spec(3).to_dict()
     assert [c["label"] for c in d["clusters"]] == ["bonafide", "bonafide",
@@ -70,6 +86,13 @@ def _spec(**cluster):
      "config.optimizer: unknown keys ['b', 'lrr']"),
     (lambda: TrainConfig.from_dict({"policy": {"taus": 1}}),
      "config.policy: unknown keys ['taus']"),
+    (lambda: TrainConfig.from_dict({"policy": {"tau": 3.0,
+                                               "thresholds": [2.5]}}),
+     "config.policy: unknown keys ['tau']"),
+    (lambda: TrainConfig.from_dict({"policy": {"num_levels": 2}}),
+     "config.policy: unknown keys ['num_levels']"),
+    (lambda: SyntheticSpec.from_dict({**_spec(), "policy": {"num_levels": 3}}),
+     "spec.policy: unknown keys ['num_levels']"),
     (lambda: TrainConfig.from_dict({"hyper": [1]}),
      "config.hyper must be an object, got [1]"),
     (lambda: TrainConfig.from_dict([]), "config must be an object, got []"),
@@ -93,7 +116,7 @@ def _spec(**cluster):
      "spec.clusters[0]: label must be 'bonafide' or 'spoof', got 1"),
     (lambda: SyntheticSpec.from_dict(_spec(count=2.5)),
      "spec.clusters[0]: count must be an integer >= 1, got 2.5"),
-    (lambda: from_dict(QualityPolicy, {"num_levels": 2, "tua": 3},
+    (lambda: from_dict(QualityPolicy, {"thresholds": [2.5], "tua": 3},
                        "checkpoint.policy"),
      "checkpoint.policy: unknown keys ['tua']"),
     (lambda: SyntheticSpec.from_dict(_spec(mean=[0.0, 0.0])),
@@ -102,7 +125,8 @@ def _spec(**cluster):
         _spec(mean=[1.7e308], spread=1e308, count=50))),
      "spec.clusters[0]: mean and spread draw a feature beyond the float "
      "range"),
-], ids=["top", "section", "policy", "section-not-object", "not-object",
+], ids=["top", "section", "policy", "policy-tau", "policy-num-levels",
+        "spec-policy", "section-not-object", "not-object",
         "spec-top", "cluster-key", "spec-missing", "cluster-missing",
         "cluster-not-object", "no-clusters", "label-list", "label-dict",
         "label-int", "count", "named-policy", "cluster-mean-length",

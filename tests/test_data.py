@@ -99,7 +99,7 @@ def test_quality_label_monotone(a, b):
 
 
 def test_policy_multilevel():
-    p = QualityPolicy(num_levels=3, thresholds=(2.0, 3.5))
+    p = QualityPolicy(thresholds=(2.0, 3.5))
     assert quality_label(1.5, p) == 0
     assert quality_label(2.0, p) == 1
     assert quality_label(3.5, p) == 2
@@ -107,9 +107,9 @@ def test_policy_multilevel():
 
 def test_policy_rejects_bad_thresholds():
     with pytest.raises(ConfigError):
-        QualityPolicy(num_levels=3, thresholds=(3.5, 2.0))
+        QualityPolicy(thresholds=(3.5, 2.0))
     with pytest.raises(ConfigError):
-        QualityPolicy(num_levels=2, thresholds=(0.5,))
+        QualityPolicy(thresholds=(0.5,))
 
 
 def test_load_jsonl_fills_quality(tmp_path):
@@ -316,7 +316,7 @@ def test_clean_file_takes_the_block_path(tmp_path, monkeypatch):
 
 
 def test_jsonl_round_trip(tmp_path):
-    recs = generate_synthetic(benchmark_spec(7), POLICY)
+    recs = generate_synthetic(benchmark_spec(7))
     rng = make_rng(1)
     recs = balance_augmentation(recs, 0.25, 0.1, rng)
     path = tmp_path / "rt.jsonl"
@@ -326,7 +326,7 @@ def test_jsonl_round_trip(tmp_path):
 
 def test_generate_counts_and_quality():
     spec = benchmark_spec(3)
-    recs = generate_synthetic(spec, POLICY)
+    recs = generate_synthetic(spec)
     assert len(recs) == 600
     bona = recs.quality[recs.y == BONAFIDE]
     assert np.sum(bona == 0) == 150
@@ -335,8 +335,8 @@ def test_generate_counts_and_quality():
 
 
 def test_generate_deterministic():
-    a = generate_synthetic(benchmark_spec(5), POLICY)
-    b = generate_synthetic(benchmark_spec(5), POLICY)
+    a = generate_synthetic(benchmark_spec(5))
+    b = generate_synthetic(benchmark_spec(5))
     assert_same(a, b)
 
 
@@ -354,7 +354,7 @@ def test_generate_tight_clusters_recoverable():
         ),
         seed=0,
     )
-    recs = generate_synthetic(spec, POLICY)
+    recs = generate_synthetic(spec)
     M = np.array(means)
     for i, x in enumerate(recs.X):
         nearest = int(np.argmin(np.linalg.norm(M - x, axis=1)))
@@ -362,7 +362,7 @@ def test_generate_tight_clusters_recoverable():
 
 
 def test_take_selects_rows_in_order():
-    recs = generate_synthetic(benchmark_spec(2), POLICY)
+    recs = generate_synthetic(benchmark_spec(2))
     rows = [450, 3, 3, 151]
     part = recs.take(rows)
     assert part.ids == ["spoof3_0000", "bonafide0_0003", "bonafide0_0003",
@@ -420,25 +420,25 @@ def test_balance_matches_per_record_reference(dim, fraction):
 
 
 def test_balance_fraction_exact():
-    recs = generate_synthetic(benchmark_spec(2), POLICY).take(np.arange(100))
+    recs = generate_synthetic(benchmark_spec(2)).take(np.arange(100))
     out = balance_augmentation(recs, 0.4, 0.1, make_rng(0))
     assert np.sum(out.augmented) == 40
 
 
 def test_balance_zero_is_identity():
-    recs = generate_synthetic(benchmark_spec(2), POLICY).take(np.arange(50))
+    recs = generate_synthetic(benchmark_spec(2)).take(np.arange(50))
     assert_same(balance_augmentation(recs, 0.0, 0.1, make_rng(0)), recs)
 
 
 def test_balance_full_forces_low_quality():
-    recs = generate_synthetic(benchmark_spec(2), POLICY).take(np.arange(50))
+    recs = generate_synthetic(benchmark_spec(2)).take(np.arange(50))
     out = balance_augmentation(recs, 1.0, 0.1, make_rng(0))
     assert np.all(out.quality[out.y == BONAFIDE] == 0)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_balance_preserves_quality_invariant(fraction):
-    recs = generate_synthetic(benchmark_spec(4), POLICY).take(np.arange(60))
+    recs = generate_synthetic(benchmark_spec(4)).take(np.arange(60))
     out = balance_augmentation(recs, fraction, 0.2, make_rng(9))
     bona = out.y == BONAFIDE
     assert np.all(out.quality[~bona] == QUALITY_ABSENT)
@@ -446,3 +446,9 @@ def test_balance_preserves_quality_invariant(fraction):
     rated = bona & ~out.augmented
     assert np.array_equal(out.quality[rated],
                           quality_label(out.mos[rated], POLICY))
+
+
+def test_balance_fraction_above_one_is_rejected():
+    recs = generate_synthetic(benchmark_spec(2)).take(np.arange(10))
+    with pytest.raises(ValueError, match=r"fraction must be in \[0, 1\]"):
+        balance_augmentation(recs, 1.5, 0.1, make_rng(0))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcoc.errors import MissingQuality
+from mcoc.errors import DimMismatch, MissingQuality
 from mcoc.losses import (
     Batch,
     LossHyper,
@@ -591,3 +591,8 @@ def test_all_spoof_batch_passes_the_level_check():
     bona, q = _levels(batch, bank)
     assert not bona.any() and q.size == 0
     assert combined_loss(batch, bank, HYPER).diagnostics["quality"] == 0.0
+
+
+def test_batch_labels_must_match_the_rows():
+    with pytest.raises(DimMismatch):
+        Batch(embeddings=np.eye(3), labels=[0, 1], quality=[0, 1, 0])

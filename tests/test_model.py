@@ -329,3 +329,16 @@ def test_pairwise_cosines_upper_triangle_order():
     expected = [sims[i, j] for i in range(4) for j in range(i + 1, 4)]
     assert bank.pairwise_cosines().tolist() == expected
     assert CentroidBank(bank.weights[:1]).pairwise_cosines().shape == (0,)
+
+
+def test_backward_rejects_a_gradient_of_the_wrong_shape():
+    enc = init_encoder(4, (5,), 3, make_rng(0), "tanh")
+    _, cache = enc.forward(make_rng(1).normal(size=(2, 4)))
+    with pytest.raises(DimMismatch, match=r"grad shape \(2, 4\) != \(2, 3\)"):
+        enc.backward(cache, np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("num_centroids, dim", [(0, 4), (2, 1)])
+def test_init_centroids_needs_a_centroid_and_two_dimensions(num_centroids, dim):
+    with pytest.raises(ValueError, match="num_centroids >= 1 and dim >= 2"):
+        init_centroids(num_centroids, dim, "random-unit", make_rng(0))

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from mcoc.errors import DimMismatch, ZeroNorm
 from mcoc.model import CentroidBank
-from mcoc.numerics import (ZERO_NORM_EPS, logsumexp_softmax_rows, make_rng,
-                           softplus_sigmoid)
+from mcoc.numerics import (ZERO_NORM_EPS, as_rows, logsumexp_softmax_rows,
+                           make_rng, softplus_sigmoid)
 
 from numeric_reference import (finite_diff_grad, logsumexp_rows, sigmoid,
                                softmax_rows, softplus)
@@ -180,3 +180,9 @@ def test_rng_determinism():
     a = make_rng(123).normal(size=10)
     b = make_rng(123).normal(size=10)
     assert np.array_equal(a, b)
+
+
+def test_as_rows_makes_a_list_one_float64_row():
+    X = as_rows([1, 2, 3])
+    assert X.shape == (1, 3) and X.dtype == np.float64
+    assert X.tolist() == [[1.0, 2.0, 3.0]]

@@ -26,6 +26,7 @@ from mcoc.scoring import (
     embed,
     export_distributions,
     export_embeddings,
+    head_score,
     read_scores_csv,
     score,
     score_dataset,
@@ -218,8 +219,7 @@ def test_eer_invariant_under_increasing_affine(scale, shift):
 
 @pytest.fixture(scope="module")
 def scored():
-    policy = QualityPolicy()
-    records = generate_synthetic(benchmark_spec(1, train=False), policy)
+    records = generate_synthetic(benchmark_spec(1, train=False))
     encoder = init_encoder(8, (16,), 8, make_rng(0))
     bank = CentroidBank(np.eye(8)[:2])
     report = score_dataset(records, encoder, bank, "ensemble")
@@ -455,6 +455,19 @@ def test_score_matrix_missing_bank_or_head():
         score_matrix(E, "ensemble")
     with pytest.raises(ConfigError):
         score_matrix(E, "head", BANK)
+
+
+def test_score_matrix_unknown_strategy_is_named():
+    with pytest.raises(ValueError, match="unknown strategy 'median'"):
+        score_matrix(np.array([[1.0, 0.0]]), "median", BANK)
+
+
+def test_head_score_is_the_head_row_of_score_matrix():
+    rng = make_rng(3)
+    head = init_head(4, rng)
+    e = rng.normal(size=4)
+    e /= np.linalg.norm(e)
+    assert head_score(e, head) == score_matrix(e[None], "head", head=head)[0]
 
 
 def test_histogram_of_no_scores(tmp_path):
