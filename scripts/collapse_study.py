@@ -8,8 +8,6 @@ Usage: python3 scripts/collapse_study.py [--seeds 1 2 3 4 5]
 
 import argparse
 
-import numpy as np
-
 from mcoc.data import benchmark_spec, generate_synthetic
 from mcoc.scoring import score_dataset
 from mcoc.training import benchmark_train_config, train

@@ -56,6 +56,7 @@ from .training import TrainConfig, check_quality, train
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
+MAX_BINS = 10_000  # export histogram bins; each costs a row of histogram.csv
 
 ABLATION_ARMS = (
     # (arm name, --set overrides of the config, scoring mode)
@@ -254,6 +255,7 @@ def _cmd_ablate(args):
 
 def _cmd_export(args):
     require(args.bins >= 1, "--bins", args.bins, "at least 1")
+    require(args.bins <= MAX_BINS, "--bins", args.bins, f"at most {MAX_BINS}")
     ckpt = load_checkpoint(args.checkpoint)
     records = load_jsonl(args.data, ckpt.policy)
     _require_features(records, ckpt.encoder.input_dim, args.data,

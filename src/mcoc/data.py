@@ -322,20 +322,30 @@ def _require_utf8(line, line_no):
 
 
 def save_jsonl(records: Dataset, path):
-    """Inverse of load_jsonl. Quality is derived state and is not serialized."""
-    # features are converted row by row, so that the Python floats of only
-    # one row exist at a time
-    columns = zip(records.ids, records.X, records.y.tolist(),
-                  records.mos.tolist(), records.augmented.tolist())
+    """Inverse of load_jsonl. Quality is derived state and is not serialized.
+
+    Writes the bytes of one `json.dumps` per record, key order and separators
+    included, for finite values; a feature or present MOS that is not finite
+    is a ValueError naming the first such record, before the file is opened.
+    """
+    mos = records.mos
+    bad = ~np.isfinite(records.X).all(axis=1) | np.isinf(mos)
+    if np.any(bad):
+        raise ValueError(f"record {echo(records.ids[np.argmax(bad)])}: a "
+                         f"feature or MOS is not finite")
+    # json.dumps writes a finite float as its repr; features are converted
+    # row by row, so that the Python floats of only one row exist at a time
+    columns = zip(map(json.dumps, records.ids), records.X,
+                  map(_LABEL_NAMES.__getitem__, records.y.tolist()),
+                  mos.tolist(), records.augmented.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rid, x, label, mos, aug in columns:
-            obj = {"id": rid, "features": x.tolist(),
-                   "label": _LABEL_NAMES[label]}
-            if not math.isnan(mos):
-                obj["mos"] = mos
+        for rid, x, label, m, aug in columns:
+            tail = "" if math.isnan(m) else f', "mos": {m!r}'
             if aug:
-                obj["augmented"] = True
-            fh.write(json.dumps(obj) + "\n")
+                tail += ', "augmented": true'
+            fh.write(f'{{"id": {rid}, "features": '
+                     f'[{", ".join(map(repr, x.tolist()))}], '
+                     f'"label": "{label}"{tail}}}\n')
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,6 +29,8 @@ BLOCK_ROWS = 256
 _SCORE_LABELS = {"": None, **_LABEL_CODES}
 _SCORE_NAMES = {code: name for name, code in _SCORE_LABELS.items()}
 _FLOAT_MAX = np.finfo(np.float64).max
+# a score as repr writes one: sign, digits, fraction and exponent, ASCII only
+_DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 def embed(records: Dataset, encoder: Encoder) -> np.ndarray:
@@ -230,9 +233,10 @@ def write_scores_csv(report: ScoreReport, path):
 
 def read_scores_csv(path):
     """Returns (ids, scores, labels) with labels None where absent. A missing
-    id or score column, a score that is not a finite number and a label
-    other than "", bonafide or spoof, and bytes that are not UTF-8, are
-    ParseErrors naming the line."""
+    id or score column, a score that is not a finite number written as a
+    plain decimal literal (optional sign, digits, optional fraction and
+    exponent, as repr writes it), a label other than "", bonafide or spoof,
+    and bytes that are not UTF-8, are ParseErrors naming the line."""
     ids, scores, labels = [], [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
               newline="") as fh:
@@ -242,10 +246,9 @@ def read_scores_csv(path):
                 if col not in (rows.fieldnames or ()):
                     raise ParseError(1, f"no {col!r} column")
             for row in rows:
-                try:
-                    score = float(row["score"])
-                except (TypeError, ValueError):  # None: the row is too short
-                    score = math.nan
+                text = row["score"]  # None: the row is too short
+                score = (float(text) if text and _DECIMAL.fullmatch(text)
+                         else math.nan)
                 if not math.isfinite(score):
                     raise ParseError(rows.line_num, f"score {echo(row['score'])} "
                                                     f"is not a finite number")

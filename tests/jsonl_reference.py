@@ -1,6 +1,13 @@
-"""Test-only JSONL reader: the one-line-at-a-time `load_jsonl` that the
-block reader in mcoc.data replaced. The block reader must give the same
-Dataset, bit for bit, or raise the same exception with the same message."""
+"""Test-only JSONL reader and writer.
+
+`load_jsonl` is the one-line-at-a-time reader that the block reader in
+mcoc.data replaced. The block reader must give the same Dataset, bit for
+bit, or raise the same exception with the same message.
+
+`save_jsonl` is the one-`json.dumps`-per-record writer that the f-string
+writer in mcoc.data replaced. For finite values both must write the same
+bytes.
+"""
 
 import json
 import math
@@ -8,7 +15,7 @@ from array import array
 
 import numpy as np
 
-from mcoc.data import _LABEL_CODES, QualityPolicy, make_dataset
+from mcoc.data import _LABEL_CODES, _LABEL_NAMES, QualityPolicy, make_dataset
 from mcoc.errors import UNDECODABLE, ParseError, is_real
 
 
@@ -80,3 +87,17 @@ def utf8_lines(fh):
                 byte = ord(line[exc.start]) - 0xDC00
                 raise ParseError(line_no, f"byte 0x{byte:02x} is not UTF-8") from None
         yield line
+
+
+def save_jsonl(records, path):
+    columns = zip(records.ids, records.X, records.y.tolist(),
+                  records.mos.tolist(), records.augmented.tolist())
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for rid, x, label, mos, aug in columns:
+            obj = {"id": rid, "features": x.tolist(),
+                   "label": _LABEL_NAMES[label]}
+            if not math.isnan(mos):
+                obj["mos"] = mos
+            if aug:
+                obj["augmented"] = True
+            fh.write(json.dumps(obj) + "\n")

@@ -30,7 +30,7 @@ from mcoc.losses import (
 )
 from mcoc.model import BinaryHead, CentroidBank, init_centroids, init_encoder
 from mcoc.numerics import make_rng
-from mcoc.scoring import compute_eer, score, score_dataset
+from mcoc.scoring import compute_eer, score_dataset
 from mcoc.training import benchmark_train_config, train
 
 from numeric_reference import finite_diff_grad

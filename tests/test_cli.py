@@ -16,8 +16,7 @@ from mcoc import cli
 from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec
 from mcoc.errors import (ECHO_MAX, ConfigError, DivergenceDetected, EmptyClass,
-                         MissingQuality, MosOutOfRange, ParseError, ZeroNorm,
-                         echo)
+                         MissingQuality, MosOutOfRange, ParseError, ZeroNorm)
 from mcoc.scoring import STRATEGIES, read_scores_csv
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
 
@@ -410,13 +409,29 @@ def test_head_report_matches_eval(workspace):
      "line 3: unknown label 'garbage'"),
     ("id,score\na,0.5\nb," + "1" * 200_000 + "\n",
      "line 3: field larger than field limit (131072)"),
+    # float() reads these, but none is a plain decimal literal
+    ("id,score,label\na,1_0,bonafide\n", "line 2: score '1_0' is not a finite number"),
+    ("id,score,label\na,0.25,spoof\nb, 0.5 ,bonafide\n",
+     "line 3: score ' 0.5 ' is not a finite number"),
+    ("id,score,label\na,\u0661,bonafide\n",
+     "line 2: score '\u0661' is not a finite number"),
 ], ids=["score_abc", "score_nan", "score_inf", "short_row", "no_score_column",
-        "no_id_column", "empty_file", "unknown_label", "field_over_limit"])
+        "no_id_column", "empty_file", "unknown_label", "field_over_limit",
+        "score_underscore", "score_spaces", "score_non_ascii_digit"])
 def test_malformed_scores_csv_exits_1(tmp_path, capsys, text, message):
     scores = tmp_path / "scores.csv"
     scores.write_text(text)
     assert run("eval", "--scores", scores, "--out", tmp_path / "ev") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_scores_csv_reads_every_plain_decimal_form(tmp_path):
+    scores = tmp_path / "scores.csv"
+    texts = ["7", "-0", "+3", "0.25", "-1.5e-07", "1E+16", "2e5",
+             "1.7976931348623157e+308"]
+    scores.write_text("id,score\n" + "".join(f"r{i},{t}\n"
+                                             for i, t in enumerate(texts)))
+    assert read_scores_csv(scores)[1] == list(map(float, texts))
 
 
 def test_eval_skips_rows_without_a_label(tmp_path):
@@ -442,15 +457,17 @@ def test_eval_prints_a_readable_threshold(tmp_path, capsys, bona, spoof,
     assert capsys.readouterr().out == line + "\n"
 
 
-@pytest.mark.parametrize("bins", ["0", "-3"])
+@pytest.mark.parametrize("bins", ["0", "-3", "10001", "1000000000000"])
 def test_export_bins_below_one_exits_2_before_reading(tmp_path, capsys, bins):
-    # the checkpoint does not exist: reading it first would be exit 3
+    # out of [1, MAX_BINS]; the checkpoint does not exist: reading it first
+    # would be exit 3
     rc = run("export", "--checkpoint", tmp_path / "none.json",
              "--data", tmp_path / "none.jsonl", "--bins", bins,
              "--out", tmp_path / "ex")
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"config error: --bins must be at least 1, got {bins}\n"
+    need = "at least 1" if int(bins) < 1 else f"at most {cli.MAX_BINS}"
+    assert err == f"config error: --bins must be {need}, got {bins}\n"
     assert not (tmp_path / "ex").exists()
 
 
@@ -700,23 +717,36 @@ def test_feature_count_mismatch_exits_2(workspace, capsys, command):
                    f"the checkpoint has 6\n")
 
 
-@pytest.mark.parametrize("overrides, cause", [
-    pytest.param(["encoder.hidden=[1]"],
-                 "encoder produced a zero vector before normalization",
-                 id="dead-hidden-layer"),
+ZERO_VECTOR = "encoder produced a zero vector before normalization"
+
+
+@pytest.mark.parametrize("overrides, data, failure", [
+    pytest.param(["encoder.hidden=[1]"], None,
+                 rf"epoch \d+, batch \d+: {ZERO_VECTOR}", id="dead-hidden-layer"),
     pytest.param(["loss=wce", 'optimizer.kind="sgd-momentum"',
-                  "optimizer.lr=1e9"], "loss .* out of bounds", id="lr-1e9"),
+                  "optimizer.lr=1e9"], None,
+                 r"epoch \d+, batch \d+: loss .* out of bounds", id="lr-1e9"),
+    # every bias starts at zero, so a zero row in the first batch embeds to
+    # the zero vector
+    pytest.param([], '{"id": "a", "features": [0, 0, 0, 0, 0, 0], '
+                     '"label": "spoof"}\n',
+                 f"epoch 1, batch 1: {ZERO_VECTOR}", id="all-zero-features"),
 ])
-def test_training_failure_exits_4(workspace, capsys, overrides, cause):
+def test_training_failure_exits_4(workspace, capsys, overrides, data, failure):
     tmp, spec, cfg = workspace
-    run("gen", "--spec", spec, "--out", tmp / "data")
+    path = tmp / "data" / "data.jsonl"
+    if data is None:
+        run("gen", "--spec", spec, "--out", tmp / "data")
+    else:
+        path.parent.mkdir()
+        path.write_text(data)
     sets = [a for o in overrides for a in ("--set", o)]
     capsys.readouterr()
-    rc = run("train", "--config", cfg, "--data", tmp / "data" / "data.jsonl",
-             *sets, "--out", tmp / "run")
+    rc = run("train", "--config", cfg, "--data", path, *sets,
+             "--out", tmp / "run")
     assert rc == 4
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"divergence: epoch \d+, batch \d+: {cause}\n", err), err
+    assert re.fullmatch(rf"divergence: {failure}\n", err), err
 
 
 @pytest.mark.parametrize("edit, overrides", [

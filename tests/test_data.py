@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -322,6 +323,59 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "rt.jsonl"
     save_jsonl(recs, path)
     assert_same(load_jsonl(path, POLICY), recs)
+
+
+ODD_IDS = ['say "hi"', "back\\slash", "ctl\x00\x01\x1f\t\n\r\x7f", "é中😀",
+           "lone\ud800surrogate", ""]
+ODD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-07, 1e+16, 1.7976931348623157e+308,
+              -1.7976931348623157e+308, 0.1, 2.5, 123456789.125]
+
+
+def _same_bytes_as_reference(tmp_path, recs):
+    path, ref = tmp_path / "d.jsonl", tmp_path / "ref.jsonl"
+    save_jsonl(recs, path)
+    jsonl_reference.save_jsonl(recs, ref)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_writer_matches_json_dumps_bytes(tmp_path):
+    n = len(ODD_IDS)
+    X = np.array([np.roll(ODD_FLOATS, i) for i in range(n)])
+    y = [BONAFIDE, SPOOF] * (n // 2)
+    mos = [1.0, np.nan, 5.0, 2.5, np.nan, 4.999999999999999]
+    augmented = [False, True, True, False, False, True]
+    _same_bytes_as_reference(tmp_path, make_dataset(ODD_IDS, X, y, mos,
+                                                    augmented, POLICY))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.text(), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=3, max_size=3),
+    st.sampled_from([BONAFIDE, SPOOF]),
+    st.one_of(st.just(np.nan), st.floats(1.0, 5.0)), st.booleans()),
+    min_size=1, max_size=8, unique_by=lambda r: r[0]))
+def test_writer_matches_json_dumps_bytes_on_any_finite_record(tmp_path_factory,
+                                                              rows):
+    ids, X, y, mos, augmented = zip(*rows)
+    recs = make_dataset(ids, X, y, mos, augmented, POLICY)
+    _same_bytes_as_reference(tmp_path_factory.mktemp("w"), recs)
+
+
+@pytest.mark.parametrize("column,value", [("X", np.inf), ("X", -np.inf),
+                                          ("X", np.nan), ("mos", np.inf),
+                                          ("mos", -np.inf)])
+def test_writer_rejects_a_non_finite_value_before_opening(tmp_path, column,
+                                                          value):
+    recs = random_dataset(5, 3)
+    bad = getattr(recs, column).copy()  # mos is NaN, absent, on spoof rows
+    bad[2, ...] = value
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match=r"^record 'r2': a feature or MOS is "
+                                         r"not finite$"):
+        save_jsonl(dataclasses.replace(recs, **{column: bad}), path)
+    assert path.read_bytes() == b"kept\n"
 
 
 def test_generate_counts_and_quality():

@@ -6,7 +6,6 @@ import pytest
 
 from mcoc.errors import ConfigError, DimMismatch, ZeroNorm
 from mcoc.model import (
-    BinaryHead,
     CentroidBank,
     Checkpoint,
     Encoder,

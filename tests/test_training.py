@@ -7,7 +7,6 @@ import pytest
 from mcoc import training
 from mcoc.data import benchmark_spec, generate_synthetic
 from mcoc.errors import ConfigError, DivergenceDetected
-from mcoc.losses import LossHyper
 from mcoc.model import Checkpoint, save_checkpoint
 from mcoc.numerics import make_rng
 from mcoc.training import (
