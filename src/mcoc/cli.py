@@ -19,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .data import (
     BONAFIDE,
@@ -51,7 +49,7 @@ from .scoring import (
     score_dataset,
     write_scores_csv,
 )
-from .training import TrainConfig, check_quality, train
+from .training import TrainConfig, check_data, train
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -190,8 +188,6 @@ def _cmd_score(args):
 
 def _cmd_eval(args):
     _, scores, labels = read_scores_csv(args.scores)
-    scores = np.asarray(scores)
-    labels = np.array(labels, dtype=object)  # None where a row has none
     bona = scores[labels == BONAFIDE]
     spoof = scores[labels == SPOOF]
     eer, threshold = compute_eer(bona, spoof)
@@ -222,7 +218,7 @@ def _cmd_ablate(args):
     _require_features(test_records, records.X.shape[1], args.test,
                       "the training data")
     for config in configs:
-        check_quality(records, config)
+        check_data(records, config)
     outdir = _outdir(args, "ablate")
     # keyed by the serialized config, not the config: lam 0 and 0.0 compare
     # equal but are written differently into report.json and the checkpoint

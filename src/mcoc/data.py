@@ -325,9 +325,18 @@ def save_jsonl(records: Dataset, path):
     """Inverse of load_jsonl. Quality is derived state and is not serialized.
 
     Writes the bytes of one `json.dumps` per record, key order and separators
-    included, for finite values; a feature or present MOS that is not finite
-    is a ValueError naming the first such record, before the file is opened.
+    included, for finite values. A feature or present MOS that is not finite,
+    and an id that is not UTF-8 text (it holds a lone surrogate), are each a
+    ValueError naming the first such record, before the file is opened.
     """
+    if not "".join(records.ids).isascii():
+        for rid in records.ids:
+            if not rid.isascii():
+                try:
+                    rid.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"record {echo(rid)}: the id holds a lone "
+                                     f"surrogate, which is not UTF-8") from None
     mos = records.mos
     bad = ~np.isfinite(records.X).all(axis=1) | np.isinf(mos)
     if np.any(bad):
@@ -346,6 +355,11 @@ def save_jsonl(records: Dataset, path):
             fh.write(f'{{"id": {rid}, "features": '
                      f'[{", ".join(map(repr, x.tolist()))}], '
                      f'"label": "{label}"{tail}}}\n')
+
+
+# the most feature values a gen spec may draw (total count times dim): more
+# is an array too large to hold
+MAX_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -372,6 +386,9 @@ class ClusterSpec:
         if self.label == "bonafide":
             require(self.quality_band in ("low", "high"), "quality_band",
                     self.quality_band, "'low' or 'high' for a bonafide cluster")
+        else:
+            require(self.quality_band is None, "quality_band",
+                    self.quality_band, "null for a spoof cluster")
 
 
 @dataclass(frozen=True)
@@ -396,6 +413,9 @@ class SyntheticSpec:
             if len(c.mean) != self.dim:
                 raise ConfigError(f"spec.clusters[{i}]: mean has "
                                   f"{len(c.mean)} values, dim is {self.dim}")
+        values = sum(c.count for c in self.clusters) * self.dim
+        require(values <= MAX_VALUES, "spec: total count times dim", values,
+                f"at most {MAX_VALUES}")
 
     def to_dict(self):
         return asdict(self)

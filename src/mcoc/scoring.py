@@ -25,9 +25,9 @@ POLARITY = "higher score = bona fide"
 # block at a time, so scoring memory is bounded by the block size rather
 # than by the number of records.
 BLOCK_ROWS = 256
-# scores.csv labels; empty for a record without one
-_SCORE_LABELS = {"": None, **_LABEL_CODES}
-_SCORE_NAMES = {code: name for name, code in _SCORE_LABELS.items()}
+# the label code read_scores_csv gives an empty label cell
+NO_LABEL = -1
+_SCORE_LABELS = {"": NO_LABEL, **_LABEL_CODES}
 _FLOAT_MAX = np.finfo(np.float64).max
 # a score as repr writes one: sign, digits, fraction and exponent, ASCII only
 _DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
@@ -156,14 +156,15 @@ def compute_eer(bona_scores, spoof_scores):
 
 @dataclass
 class ScoreReport:
+    """Scores (float64) and labels (int64) of the records `ids`, as arrays."""
+
     strategy: str
     ids: list
-    scores: list
-    labels: list  # per-record label or None
+    scores: np.ndarray
+    labels: np.ndarray
     eer: Optional[float] = None
     threshold: Optional[float] = None
     class_stats: dict = field(default_factory=dict)
-    polarity: str = POLARITY
 
     def to_dict(self):
         return {
@@ -171,7 +172,7 @@ class ScoreReport:
             "eer": self.eer,
             "threshold": self.threshold,
             "class_stats": self.class_stats,
-            "polarity": self.polarity,
+            "polarity": POLARITY,
             "num_scored": len(self.scores),
         }
 
@@ -180,8 +181,8 @@ def build_report(records: Dataset, scores: np.ndarray,
                  strategy: str) -> ScoreReport:
     """Score report of the records; EER is filled in when both classes are
     present, and class_stats for each class that is."""
-    report = ScoreReport(strategy=strategy, ids=records.ids,
-                         scores=scores.tolist(), labels=records.y.tolist())
+    report = ScoreReport(strategy=strategy, ids=records.ids, scores=scores,
+                         labels=records.y)
     bona_mask = records.y == BONAFIDE
     bona, spoof = scores[bona_mask], scores[~bona_mask]
     if bona.size and spoof.size:
@@ -223,20 +224,21 @@ def _csv_field(text):
 
 
 def write_scores_csv(report: ScoreReport, path):
-    """One line per record: id, score, label ("" when absent), strategy."""
+    """One line per record: id, score, label, strategy."""
+    names = map(_LABEL_NAMES.__getitem__, report.labels.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,score,label,strategy\n")
-        for i, s, lab in zip(report.ids, report.scores, report.labels):
-            fh.write(f"{_csv_field(i)},{float(s)!r},{_SCORE_NAMES[lab]},"
-                     f"{report.strategy}\n")
+        for i, s, name in zip(report.ids, report.scores.tolist(), names):
+            fh.write(f"{_csv_field(i)},{s!r},{name},{report.strategy}\n")
 
 
 def read_scores_csv(path):
-    """Returns (ids, scores, labels) with labels None where absent. A missing
-    id or score column, a score that is not a finite number written as a
-    plain decimal literal (optional sign, digits, optional fraction and
-    exponent, as repr writes it), a label other than "", bonafide or spoof,
-    and bytes that are not UTF-8, are ParseErrors naming the line."""
+    """Returns (ids, scores, labels): a list, a float64 array and an int64
+    array, NO_LABEL where a label is absent. A missing id or score column, a
+    score that is not a finite number written as a plain decimal literal
+    (optional sign, digits, optional fraction and exponent, as repr writes
+    it), a label other than "", bonafide or spoof, and bytes that are not
+    UTF-8, are ParseErrors naming the line."""
     ids, scores, labels = [], [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
               newline="") as fh:
@@ -260,21 +262,20 @@ def read_scores_csv(path):
                 labels.append(_SCORE_LABELS[label])
         except csv.Error as exc:  # a field over the size limit; line_num lags
             raise ParseError(rows.reader.line_num, str(exc)) from exc
-    return ids, scores, labels
+    return ids, np.array(scores, np.float64), np.array(labels, np.int64)
 
 
 def export_distributions(report: ScoreReport, path, bins: int = 30):
     """Histogram CSV over [min, max] of all scores ([0, 1] when there are
     none): bin_low, bin_high, bona_count, spoof_count. Counts sum to the
     number of scored records."""
-    arr = np.asarray(report.scores, dtype=np.float64)
-    lab = np.asarray(report.labels)
+    arr, bona = report.scores, report.labels == BONAFIDE
     lo, hi = (float(np.min(arr)), float(np.max(arr))) if arr.size else (0.0, 0.0)
     if lo == hi:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
-    bona_counts, _ = np.histogram(arr[lab == BONAFIDE], bins=edges)
-    spoof_counts, _ = np.histogram(arr[lab != BONAFIDE], bins=edges)
+    bona_counts, _ = np.histogram(arr[bona], bins=edges)
+    spoof_counts, _ = np.histogram(arr[~bona], bins=edges)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["bin_low", "bin_high", "bona_count", "spoof_count"])

@@ -10,10 +10,13 @@ branch.
 ``TrainConfig`` and its sections check every value when they are built:
 known names for the loss, optimizer, activation and centroid init; JSON
 integers for batch_size, epochs, seed and the encoder widths, with epochs
-at most MAX_EPOCHS and each width at most MAX_WIDTH; finite
-numbers in range for the optimizer settings, fractions, noise scale and
-class weights; and that orthogonal centroids fit in the embedding. A bad
-value is a ``ConfigError`` (CLI exit 2) before any data is read.
+at most MAX_EPOCHS, each width at most MAX_WIDTH and the weights of the
+encoder's layers past the first at most MAX_WEIGHTS; finite numbers in
+range for the optimizer settings, fractions, noise scale and class weights;
+and that orthogonal centroids fit in the embedding. A bad value is a
+``ConfigError`` (CLI exit 2) before any data is read. ``check_data`` then
+bounds the first layer's weights by the same MAX_WEIGHTS, once the data's
+width is known.
 
 Everything is driven by one seeded generator in a fixed call order, so a
 config plus seed pins the produced checkpoint byte for byte.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
@@ -112,10 +116,12 @@ class OptimizerConfig:
                 "optimizer.momentum", self.momentum, "a number in [0, 1)")
 
 
-# the most epochs and the widest encoder layer a config may ask for: more is
-# a run that does not end, or a weight matrix too large to hold
+# the most epochs, the widest encoder layer and the most weights a config
+# may ask for: more is a run that does not end, or weights too large to hold.
+# MAX_WEIGHTS bounds the first layer and, together, the layers past it.
 MAX_EPOCHS = 10_000
 MAX_WIDTH = 4096
+MAX_WEIGHTS = MAX_WIDTH ** 2
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,10 @@ class EncoderConfig:
         require(is_int(self.embed_dim) and 2 <= self.embed_dim <= MAX_WIDTH,
                 "encoder.embed_dim", self.embed_dim,
                 f"an integer in [2, {MAX_WIDTH}]")
+        widths = (*self.hidden, self.embed_dim)
+        weights = sum(map(operator.mul, widths, widths[1:]))
+        require(weights <= MAX_WEIGHTS, "encoder: the weights past the first "
+                "layer", weights, f"at most {MAX_WEIGHTS}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {echo(self.activation)}")
 
@@ -317,10 +327,17 @@ def _val_eers(encoder, bank, head, X_val, bona):
     return tuple(out)
 
 
-def check_quality(records: Dataset, config: TrainConfig):
-    """MissingQuality naming the first bona fide record without a quality
+def check_data(records: Dataset, config: TrainConfig):
+    """ConfigError when the encoder's first layer, from the records' width
+    to the first configured width, has more than MAX_WEIGHTS weights; then
+    MissingQuality naming the first bona fide record without a quality
     level, when the configured loss reads quality levels. Checked on the
     whole set, so the answer does not depend on the seeded split."""
+    dim = records.X.shape[1]
+    first = (*config.encoder.hidden, config.encoder.embed_dim)[0]
+    require(dim * first <= MAX_WEIGHTS, f"the first encoder layer's weights "
+            f"({dim} features times {first})", dim * first,
+            f"at most {MAX_WEIGHTS}")
     if OBJECTIVES[config.loss].needs_quality:
         require_quality(records, records.y == BONAFIDE,
                         f"{config.loss} loss needs mos on bona fide records")
@@ -337,7 +354,7 @@ def train(records: Dataset, config: TrainConfig):
     if n_val == len(records):
         raise ConfigError(f"no training records: {n_val} of {n_val} go to "
                           f"validation (val_fraction {config.val_fraction})")
-    check_quality(records, config)
+    check_data(records, config)
     rng = make_rng(config.seed)
 
     # split, then augment the training part only

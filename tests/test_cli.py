@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcoc import cli
+from mcoc import cli, training
 from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec
 from mcoc.errors import (ECHO_MAX, ConfigError, DivergenceDetected, EmptyClass,
@@ -383,16 +383,21 @@ def test_ids_that_need_quoting_round_trip(workspace):
         assert [r["id"] for r in csv.DictReader(fh)] == QUOTED_IDS
 
 
-def test_head_report_matches_eval(workspace):
-    tmp, data, ckpt = trained(workspace, "loss=wce")
+@pytest.mark.parametrize("loss, strategy", [("multi_centroid", "max"),
+                                            ("multi_centroid", "ensemble"),
+                                            ("wce", "head")])
+def test_report_matches_eval(workspace, loss, strategy):
+    # the scores go from score's arrays through scores.csv into eval's
+    tmp, data, ckpt = trained(workspace, f"loss={loss}")
     assert run("score", "--checkpoint", ckpt, "--data", data,
-               "--strategy", "head", "--out", tmp / "sc") == 0
+               "--strategy", strategy, "--out", tmp / "sc") == 0
     assert run("eval", "--scores", tmp / "sc" / "scores.csv",
                "--out", tmp / "ev") == 0
     report = json.loads((tmp / "sc" / "report.json").read_text())
     summary = json.loads((tmp / "ev" / "summary.json").read_text())
     assert set(report["class_stats"]) == {"bonafide", "spoof"}
     assert report["class_stats"]["bonafide"]["count"] == summary["num_bonafide"]
+    assert report["class_stats"]["spoof"]["count"] == summary["num_spoof"]
     assert report["eer"] == summary["eer"]
 
 
@@ -431,7 +436,7 @@ def test_scores_csv_reads_every_plain_decimal_form(tmp_path):
              "1.7976931348623157e+308"]
     scores.write_text("id,score\n" + "".join(f"r{i},{t}\n"
                                              for i, t in enumerate(texts)))
-    assert read_scores_csv(scores)[1] == list(map(float, texts))
+    assert read_scores_csv(scores)[1].tolist() == list(map(float, texts))
 
 
 def test_eval_skips_rows_without_a_label(tmp_path):
@@ -486,7 +491,7 @@ def test_export_bins_below_one_exits_2_before_reading(tmp_path, capsys, bins):
     "epochs", "seed.x=1", "hyper.lam=-1",
     # a run that does not end, or a layer too large to hold
     "epochs=10001", "epochs=" + "1" * 400, "encoder.hidden=[4097]",
-    "encoder.embed_dim=" + "1" * 400,
+    "encoder.embed_dim=" + "1" * 400, "encoder.hidden=[4096,4096,4096]",
     # a policy is its thresholds alone: a num_levels or tau key is unknown
     'policy={"num_levels": 7, "thresholds": [1.5, 2, 2.5, 3, 3.5, 4]}',
     'policy={"tau": 3.0, "thresholds": [2.5]}',
@@ -779,6 +784,11 @@ def test_training_failure_exits_4(workspace, capsys, overrides, data, failure):
     pytest.param(lambda d: d["clusters"][0].update(mean=[1.7e308] * 6,
                                                    spread=1e308), [],
                  id="features-overflow"),
+    # more values than memory holds: refused before any is drawn
+    pytest.param(lambda d: d["clusters"][0].update(count=10**12), [],
+                 id="count-huge"),
+    pytest.param(lambda d: d["clusters"][2].update(quality_band="banana"), [],
+                 id="spoof-quality-band"),
 ])
 def test_bad_gen_spec_exits_2(workspace, capsys, edit, overrides):
     tmp, spec, _ = workspace
@@ -790,6 +800,29 @@ def test_bad_gen_spec_exits_2(workspace, capsys, edit, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp / "data" / "data.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_first_layer_over_the_weight_bound_exits_2(workspace, monkeypatch,
+                                                   capsys, command):
+    # 5,000 features into a first layer of 4,096 are more weights than the
+    # bound; refused once the data is read, before any weight is drawn
+    tmp, _, cfg = workspace
+    wide = tmp / "wide.jsonl"
+    wide.write_text(json.dumps({"id": "a", "features": [1.0] * 5000,
+                                "label": "bonafide", "mos": 4.0}) + "\n")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a weight was drawn")
+
+    monkeypatch.setattr(training, "init_encoder", fail)
+    test = ["--test", wide] if command == "ablate" else []
+    rc = run(command, "--config", cfg, "--data", wide, *test,
+             "--set", "encoder.hidden=[4096]", "--out", tmp / "o")
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: the first encoder layer's weights (5000 features "
+        "times 4096) must be at most 16777216, got 20480000\n")
 
 
 def _with_bad_byte(path, line):
@@ -1345,6 +1378,14 @@ def _gen_specs(draw):
     return spec
 
 
+def _spoof_with_band(spec):
+    """Whether a spoof cluster of the spec sets a quality band."""
+    clusters = spec.get("clusters")
+    return isinstance(clusters, list) and any(
+        isinstance(c, dict) and c.get("label") == "spoof"
+        and c.get("quality_band") is not None for c in clusters)
+
+
 def _unknown_keys(spec):
     """Every key of the spec, its clusters and its policy that no
     dataclass declares."""
@@ -1371,5 +1412,5 @@ def test_fuzzed_gen_spec_exits_0_or_2(spec):
                               "--out", os.path.join(tmp, "data"))
     assert rc in (0, 2), (spec, err)
     assert err.count("\n") == (rc != 0), err
-    if _unknown_keys(spec):
+    if _unknown_keys(spec) or _spoof_with_band(spec):
         assert rc == 2, (spec, err)

@@ -7,8 +7,8 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from mcoc.data import (ClusterSpec, QualityPolicy, SyntheticSpec, benchmark_spec,
-                       generate_synthetic)
+from mcoc.data import (MAX_VALUES, ClusterSpec, QualityPolicy, SyntheticSpec,
+                       benchmark_spec, generate_synthetic)
 from mcoc.errors import ECHO_MAX, ConfigError, echo, from_dict
 from mcoc.training import OptimizerConfig, TrainConfig, benchmark_train_config
 
@@ -125,12 +125,18 @@ def _spec(**cluster):
         _spec(mean=[1.7e308], spread=1e308, count=50))),
      "spec.clusters[0]: mean and spread draw a feature beyond the float "
      "range"),
+    (lambda: SyntheticSpec.from_dict(_spec(quality_band="banana")),
+     "spec.clusters[0]: quality_band must be null for a spoof cluster, got "
+     "'banana'"),
+    (lambda: SyntheticSpec.from_dict(_spec(count=MAX_VALUES + 1)),
+     f"spec: total count times dim must be at most {MAX_VALUES}, got "
+     f"{MAX_VALUES + 1}"),
 ], ids=["top", "section", "policy", "policy-tau", "policy-num-levels",
         "spec-policy", "section-not-object", "not-object",
         "spec-top", "cluster-key", "spec-missing", "cluster-missing",
         "cluster-not-object", "no-clusters", "label-list", "label-dict",
         "label-int", "count", "named-policy", "cluster-mean-length",
-        "cluster-overflow"])
+        "cluster-overflow", "spoof-quality-band", "values-bound"])
 def test_errors_name_their_section(build, message):
     with pytest.raises(ConfigError) as info:
         build()

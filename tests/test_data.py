@@ -325,8 +325,7 @@ def test_jsonl_round_trip(tmp_path):
     assert_same(load_jsonl(path, POLICY), recs)
 
 
-ODD_IDS = ['say "hi"', "back\\slash", "ctl\x00\x01\x1f\t\n\r\x7f", "é中😀",
-           "lone\ud800surrogate", ""]
+ODD_IDS = ['say "hi"', "back\\slash", "ctl\x00\x01\x1f\t\n\r\x7f", "é中😀", ""]
 ODD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-07, 1e+16, 1.7976931348623157e+308,
               -1.7976931348623157e+308, 0.1, 2.5, 123456789.125]
 
@@ -341,9 +340,9 @@ def _same_bytes_as_reference(tmp_path, recs):
 def test_writer_matches_json_dumps_bytes(tmp_path):
     n = len(ODD_IDS)
     X = np.array([np.roll(ODD_FLOATS, i) for i in range(n)])
-    y = [BONAFIDE, SPOOF] * (n // 2)
-    mos = [1.0, np.nan, 5.0, 2.5, np.nan, 4.999999999999999]
-    augmented = [False, True, True, False, False, True]
+    y = ([BONAFIDE, SPOOF] * n)[:n]
+    mos = [1.0, np.nan, 5.0, 2.5, 4.999999999999999]
+    augmented = [False, True, True, False, True]
     _same_bytes_as_reference(tmp_path, make_dataset(ODD_IDS, X, y, mos,
                                                     augmented, POLICY))
 
@@ -375,6 +374,20 @@ def test_writer_rejects_a_non_finite_value_before_opening(tmp_path, column,
     with pytest.raises(ValueError, match=r"^record 'r2': a feature or MOS is "
                                          r"not finite$"):
         save_jsonl(dataclasses.replace(recs, **{column: bad}), path)
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_writer_rejects_an_id_that_is_not_utf8_before_opening(tmp_path):
+    # load_jsonl refuses such an id, so no file that holds one is written
+    recs = make_dataset(["é", "lone\ud800surrogate"], [[1.0], [2.0]],
+                        [BONAFIDE, SPOOF], [np.nan, np.nan], [False, False],
+                        POLICY)
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match=r"^record 'lone\\ud800surrogate': "
+                                         r"the id holds a lone surrogate, "
+                                         r"which is not UTF-8$"):
+        save_jsonl(recs, path)
     assert path.read_bytes() == b"kept\n"
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from mcoc.data import (
     BONAFIDE,
     QUALITY_ABSENT,
+    SPOOF,
     QualityPolicy,
     benchmark_spec,
     generate_synthetic,
@@ -20,6 +21,7 @@ from mcoc.model import CentroidBank, init_centroids, init_encoder, init_head
 from mcoc.numerics import make_rng
 from mcoc.scoring import (
     BLOCK_ROWS,
+    NO_LABEL,
     STRATEGIES,
     build_report,
     compute_eer,
@@ -236,7 +238,8 @@ def test_score_dataset_summary(scored):
 def test_score_dataset_deterministic(scored):
     records, encoder, bank, report = scored
     again = score_dataset(records, encoder, bank, "ensemble")
-    assert again.scores == report.scores and again.eer == report.eer
+    assert np.array_equal(again.scores, report.scores)
+    assert again.eer == report.eer
 
 
 def test_score_dataset_takes_head_by_keyword(scored):
@@ -260,8 +263,23 @@ def test_scores_csv_round_trip(tmp_path, scored):
     write_scores_csv(report, path)
     ids, scores, labels = read_scores_csv(path)
     assert ids == report.ids
-    assert scores == report.scores  # repr() round-trips float64 exactly
-    assert labels == report.labels
+    assert scores.dtype == np.float64 and labels.dtype == np.int64
+    assert np.array_equal(scores, report.scores)  # repr() round-trips float64
+    assert np.array_equal(labels, report.labels)
+
+
+def test_read_scores_csv_gives_arrays(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("id,score,label\na,0.5,bonafide\nb,-1.0,\nc,2.0,spoof\n")
+    ids, scores, labels = read_scores_csv(path)
+    assert ids == ["a", "b", "c"]
+    assert scores.dtype == np.float64 and scores.tolist() == [0.5, -1.0, 2.0]
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [BONAFIDE, NO_LABEL, SPOOF]
+    path.write_text("id,score,label\n")
+    _, scores, labels = read_scores_csv(path)
+    assert (scores.dtype, scores.shape) == (np.float64, (0,))
+    assert (labels.dtype, labels.shape) == (np.int64, (0,))
 
 
 def test_histogram_counts_conserved(tmp_path, scored):
@@ -310,7 +328,7 @@ def reference_scores_csv(report, path):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["id", "score", "label", "strategy"])
         for i, s, lab in zip(report.ids, report.scores, report.labels):
-            name = "" if lab is None else ("bonafide" if lab == BONAFIDE else "spoof")
+            name = "bonafide" if lab == BONAFIDE else "spoof"
             w.writerow([i, repr(float(s)), name, report.strategy])
 
 
@@ -340,11 +358,10 @@ def odd_records(records, ids):
 
 def write_both(tmp_path, scored, ids):
     """[(new, reference) bytes of scores.csv, the same of embeddings.csv]
-    for the records renamed `ids`; one record has no label in scores.csv."""
+    for the records renamed `ids`."""
     records, encoder, bank, _ = scored
     odd = odd_records(records, ids)
     report = score_dataset(odd, encoder, bank, "ensemble")
-    report.labels[1] = None
     scores, ref_scores, emb, ref_emb = (
         tmp_path / name for name in ("scores.csv", "ref_scores.csv",
                                      "embeddings.csv", "ref_embeddings.csv"))
@@ -425,7 +442,7 @@ def test_blocked_scores_repeat_bitwise(wide, strategy):
     records, encoder, bank, head, policy = wide
     a = score_dataset(records, encoder, bank, strategy, head=head)
     b = score_dataset(records, encoder, bank, strategy, head=head)
-    assert a.scores == b.scores and a.eer == b.eer
+    assert a.scores.tobytes() == b.scores.tobytes() and a.eer == b.eer
 
 
 def test_embed_matches_one_row_forward(wide):

@@ -299,6 +299,13 @@ def test_epochs_and_widths_are_bounded_from_above():
     with pytest.raises(ConfigError, match=r"^encoder\.embed_dim must be an "
                                           r"integer in \[2, 4096\]"):
         EncoderConfig(embed_dim=training.MAX_WIDTH + 1)
+    # the widest layer alone is at the weight bound; a second one passes it
+    width = training.MAX_WIDTH
+    EncoderConfig(hidden=(width // 2,) * 4, embed_dim=2)
+    with pytest.raises(ConfigError, match=r"^encoder: the weights past the "
+                                          r"first layer must be at most "
+                                          r"16777216, got 16793600$"):
+        EncoderConfig(hidden=(width, width), embed_dim=4)
 
 
 def test_config_round_trip_and_unknown_keys():
