@@ -49,7 +49,8 @@ from .scoring import (
     score_dataset,
     write_scores_csv,
 )
-from .training import TrainConfig, check_data, train
+from .training import (LOSS_KINDS, OBJECTIVES, TrainConfig, check_data,
+                       train)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -156,12 +157,21 @@ def _cmd_train(args):
     outdir = _outdir(args, "train")
     _write_trained(outdir, report, ckpt)
     _write_manifest(outdir, "train", config.to_dict(), seed=config.seed)
-    last = report.epochs[-1]
-    eer = last.val_eer_ensemble if last.val_eer_ensemble is not None \
-        else last.val_eer_head
+    strategy = OBJECTIVES[config.loss].strategy
+    eer = getattr(report.epochs[-1], f"val_eer_{strategy}")
     print(f"trained {config.loss} for {config.epochs} epochs; "
           f"final val EER: {eer}")
     return 0
+
+
+def _strategy(args, ckpt):
+    """--strategy if given, else the strategy of the loss the checkpoint
+    names, else ensemble."""
+    if args.strategy is not None:
+        return args.strategy
+    loss = ckpt.metadata.get("loss")
+    # a tuple test, since a hand-written loss may be any JSON value
+    return OBJECTIVES[loss].strategy if loss in LOSS_KINDS else "ensemble"
 
 
 def _score_records(records, ckpt, strategy, embeddings=None):
@@ -171,17 +181,18 @@ def _score_records(records, ckpt, strategy, embeddings=None):
 
 def _cmd_score(args):
     ckpt = load_checkpoint(args.checkpoint)
+    strategy = _strategy(args, ckpt)
     records = load_jsonl(args.data, ckpt.policy)
     _require_features(records, ckpt.encoder.input_dim, args.data,
                       "the checkpoint")
-    report = _score_records(records, ckpt, args.strategy)
+    report = _score_records(records, ckpt, strategy)
     outdir = _outdir(args, "score")
     write_scores_csv(report, os.path.join(outdir, "scores.csv"))
     _write_json(os.path.join(outdir, "report.json"), report.to_dict())
     _write_manifest(outdir, "score",
                     {"checkpoint": args.checkpoint, "data": args.data,
-                     "strategy": args.strategy})
-    print(f"scored {len(report.scores)} records (strategy={args.strategy}, "
+                     "strategy": strategy})
+    print(f"scored {len(report.scores)} records (strategy={strategy}, "
           f"{POLARITY}); EER: {report.eer}")
     return 0
 
@@ -253,18 +264,19 @@ def _cmd_export(args):
     require(args.bins >= 1, "--bins", args.bins, "at least 1")
     require(args.bins <= MAX_BINS, "--bins", args.bins, f"at most {MAX_BINS}")
     ckpt = load_checkpoint(args.checkpoint)
+    strategy = _strategy(args, ckpt)
     records = load_jsonl(args.data, ckpt.policy)
     _require_features(records, ckpt.encoder.input_dim, args.data,
                       "the checkpoint")
     E = embed(records, ckpt.encoder)
-    report = _score_records(records, ckpt, args.strategy, embeddings=E)
+    report = _score_records(records, ckpt, strategy, embeddings=E)
     outdir = _outdir(args, "export")
     export_distributions(report, os.path.join(outdir, "histogram.csv"),
                          bins=args.bins)
     export_embeddings(records, E, os.path.join(outdir, "embeddings.csv"))
     _write_manifest(outdir, "export",
                     {"checkpoint": args.checkpoint, "data": args.data,
-                     "strategy": args.strategy, "bins": args.bins})
+                     "strategy": strategy, "bins": args.bins})
     print(f"exported histogram and embeddings for {len(records)} records")
     return 0
 
@@ -302,7 +314,8 @@ def build_parser():
     p = sub.add_parser("score", help="score a dataset with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--strategy", default="ensemble", choices=STRATEGIES)
+    p.add_argument("--strategy", choices=STRATEGIES,
+                   help="default: the one the checkpoint's loss trained for")
     common(p)
     p.set_defaults(func=_cmd_score)
 
@@ -321,7 +334,8 @@ def build_parser():
     p = sub.add_parser("export", help="export histogram and embedding CSVs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--strategy", default="ensemble", choices=STRATEGIES)
+    p.add_argument("--strategy", choices=STRATEGIES,
+                   help="default: the one the checkpoint's loss trained for")
     p.add_argument("--bins", type=int, default=30)
     common(p)
     p.set_defaults(func=_cmd_export)

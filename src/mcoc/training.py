@@ -62,30 +62,38 @@ class Objective(NamedTuple):
     """One training arm. ``bank_size(policy)`` is its centroid count (None:
     no bank); ``needs_quality`` says whether its loss reads the quality
     level of every bona fide sample; ``loss(batch, bank, head, config)``
-    returns the LossOutput."""
+    returns the LossOutput; ``strategy`` is the scoring strategy of the part
+    its loss teaches to separate the classes."""
 
     bank_size: Optional[Callable[[QualityPolicy], int]]
     has_head: bool
     needs_quality: bool
     loss: Callable[..., LossOutput]
+    strategy: str
 
 
 # The losses are looked up by their module-level names at call time, so a
 # wrapper installed on those names (a tracer, a test) sees every call.
+# A WCE loss teaches only the head to separate the classes (wce_quality's
+# bank learns quality alone), so those arms score with the head.
 OBJECTIVES = {
     "multi_centroid": Objective(
         lambda policy: policy.num_levels, False, True,
-        lambda batch, bank, head, c: combined_loss(batch, bank, c.hyper)),
+        lambda batch, bank, head, c: combined_loss(batch, bank, c.hyper),
+        "ensemble"),
     "single_centroid": Objective(
         lambda policy: 1, False, False,
-        lambda batch, bank, head, c: oc_softmax_loss(batch, bank, c.hyper)),
+        lambda batch, bank, head, c: oc_softmax_loss(batch, bank, c.hyper),
+        "ensemble"),
     "wce": Objective(
         None, True, False,
-        lambda batch, bank, head, c: wce_loss(batch, head, c.class_weights)),
+        lambda batch, bank, head, c: wce_loss(batch, head, c.class_weights),
+        "head"),
     "wce_quality": Objective(
         lambda policy: policy.num_levels, True, True,
         lambda batch, bank, head, c: wce_quality_loss(
-            batch, bank, head, c.hyper, c.class_weights)),
+            batch, bank, head, c.hyper, c.class_weights),
+        "head"),
 }
 LOSS_KINDS = tuple(OBJECTIVES)
 OPTIMIZER_KINDS = ("adam", "sgd-momentum")
@@ -343,13 +351,18 @@ def check_data(records: Dataset, config: TrainConfig):
                         f"{config.loss} loss needs mos on bona fide records")
 
 
+# numpy's overflow and invalid-value warnings are off: a value that leaves
+# the float range ends as a non-finite loss, norm or centroid, which the
+# checks below report as a divergence in one line
+@np.errstate(over="ignore", invalid="ignore")
 def train(records: Dataset, config: TrainConfig):
     """Run the configured arm end to end. Returns (report, checkpoint).
 
     A split that leaves no record to train on is a ConfigError, raised
-    before any training. A zero vector from the encoder or a collapsed
-    centroid, and a loss out of bounds, raise DivergenceDetected naming the
-    epoch and the batch (both counted from 1)."""
+    before any training. A zero or non-finite vector from the encoder or a
+    collapsed centroid, and a loss out of bounds, raise DivergenceDetected
+    naming the epoch and the batch (both counted from 1), or the epoch when
+    the validation pass meets it."""
     n_val = int(round(config.val_fraction * len(records)))
     if n_val == len(records):
         raise ConfigError(f"no training records: {n_val} of {n_val} go to "
@@ -436,8 +449,11 @@ def train(records: Dataset, config: TrainConfig):
             total_ql += out.diagnostics.get("quality", 0.0) * nb
             seen += nb
 
-        eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, val.X,
-                                               val_bona)
+        try:
+            eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, val.X,
+                                                   val_bona)
+        except ZeroNorm as exc:
+            raise DivergenceDetected(f"epoch {epoch}, validation: {exc}") from exc
         cosines = bank.pairwise_cosines() if bank is not None else np.array([])
         report.epochs.append(EpochMetrics(
             epoch=epoch,

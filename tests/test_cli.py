@@ -330,6 +330,69 @@ def trained(workspace, *overrides):
     return tmp, tmp / "data" / "data.jsonl", tmp / "run" / "checkpoint.json"
 
 
+@pytest.mark.parametrize("loss, strategy", [
+    ("multi_centroid", "ensemble"), ("single_centroid", "ensemble"),
+    ("wce", "head"), ("wce_quality", "head")])
+def test_train_prints_the_eer_of_its_objectives_strategy(workspace, capsys,
+                                                         loss, strategy):
+    tmp, _, _ = trained(workspace, f"loss={loss}")
+    with open(tmp / "run" / "metrics.csv", newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert capsys.readouterr().out.endswith(
+        f"final val EER: {last[f'val_eer_{strategy}']}\n")
+
+
+def _outputs(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["score", "export"])
+@pytest.mark.parametrize("loss, strategy", [
+    ("multi_centroid", "ensemble"), ("wce", "head"), ("wce_quality", "head")])
+def test_default_strategy_is_the_one_the_loss_trained(workspace, loss,
+                                                      strategy, command):
+    # a wce_quality bank never learns to separate the classes, and a wce
+    # checkpoint has no bank: both score with their head unless told not to
+    tmp, data, ckpt = trained(workspace, f"loss={loss}")
+    assert run(command, "--checkpoint", ckpt, "--data", data,
+               "--out", tmp / "default") == 0
+    assert run(command, "--checkpoint", ckpt, "--data", data,
+               "--strategy", strategy, "--out", tmp / "given") == 0
+    assert _outputs(tmp / "default") == _outputs(tmp / "given")
+    manifest = json.loads((tmp / "default" / "manifest.json").read_text())
+    assert manifest["resolved"]["strategy"] == strategy
+
+
+@pytest.mark.parametrize("loss", [None, "mystery", ["wce"]])
+def test_a_checkpoint_naming_no_known_loss_scores_ensemble(workspace, capsys,
+                                                            loss):
+    tmp, data, ckpt = trained(workspace, "loss=wce_quality")
+    doc = json.loads(ckpt.read_text())
+    if loss is None:
+        del doc["metadata"]["loss"]
+    else:
+        doc["metadata"]["loss"] = loss
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("score", "--checkpoint", ckpt, "--data", data,
+               "--out", tmp / "sc") == 0
+    assert "(strategy=ensemble, " in capsys.readouterr().out
+
+
+def test_an_explicit_strategy_wins(workspace, capsys):
+    tmp, data, ckpt = trained(workspace, "loss=wce_quality")
+    capsys.readouterr()
+    assert run("score", "--checkpoint", ckpt, "--data", data,
+               "--strategy", "max", "--out", tmp / "sc") == 0
+    assert "(strategy=max, " in capsys.readouterr().out
+    # a wce checkpoint has no bank, so asking for one is still a config error
+    tmp, data, ckpt = trained(workspace, "loss=wce")
+    assert run("score", "--checkpoint", ckpt, "--data", data,
+               "--strategy", "ensemble", "--out", tmp / "sc2") == 2
+    assert capsys.readouterr().err == ("config error: ensemble strategy needs "
+                                       "a centroid bank\n")
+
+
 def test_labeled_needs_a_centroid_per_level(workspace, capsys):
     tmp, data, ckpt = trained(workspace, "loss=single_centroid")
     # the spoof records carry no MOS, so keep the bona fide ones (both levels)
@@ -723,6 +786,7 @@ def test_feature_count_mismatch_exits_2(workspace, capsys, command):
 
 
 ZERO_VECTOR = "encoder produced a zero vector before normalization"
+NON_FINITE = "encoder produced a vector of non-finite norm before normalization"
 
 
 @pytest.mark.parametrize("overrides, data, failure", [
@@ -736,6 +800,19 @@ ZERO_VECTOR = "encoder produced a zero vector before normalization"
     pytest.param([], '{"id": "a", "features": [0, 0, 0, 0, 0, 0], '
                      '"label": "spoof"}\n',
                  f"epoch 1, batch 1: {ZERO_VECTOR}", id="all-zero-features"),
+    # valid values at the edge of the float range: numpy's overflow warnings
+    # stay quiet, and the checks that see the non-finite values report them
+    pytest.param(["epochs=2", "noise_scale=1e308"], None,
+                 f"epoch 1, batch 1: {NON_FINITE}", id="noise-1e308"),
+    pytest.param(["epochs=2", "optimizer.lr=1e308"], None,
+                 rf"epoch 1, batch \d+: {NON_FINITE}", id="lr-1e308"),
+    pytest.param(["epochs=2", "hyper.s=1e308"], None,
+                 r"epoch 1, batch 1: loss inf out of bounds", id="s-1e308"),
+    pytest.param(["epochs=2", "hyper.alpha=1e308"], None,
+                 r"epoch 1, batch 1: loss inf out of bounds", id="alpha-1e308"),
+    # one step per epoch: the blow-up first shows in the validation pass
+    pytest.param(["epochs=2", "optimizer.lr=1e308", "batch_size=1000"], None,
+                 f"epoch 1, validation: {NON_FINITE}", id="lr-1e308-one-step"),
 ])
 def test_training_failure_exits_4(workspace, capsys, overrides, data, failure):
     tmp, spec, cfg = workspace

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mcoc.data
 from mcoc.data import (
     BLOCK_LINES,
     BONAFIDE,
@@ -314,6 +316,184 @@ def test_clean_file_takes_the_block_path(tmp_path, monkeypatch):
     assert_same(load_jsonl(path, POLICY), recs)
     path.write_bytes(path.read_bytes()[:-1])  # no newline after the last line
     assert_same(load_jsonl(path, POLICY), recs)
+
+
+def _force_split(monkeypatch, ranges):
+    """Make load_jsonl cut every file into up to `ranges` ranges."""
+    monkeypatch.setattr("mcoc.data.SPLIT_BYTES", 0)
+    monkeypatch.setattr("mcoc.parallel.usable_cpus", lambda: ranges)
+
+
+def _split_outcome(path):
+    """_outcome of load_jsonl, which must leave no child process behind."""
+    outcome = _outcome(load_jsonl, path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return outcome
+
+
+def _reference_outcome(path):
+    return _outcome(jsonl_reference.load_jsonl, path)
+
+
+def _range_starts(path):
+    """The line numbers, counted by newline bytes, on which the second and
+    later ranges of a split read of `path` start."""
+    with open(path, "rb") as fh:
+        cuts = mcoc.data._cuts(fh.fileno()) or [0, 0]
+        raw = fh.read()
+    return [raw[:cut].count(b"\n") + 1 for cut in cuts[1:-1]]
+
+
+def _count_reads(monkeypatch):
+    """A list that grows by one with each read, by this process, of a whole
+    file or range."""
+    reads, read = [], mcoc.data._read
+
+    def counted(fh):
+        reads.append(1)
+        return read(fh)
+
+    monkeypatch.setattr("mcoc.data._read", counted)
+    return reads
+
+
+def test_split_matches_line_reader_at_the_cut(tmp_path, monkeypatch):
+    # each case just after or just before the cut (both, where the case
+    # lands there), and inside the later range; the hypothesis test below
+    # cuts into up to 4 ranges
+    _force_split(monkeypatch, 2)
+    start, = _range_starts(_odd_file(tmp_path / "plain.jsonl", []))
+    for name, case in ODD_LINES.items():
+        # the case moves the cut a little: find where it lands next to it
+        sides = set()
+        for line_no in range(start - len(case) - 3, start + 4):
+            path = _odd_file(tmp_path / f"{name}.jsonl", [(name, line_no)])
+            cut_at = _range_starts(path)
+            side = (line_no in cut_at) - (line_no + len(case) in cut_at)
+            if side and side not in sides:
+                sides.add(side)
+                assert (_split_outcome(path)
+                        == _reference_outcome(path)), (name, line_no)
+        assert sides, f"{name} never lands next to the cut"
+        path = _odd_file(tmp_path / f"{name}.jsonl", [(name, BLOCK_LINES + 1)])
+        # the 100 kB line draws every cut to its end
+        assert name == "deep" or _range_starts(path)[0] <= BLOCK_LINES + 1
+        assert _split_outcome(path) == _reference_outcome(path), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases=st.lists(st.tuples(st.sampled_from(sorted(ODD_LINES)),
+                                st.integers(1, BLOCK_LINES + 8)), max_size=3),
+       seed=st.integers(0, 2**16), crlf=st.booleans(),
+       final_newline=st.booleans(), ranges=st.integers(2, 4))
+def test_split_reader_matches_line_reader(tmp_path_factory, cases, seed, crlf,
+                                          final_newline, ranges):
+    path = _odd_file(tmp_path_factory.mktemp("odd") / "d.jsonl", cases, seed,
+                     crlf, final_newline)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp, ranges)
+        assert _split_outcome(path) == _reference_outcome(path)
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False],
+                         ids=["final-newline", "no-final-newline"])
+def test_split_joins_the_ranges_of_a_clean_file(tmp_path, monkeypatch, crlf,
+                                                final_newline):
+    _force_split(monkeypatch, 3)
+    path = _odd_file(tmp_path / "d.jsonl", [], crlf=crlf,
+                     final_newline=final_newline)
+    assert len(_range_starts(path)) == 2
+    reads = _count_reads(monkeypatch)
+    assert _split_outcome(path) == _reference_outcome(path)
+    assert len(reads) == 1  # the first range only: nothing was read again
+
+
+# a last line that only the joined columns show to be bad
+LAST_LINES = {
+    "duplicate-id": _record("r3"),  # r3 is on line 4 of every _odd_file
+    "feature-count": _record("z1", (0.1, 0.2, 0.3)),
+    "mos-out-of-range": _record("z2", label="bonafide", mos=9.0),
+}
+
+
+@pytest.mark.parametrize("name", LAST_LINES)
+def test_split_error_in_the_last_range_is_the_line_readers(tmp_path,
+                                                           monkeypatch, name):
+    _force_split(monkeypatch, 2)
+    path = _odd_file(tmp_path / "d.jsonl", [])
+    path.write_bytes(path.read_bytes() + LAST_LINES[name] + b"\n")
+    outcome = _split_outcome(path)
+    assert outcome == _reference_outcome(path)
+    assert outcome[0] in (ParseError, MosOutOfRange)
+
+
+def test_split_ranges_that_disagree_on_the_feature_count(tmp_path,
+                                                        monkeypatch):
+    # each range is whole in itself, so only the join sees the mismatch: a
+    # long last line of 2 features draws the cut to its end
+    _force_split(monkeypatch, 2)
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"".join(_record(f"a{i}") + b"\n" for i in range(20))
+                     + _record("a" * 5000) + b"\n"
+                     + b"".join(_record(f"b{i}", (0.1, 0.2, 0.3)) + b"\n"
+                                for i in range(40)))
+    assert _range_starts(path) == [22]
+    outcome = _split_outcome(path)
+    assert outcome == _reference_outcome(path)
+    assert outcome == (ParseError, "line 22: 3 features, the first record "
+                                   "has 2")
+
+
+def test_a_file_of_bare_cr_line_ends_is_read_whole(tmp_path, monkeypatch):
+    _force_split(monkeypatch, 2)
+    path = _odd_file(tmp_path / "d.jsonl", [])
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    assert _range_starts(path) == []
+    reads = _count_reads(monkeypatch)
+    assert _split_outcome(path) == _reference_outcome(path)
+    assert len(reads) == 1 and len(_reference_outcome(path)[0]) > BLOCK_LINES
+
+
+def test_a_child_that_dies_gives_the_serial_result(tmp_path, monkeypatch):
+    _force_split(monkeypatch, 2)
+    path = _odd_file(tmp_path / "d.jsonl", [])
+    parent, read_range = os.getpid(), mcoc.data._read_range
+
+    def dies_in_the_child(task):
+        if os.getpid() != parent:
+            os._exit(0)
+        return read_range(task)
+
+    monkeypatch.setattr("mcoc.data._read_range", dies_in_the_child)
+    reads = _count_reads(monkeypatch)
+    assert _split_outcome(path) == _reference_outcome(path)
+    assert len(reads) == 2  # the first range, then the whole file
+
+
+@pytest.mark.parametrize("ranges, below", [(1, False), (4, True)],
+                         ids=["one-cpu", "below-threshold"])
+def test_no_fork_on_one_cpu_or_below_the_threshold(tmp_path, monkeypatch,
+                                                   ranges, below):
+    path = _odd_file(tmp_path / "d.jsonl", [])
+    size = path.stat().st_size
+    monkeypatch.setattr("mcoc.parallel.usable_cpus", lambda: ranges)
+    monkeypatch.setattr("mcoc.data.SPLIT_BYTES", size + below)
+    forks = []
+
+    def no_fork():  # fails as a fork past the process limit does
+        forks.append(1)
+        raise BlockingIOError("fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _split_outcome(path) == _reference_outcome(path)
+    assert forks == []
+    # a file of exactly SPLIT_BYTES splits where more than one CPU is usable,
+    # and is read whole when the fork fails
+    monkeypatch.setattr("mcoc.data.SPLIT_BYTES", size)
+    assert _split_outcome(path) == _reference_outcome(path)
+    assert forks == [1] * (ranges > 1)
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -4,10 +4,15 @@ No pyflakes is at hand, so this parses each module with `ast`. A name
 counts as read when it is loaded anywhere in the file, in any scope, or
 named in `__all__`. Package `__init__.py` files re-export what they import
 and are left out, as is `from __future__ import annotations`.
+
+Also: importing the CLI loads no process-pool module.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +66,17 @@ def test_no_unused_imports(path):
 ])
 def test_unused_imports_finds_what_is_never_read(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # load_jsonl forks with os and pickle alone: multiprocessing or
+    # concurrent.futures would add their import time to every command
+    code = "import sys, mcoc.cli; print(*sorted(sys.modules))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    assert "mcoc.parallel" in loaded
+    assert [m for m in loaded
+            if m.split(".")[0] in ("multiprocessing", "concurrent")] == []
