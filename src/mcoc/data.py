@@ -53,13 +53,16 @@ _LABEL_CODES = {v: k for k, v in _LABEL_NAMES.items()}
 # faster: loading a 4,000-record 64-d file raised peak resident memory by
 # 3.3 MiB with blocks of 64 lines and by 4.4 MiB with blocks of 256.
 BLOCK_LINES = 64
-# the smallest regular file that load_jsonl splits across the usable CPUs.
-# A fork costs a few milliseconds, and the caller's writes after it take
-# page faults. Timed as whole `score` and `export` calls in a 52 MB process
-# on 2 CPUs (8 alternated rounds, each call's second run after a first),
-# 8-d and 64-d files of 1.3-1.4 MB ran as fast split as whole (split faster
-# in 3-4 of 8), files of 2.1 MB were split faster in 3-7 of 8, and files of
-# 2.9-5.5 MB in 4-8 of 8 (score of 5.5 MB of 64-d records: 192 -> 144 ms).
+# the smallest regular file that load_jsonl splits across the usable CPUs;
+# a file is cut into at most one range per half of it, so each range holds
+# about SPLIT_BYTES / 2 or more. A fork costs a few milliseconds, and the
+# caller's writes after it take page faults. Timed as whole `score` and
+# `export` calls in a 52 MB process on 2 CPUs (8 alternated rounds, each
+# call's second run after a first), 8-d and 64-d files of 1.3-1.4 MB ran as
+# fast split as whole (split faster in 3-4 of 8), files of 2.1 MB were split
+# faster in 3-7 of 8, and files of 2.9-5.5 MB in 4-8 of 8 (score of 5.5 MB
+# of 64-d records: 192 -> 144 ms). Only 2 ranges were timed; the 3 or more
+# ranges of 1 MiB or more that larger files get on more CPUs are untimed.
 SPLIT_BYTES = 2 << 20
 _scan = json.JSONDecoder().scan_once  # (value, end) of the JSON at an index
 
@@ -222,12 +225,13 @@ def _read_split(fd):
 
 def _cuts(fd):
     """Offsets [0, ..., size] that cut the file open at `fd` into up to one
-    range per usable CPU, each but the last ending just after a newline
-    byte; None when fewer than two ranges come out, or the file is not a
-    regular file of at least SPLIT_BYTES."""
+    range per usable CPU and per half SPLIT_BYTES, each but the last
+    ending just after a newline byte; None when fewer than two ranges come
+    out, or the file is not a regular file of at least SPLIT_BYTES."""
     info = os.fstat(fd)
-    size, ranges = info.st_size, parallel.usable_cpus()
-    if not stat.S_ISREG(info.st_mode) or size < SPLIT_BYTES or ranges < 2:
+    size = info.st_size
+    ranges = min(parallel.usable_cpus(), 2 * size // SPLIT_BYTES)
+    if not stat.S_ISREG(info.st_mode) or ranges < 2:
         return None
     cuts = [0]
     for k in range(1, ranges):

@@ -28,17 +28,15 @@ def usable_cpus():
 
 def fork_map(fn, tasks):
     """[fn(task) for task in tasks], the first computed here and each other
-    in a forked child; None for a child that fails. At most usable_cpus()
-    tasks, so that no more processes run than there are CPUs to run them;
-    an exception of the first task propagates, after the children are
-    reaped. In a child, fn must take no lock another thread may hold."""
+    in a forked child; None for a child that fails. One process runs per
+    task, so the caller keeps to usable_cpus() tasks; an exception of the
+    first task propagates, after the children are reaped. In a child, fn
+    must take no lock another thread may hold."""
     tasks = list(tasks)
-    if len(tasks) > usable_cpus():
-        raise ValueError(f"{len(tasks)} tasks, {usable_cpus()} usable CPUs")
     children = []  # (pid, read end of its pipe)
     try:
         for task in tasks[1:]:
-            children.append(_fork(fn, task))
+            children.append(_fork(fn, task, [pipe for _, pipe in children]))
         results = [fn(tasks[0])]
         for _, pipe in children:
             try:
@@ -47,16 +45,21 @@ def fork_map(fn, tasks):
                 results.append(None)
         return results
     finally:
-        for pid, pipe in children:
-            pipe.close()  # a child still writing gets EPIPE and leaves
+        # every pipe first: a child still writing gets EPIPE and leaves,
+        # whatever order the children end in
+        for _, pipe in children:
+            pipe.close()
+        for pid, _ in children:
             try:
                 os.waitpid(pid, 0)
             except ChildProcessError:  # reaped already (SIGCHLD ignored)
                 pass
 
 
-def _fork(fn, task):
-    """(pid, pipe) of a child that writes pickle(fn(task)) to the pipe."""
+def _fork(fn, task, earlier):
+    """(pid, pipe) of a child that writes pickle(fn(task)) to the pipe; the
+    child closes the pipes `earlier` of its elder siblings, so that each
+    pipe's only reader is the caller."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -77,6 +80,8 @@ def _fork(fn, task):
         code = 1
         try:
             os.close(r)
+            for pipe in earlier:
+                pipe.close()
             with open(w, "wb") as pipe:
                 pickle.dump(fn(task), pipe, pickle.HIGHEST_PROTOCOL)
             code = 0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_clean_file_takes_the_block_path(tmp_path, monkeypatch):
 
 def _force_split(monkeypatch, ranges):
     """Make load_jsonl cut every file into up to `ranges` ranges."""
-    monkeypatch.setattr("mcoc.data.SPLIT_BYTES", 0)
+    monkeypatch.setattr("mcoc.data.SPLIT_BYTES", 1)
     monkeypatch.setattr("mcoc.parallel.usable_cpus", lambda: ranges)
 
 
@@ -408,6 +409,43 @@ def test_split_joins_the_ranges_of_a_clean_file(tmp_path, monkeypatch, crlf,
     reads = _count_reads(monkeypatch)
     assert _split_outcome(path) == _reference_outcome(path)
     assert len(reads) == 1  # the first range only: nothing was read again
+
+
+@pytest.mark.parametrize("cpus, split_bytes, ranges",
+                         [(3, 1, 3), (8, 1, 8), (8, "size", 2),
+                          (8, "half", 4), (1, 1, 1)])
+def test_one_range_per_usable_cpu_and_per_half_the_threshold(
+        tmp_path, monkeypatch, cpus, split_bytes, ranges):
+    path = _odd_file(tmp_path / "d.jsonl", [])
+    size = path.stat().st_size
+    split_bytes = {"size": size, "half": size // 2}.get(split_bytes,
+                                                        split_bytes)
+    monkeypatch.setattr("mcoc.data.SPLIT_BYTES", split_bytes)
+    monkeypatch.setattr("mcoc.parallel.usable_cpus", lambda: cpus)
+    with open(path, "rb") as fh:
+        cuts = mcoc.data._cuts(fh.fileno())
+    assert (len(cuts) - 1 if cuts else 1) == ranges  # None: read whole
+
+
+def test_a_bad_first_range_with_large_later_ranges(tmp_path, monkeypatch,
+                                                  hang_guard):
+    # the first range raises here while the children still write columns
+    # that overfill their pipes
+    _force_split(monkeypatch, 3)
+    lines = [b"{oops"] + [_record(f"r{i}", (0.25,) * 8)
+                          for i in range(9_000)]
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with open(path, "rb") as fh:
+        cuts = mcoc.data._cuts(fh.fileno())
+        assert len(cuts) == 4
+        for start, end in zip(cuts[1:-1], cuts[2:]):  # a pipe holds 64 KiB
+            columns = mcoc.data._read_range((fh.fileno(), start, end))
+            assert len(pickle.dumps(columns)) > 1 << 16
+    reads = _count_reads(monkeypatch)
+    assert _split_outcome(path) == _reference_outcome(path)
+    assert _reference_outcome(path)[0] is ParseError
+    assert len(reads) == 2  # the first range, then the whole file
 
 
 # a last line that only the joined columns show to be bad

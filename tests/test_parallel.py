@@ -3,15 +3,12 @@ import warnings
 
 import pytest
 
-from mcoc import parallel
 from mcoc.parallel import fork_map, usable_cpus
 
 
 @pytest.fixture(autouse=True)
-def cpus(monkeypatch):
-    """Three usable CPUs, whatever the host has; no child may outlive a
-    test."""
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+def no_child_left():
+    """No child may outlive a test."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -47,6 +44,20 @@ def test_the_first_task_raises_after_every_child_is_reaped():
         fork_map(task, [0, 1, 2])
 
 
+def test_the_first_task_raises_while_its_siblings_write_large_results(
+        hang_guard):
+    # each child's result overfills its pipe, so the children are still
+    # writing when the first task raises; each later child was forked while
+    # the pipes of the earlier ones were open here
+    def task(n):
+        if n == 0:
+            raise KeyError(n)
+        return bytes([n]) * (1 << 20)
+
+    with pytest.raises(KeyError):
+        fork_map(task, [0, 1, 2, 3])
+
+
 def test_a_large_result_crosses_the_pipe():
     # far more than a pipe holds, read while the child still writes
     out = fork_map(lambda n: bytes([n]) * (1 << 20), [1, 2])
@@ -70,16 +81,7 @@ def test_the_fork_warning_about_threads_is_kept_quiet(monkeypatch):
     assert fork_map(abs, [-1, -2, -3]) == [1, 2, 3]
 
 
-def test_no_more_tasks_than_usable_cpus(monkeypatch):
-    forks = []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1))
-    with pytest.raises(ValueError, match="^4 tasks, 3 usable CPUs$"):
-        fork_map(str, range(4))
-    assert forks == []
-
-
 def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
-    monkeypatch.undo()  # the real usable_cpus
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5},
                         raising=False)
     assert usable_cpus() == 2
