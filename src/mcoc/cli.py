@@ -3,7 +3,9 @@
 Config-file-first: gen, train and ablate read a JSON spec or config and
 accept repeated ``--set key=value`` overrides with dotted paths and
 ``--seed``; score, eval and export take neither. Every run writes a
-manifest.json with the resolved inputs, so it can be re-run bit-identically.
+manifest.json with the resolved inputs and the seed, so it can be re-run
+bit-identically; ablate's holds its config as given, which each arm
+patches, and the seed all of its arms trained with.
 
 Exit codes, one exception class each: 0 ok, 2 config error (ConfigError,
 of which MissingQuality is one), 3 I/O error (OSError), 4 training
@@ -58,12 +60,12 @@ EXIT_DIVERGENCE = 4
 MAX_BINS = 10_000  # export histogram bins; each costs a row of histogram.csv
 
 ABLATION_ARMS = (
-    # (arm name, --set overrides of the config, scoring mode)
-    ("wce", ["loss=wce"], "head"),
-    ("wce_quality", ["loss=wce_quality"], "head"),
-    ("multi_centroid", ["loss=multi_centroid"], "ensemble"),
-    ("multi_centroid_no_quality",
-     ["loss=multi_centroid", "hyper.lam=0.0"], "ensemble"),
+    # (arm name, --set overrides of the config, scoring strategy; None: the
+    # one its loss trains for, OBJECTIVES[loss].strategy)
+    ("wce", ["loss=wce"], None),
+    ("wce_quality", ["loss=wce_quality"], None),
+    ("multi_centroid", ["loss=multi_centroid"], None),
+    ("multi_centroid_no_quality", ["loss=multi_centroid", "hyper.lam=0.0"], None),
     ("multi_centroid_max_score", ["loss=multi_centroid"], "max"),
 )
 
@@ -164,14 +166,20 @@ def _cmd_train(args):
     return 0
 
 
-def _strategy(args, ckpt):
-    """--strategy if given, else the strategy of the loss the checkpoint
-    names, else ensemble."""
-    if args.strategy is not None:
-        return args.strategy
+def _scoring_inputs(args):
+    """(checkpoint, strategy, records) of score and export: the strategy is
+    --strategy if given, else the one of the loss the checkpoint names,
+    else ensemble; the records of --data must have the checkpoint's feature
+    count."""
+    ckpt = load_checkpoint(args.checkpoint)
     loss = ckpt.metadata.get("loss")
     # a tuple test, since a hand-written loss may be any JSON value
-    return OBJECTIVES[loss].strategy if loss in LOSS_KINDS else "ensemble"
+    strategy = args.strategy or (OBJECTIVES[loss].strategy
+                                 if loss in LOSS_KINDS else "ensemble")
+    records = load_jsonl(args.data, ckpt.policy)
+    _require_features(records, ckpt.encoder.input_dim, args.data,
+                      "the checkpoint")
+    return ckpt, strategy, records
 
 
 def _score_records(records, ckpt, strategy, embeddings=None):
@@ -180,11 +188,7 @@ def _score_records(records, ckpt, strategy, embeddings=None):
 
 
 def _cmd_score(args):
-    ckpt = load_checkpoint(args.checkpoint)
-    strategy = _strategy(args, ckpt)
-    records = load_jsonl(args.data, ckpt.policy)
-    _require_features(records, ckpt.encoder.input_dim, args.data,
-                      "the checkpoint")
+    ckpt, strategy, records = _scoring_inputs(args)
     report = _score_records(records, ckpt, strategy)
     outdir = _outdir(args, "score")
     write_scores_csv(report, os.path.join(outdir, "scores.csv"))
@@ -219,7 +223,9 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     """Every arm's config and both inputs are checked before the first
     training; arms whose resolved configs are written the same share one
-    training."""
+    training. The manifest holds the config as given, after --set and
+    --seed (each arm patches it, so it is resolved per arm), and the seed
+    every arm trained with: the arms patch only the loss and hyper.lam."""
     base = _config_dict(args.config, args)
     configs = [TrainConfig.from_dict(_apply_overrides(copy.deepcopy(base), sets))
                for _, sets, _ in ABLATION_ARMS]
@@ -243,6 +249,7 @@ def _cmd_ablate(args):
         arm_dir = os.path.join(outdir, arm)
         os.makedirs(arm_dir, exist_ok=True)
         _write_trained(arm_dir, report, ckpt)
+        strategy = strategy or OBJECTIVES[config.loss].strategy
         sreport = _score_records(test_records, ckpt, strategy)
         write_scores_csv(sreport, os.path.join(arm_dir, "scores.csv"))
         rows.append((arm, config.loss, strategy, sreport.eer))
@@ -256,18 +263,14 @@ def _cmd_ablate(args):
         w.writerows(rows)
     _write_manifest(outdir, "ablate",
                     {"config": base, "data": args.data, "test": args.test},
-                    seed=base.get("seed"))
+                    seed=configs[0].seed)
     return 0
 
 
 def _cmd_export(args):
     require(args.bins >= 1, "--bins", args.bins, "at least 1")
     require(args.bins <= MAX_BINS, "--bins", args.bins, f"at most {MAX_BINS}")
-    ckpt = load_checkpoint(args.checkpoint)
-    strategy = _strategy(args, ckpt)
-    records = load_jsonl(args.data, ckpt.policy)
-    _require_features(records, ckpt.encoder.input_dim, args.data,
-                      "the checkpoint")
+    ckpt, strategy, records = _scoring_inputs(args)
     E = embed(records, ckpt.encoder)
     report = _score_records(records, ckpt, strategy, embeddings=E)
     outdir = _outdir(args, "export")

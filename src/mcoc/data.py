@@ -175,7 +175,8 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
     Lines are read BLOCK_LINES at a time. A block is taken whole when every
     line parses cleanly and each column passes one test; any other block is
     read again line by line, which words every error and accepts the rare
-    valid rows that the column tests leave out.
+    valid rows that the column tests leave out (integer features or mos, a
+    non-ASCII id).
 
     A regular file of at least SPLIT_BYTES is cut into one range of whole
     lines per usable CPU, each read as above, the first here and each other
@@ -227,7 +228,9 @@ def _cuts(fd):
     """Offsets [0, ..., size] that cut the file open at `fd` into up to one
     range per usable CPU and per half SPLIT_BYTES, each but the last
     ending just after a newline byte; None when fewer than two ranges come
-    out, or the file is not a regular file of at least SPLIT_BYTES."""
+    out (as when lines end in a bare carriage return, so that no newline
+    byte follows a cut), or the file is not a regular file of at least
+    SPLIT_BYTES."""
     info = os.fstat(fd)
     size = info.st_size
     ranges = min(parallel.usable_cpus(), 2 * size // SPLIT_BYTES)
@@ -372,15 +375,11 @@ class _Columns:
             m, aug = obj.get("mos"), obj.get("augmented", False)
             if not isinstance(rid, str):
                 raise ParseError(line_no, f"id must be a string, got {echo(rid)}")
-            if not rid.isascii():
-                # a JSON escape can name a lone surrogate, which no UTF-8
-                # output (scores.csv, embeddings.csv) can hold
-                try:
-                    rid.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(line_no, f"id {echo(rid)} holds a lone "
-                                              f"surrogate, which is not "
-                                              f"UTF-8") from None
+            # a JSON escape can name a lone surrogate, which no UTF-8
+            # output (scores.csv, embeddings.csv) can hold
+            if not rid.isascii() and _not_utf8(rid) is not None:
+                raise ParseError(line_no, f"id {echo(rid)} holds a lone "
+                                          f"surrogate, which is not UTF-8")
             if rid in self.first_seen:
                 raise ParseError(line_no, f"duplicate id {echo(rid)} (first on "
                                           f"line {self.first_seen[rid]})")
@@ -429,30 +428,39 @@ def utf8_lines(fh):
 def _require_utf8(line, line_no):
     """Raise a ParseError naming `line_no` if `line` holds a byte that is
     not UTF-8, read as a lone surrogate under errors="surrogateescape"."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00
-            raise ParseError(line_no, f"byte 0x{byte:02x} is not UTF-8") from None
+    if not line.isascii() and (i := _not_utf8(line)) is not None:
+        raise ParseError(line_no, f"byte 0x{ord(line[i]) - 0xDC00:02x} is not "
+                                  f"UTF-8")
+
+
+def _not_utf8(text):
+    """The index of the first character of `text` that UTF-8 cannot encode
+    (a lone surrogate), or None. Its callers test isascii() first, so an
+    ASCII line or id pays no call."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return None
 
 
 def save_jsonl(records: Dataset, path):
     """Inverse of load_jsonl. Quality is derived state and is not serialized.
 
     Writes the bytes of one `json.dumps` per record, key order and separators
-    included, for finite values. A feature or present MOS that is not finite,
-    and an id that is not UTF-8 text (it holds a lone surrogate), are each a
-    ValueError naming the first such record, before the file is opened.
+    included, for finite values; json.dumps escapes every non-ASCII character
+    of an id, so the file is ASCII, as load_jsonl's block path takes it. A
+    feature or present MOS that is not finite, and an id that is not UTF-8
+    text (it holds a lone surrogate), are each a ValueError naming the first
+    such record, before the file is opened. No command reaches either: gen
+    checks that its features are finite and names its records in ASCII, and
+    make_dataset range-checks every MOS.
     """
     if not "".join(records.ids).isascii():
         for rid in records.ids:
-            if not rid.isascii():
-                try:
-                    rid.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ValueError(f"record {echo(rid)}: the id holds a lone "
-                                     f"surrogate, which is not UTF-8") from None
+            if not rid.isascii() and _not_utf8(rid) is not None:
+                raise ValueError(f"record {echo(rid)}: the id holds a lone "
+                                 f"surrogate, which is not UTF-8")
     mos = records.mos
     bad = ~np.isfinite(records.X).all(axis=1) | np.isinf(mos)
     if np.any(bad):

@@ -116,8 +116,9 @@ def reals(value, name, ndim):
 
 
 def load_json(path):
-    """The JSON object in the file at `path`, read as UTF-8; text that does
-    not decode to one is a ConfigError naming the file."""
+    """The JSON object in the file at `path` (a config, a gen spec or a
+    checkpoint), read as UTF-8; text that does not decode to one is a
+    ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

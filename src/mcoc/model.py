@@ -126,7 +126,8 @@ class Encoder:
         list of arrays (a trainer's views of its gradient buffer), the
         gradients are written into those arrays, which param_grads then
         holds, and the input gradient, which no trainer reads, is not
-        computed: grad_input is None. The cache is only read.
+        computed: grad_input is None. The gradients have the same bits
+        either way. The cache is only read.
         """
         acts, norms, Xhat = cache
         G = as_rows(grad_embed)

@@ -1,6 +1,8 @@
 """Inference scoring, EER computation, and CSV exports.
 
 Score polarity everywhere: higher score means more likely bona fide.
+``score_matrix`` is the one scoring path: the score, export and ablate
+commands and training's validation EER all score through it.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def score_dataset(records: Dataset, encoder: Encoder,
 
 
 def _csv_field(text):
-    """`text` as one CSV field: quoted, with `"` doubled, when it holds `,`,
+    r"""`text` as one CSV field: quoted, with `"` doubled, when it holds `,`,
     `"`, `\r` or `\n`, and as it is otherwise. This is csv.writer's
     minimal quoting with one difference: csv.writer with lineterminator
     "\n" leaves a `\r` unquoted, which csv.reader then reads as a line end."""

@@ -269,8 +269,35 @@ def test_ablate_leaves_a_missing_eer_empty(workspace):
                "--out", tmp / "ab") == 0
     lines = (tmp / "ab" / "ablation.csv").read_text().splitlines()
     assert lines[0] == "arm,loss,strategy,eer"
+    # the strategies are literal, so they pin the arms apart from the table
     assert lines[1:] == [f"{arm},{sets[0][5:]},{strategy},"
-                         for arm, sets, strategy in ABLATION_ARMS]
+                         for (arm, sets, _), strategy in zip(
+                             ABLATION_ARMS,
+                             ["head", "head", "ensemble", "ensemble", "max"])]
+
+
+@pytest.mark.parametrize("seed_args, seed", [([], 0), (["--seed", "7"], 7)])
+def test_ablate_manifest_names_the_seed_its_arms_trained_with(
+        workspace, seed_args, seed):
+    # a config without a seed trains with the default one, as train records
+    tmp, spec, _ = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    data = tmp / "tr" / "data.jsonl"
+    cfg = tmp / "bare.json"
+    cfg.write_text(json.dumps({"epochs": 1}))
+    assert run("ablate", "--config", cfg, "--data", data, "--test", data,
+               "--out", tmp / "ab", *seed_args) == 0
+    assert run("train", "--config", cfg, "--data", data, "--out", tmp / "tr1",
+               *seed_args) == 0
+    manifest = json.loads((tmp / "ab" / "manifest.json").read_text())
+    assert manifest["seed"] == seed
+    assert manifest["seed"] == json.loads(
+        (tmp / "tr1" / "manifest.json").read_text())["seed"]
+    assert {json.loads((tmp / "ab" / arm / "checkpoint.json").read_text())
+            ["metadata"]["seed"] for arm, _, _ in ABLATION_ARMS} == {seed}
+    # the config stays as given: {"loss": ...} is no config on its own
+    assert manifest["resolved"]["config"] == {"epochs": 1, **(
+        {"seed": seed} if seed_args else {})}
 
 
 def _drop_first_mos(record):
