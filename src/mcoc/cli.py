@@ -44,6 +44,7 @@ from .scoring import (
     POLARITY,
     STRATEGIES,
     compute_eer,
+    default_strategy,
     embed,
     export_distributions,
     export_embeddings,
@@ -51,8 +52,7 @@ from .scoring import (
     score_dataset,
     write_scores_csv,
 )
-from .training import (LOSS_KINDS, OBJECTIVES, TrainConfig, check_data,
-                       train)
+from .training import TrainConfig, check_data, train
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -61,7 +61,7 @@ MAX_BINS = 10_000  # export histogram bins; each costs a row of histogram.csv
 
 ABLATION_ARMS = (
     # (arm name, --set overrides of the config, scoring strategy; None: the
-    # one its loss trains for, OBJECTIVES[loss].strategy)
+    # checkpoint's default, scoring.default_strategy)
     ("wce", ["loss=wce"], None),
     ("wce_quality", ["loss=wce_quality"], None),
     ("multi_centroid", ["loss=multi_centroid"], None),
@@ -159,27 +159,20 @@ def _cmd_train(args):
     outdir = _outdir(args, "train")
     _write_trained(outdir, report, ckpt)
     _write_manifest(outdir, "train", config.to_dict(), seed=config.seed)
-    strategy = OBJECTIVES[config.loss].strategy
-    eer = getattr(report.epochs[-1], f"val_eer_{strategy}")
+    eer = getattr(report.epochs[-1], f"val_eer_{default_strategy(ckpt.head)}")
     print(f"trained {config.loss} for {config.epochs} epochs; "
           f"final val EER: {eer}")
     return 0
 
 
 def _scoring_inputs(args):
-    """(checkpoint, strategy, records) of score and export: the strategy is
-    --strategy if given, else the one of the loss the checkpoint names,
-    else ensemble; the records of --data must have the checkpoint's feature
-    count."""
+    """(checkpoint, records) of score and export; the records of --data
+    must have the checkpoint's feature count."""
     ckpt = load_checkpoint(args.checkpoint)
-    loss = ckpt.metadata.get("loss")
-    # a tuple test, since a hand-written loss may be any JSON value
-    strategy = args.strategy or (OBJECTIVES[loss].strategy
-                                 if loss in LOSS_KINDS else "ensemble")
     records = load_jsonl(args.data, ckpt.policy)
     _require_features(records, ckpt.encoder.input_dim, args.data,
                       "the checkpoint")
-    return ckpt, strategy, records
+    return ckpt, records
 
 
 def _score_records(records, ckpt, strategy, embeddings=None):
@@ -188,15 +181,15 @@ def _score_records(records, ckpt, strategy, embeddings=None):
 
 
 def _cmd_score(args):
-    ckpt, strategy, records = _scoring_inputs(args)
-    report = _score_records(records, ckpt, strategy)
+    ckpt, records = _scoring_inputs(args)
+    report = _score_records(records, ckpt, args.strategy)
     outdir = _outdir(args, "score")
     write_scores_csv(report, os.path.join(outdir, "scores.csv"))
     _write_json(os.path.join(outdir, "report.json"), report.to_dict())
     _write_manifest(outdir, "score",
                     {"checkpoint": args.checkpoint, "data": args.data,
-                     "strategy": strategy})
-    print(f"scored {len(report.scores)} records (strategy={strategy}, "
+                     "strategy": report.strategy})
+    print(f"scored {len(report.scores)} records (strategy={report.strategy}, "
           f"{POLARITY}); EER: {report.eer}")
     return 0
 
@@ -249,12 +242,11 @@ def _cmd_ablate(args):
         arm_dir = os.path.join(outdir, arm)
         os.makedirs(arm_dir, exist_ok=True)
         _write_trained(arm_dir, report, ckpt)
-        strategy = strategy or OBJECTIVES[config.loss].strategy
         sreport = _score_records(test_records, ckpt, strategy)
         write_scores_csv(sreport, os.path.join(arm_dir, "scores.csv"))
-        rows.append((arm, config.loss, strategy, sreport.eer))
-        print(f"{arm:28s} loss={config.loss:14s} strategy={strategy:8s} "
-              f"EER={sreport.eer}")
+        rows.append((arm, config.loss, sreport.strategy, sreport.eer))
+        print(f"{arm:28s} loss={config.loss:14s} "
+              f"strategy={sreport.strategy:8s} EER={sreport.eer}")
     # as metrics.csv: a float as its repr, a missing EER as an empty cell
     with open(os.path.join(outdir, "ablation.csv"), "w", encoding="utf-8",
               newline="") as fh:
@@ -270,16 +262,16 @@ def _cmd_ablate(args):
 def _cmd_export(args):
     require(args.bins >= 1, "--bins", args.bins, "at least 1")
     require(args.bins <= MAX_BINS, "--bins", args.bins, f"at most {MAX_BINS}")
-    ckpt, strategy, records = _scoring_inputs(args)
+    ckpt, records = _scoring_inputs(args)
     E = embed(records, ckpt.encoder)
-    report = _score_records(records, ckpt, strategy, embeddings=E)
+    report = _score_records(records, ckpt, args.strategy, embeddings=E)
     outdir = _outdir(args, "export")
     export_distributions(report, os.path.join(outdir, "histogram.csv"),
                          bins=args.bins)
     export_embeddings(records, E, os.path.join(outdir, "embeddings.csv"))
     _write_manifest(outdir, "export",
                     {"checkpoint": args.checkpoint, "data": args.data,
-                     "strategy": strategy, "bins": args.bins})
+                     "strategy": report.strategy, "bins": args.bins})
     print(f"exported histogram and embeddings for {len(records)} records")
     return 0
 
@@ -303,6 +295,15 @@ def build_parser():
                        help="override a config key (dotted path)")
         p.add_argument("--seed", type=int, default=None)
 
+    def scoring(p):
+        """The checkpoint, the records and the strategy of score and
+        export."""
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--strategy", choices=STRATEGIES,
+                       help="default: head if the checkpoint has one, "
+                            "else ensemble")
+
     p = sub.add_parser("gen", help="generate a synthetic JSONL dataset")
     p.add_argument("--spec", required=True)
     configured(p)
@@ -315,10 +316,7 @@ def build_parser():
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("score", help="score a dataset with a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES,
-                   help="default: the one the checkpoint's loss trained for")
+    scoring(p)
     common(p)
     p.set_defaults(func=_cmd_score)
 
@@ -335,10 +333,7 @@ def build_parser():
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("export", help="export histogram and embedding CSVs")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES,
-                   help="default: the one the checkpoint's loss trained for")
+    scoring(p)
     p.add_argument("--bins", type=int, default=30)
     common(p)
     p.set_defaults(func=_cmd_export)

@@ -21,6 +21,10 @@ class ZeroNorm(McocError):
     required."""
 
 
+class ScoreOutOfRange(McocError):
+    """Binary head score beyond scoring.MAX_HEAD_SCORE in size, or NaN."""
+
+
 class DimMismatch(McocError):
     """Operands with incompatible dimensions."""
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .data import (_LABEL_CODES, _LABEL_NAMES, BONAFIDE, QUALITY_ABSENT, SPOOF,
                    Dataset, require_quality, utf8_lines)
-from .errors import ConfigError, EmptyClass, MissingQuality, ParseError, echo
+from .errors import (ConfigError, EmptyClass, MissingQuality, ParseError,
+                     ScoreOutOfRange, echo)
 from .model import BinaryHead, CentroidBank, Encoder
 
 STRATEGIES = ("labeled", "max", "ensemble", "head")
@@ -31,6 +32,12 @@ BLOCK_ROWS = 256
 NO_LABEL = -1
 _SCORE_LABELS = {"": NO_LABEL, **_LABEL_CODES}
 _FLOAT_MAX = np.finfo(np.float64).max
+# The largest head score in size; the bank strategies give cosines. n
+# scores of at most 1e100 sum to under 1e119 for any n below 2**63, and
+# their squared deviations from the mean to under 1e221, so a report's mean
+# and std stay finite, and so do export's histogram edges over a range of
+# at most 2e100.
+MAX_HEAD_SCORE = 1e100
 # a score as repr writes one: sign, digits, fraction and exponent, ASCII only
 _DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
@@ -51,12 +58,20 @@ def score_matrix(E, strategy: str, bank: Optional[CentroidBank] = None,
     `labeled` reads the similarity to each row's own quality centroid, so it
     needs `quality` (one level per row); `max` and `ensemble` take the max
     or the mean over the centroids; `head` negates the binary head's spoof
-    logit.
+    logit, and a head score beyond MAX_HEAD_SCORE in size (or NaN) raises
+    ScoreOutOfRange.
     """
     if strategy == "head":
         if head is None:
             raise ConfigError("head strategy needs a binary head")
-        return -head.logits(E)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = -head.logits(E)
+        inside = np.abs(scores) <= MAX_HEAD_SCORE  # False for NaN
+        if not inside.all():
+            raise ScoreOutOfRange(
+                f"binary head score {float(scores[~inside][0])!r} is not in "
+                f"[-{MAX_HEAD_SCORE!r}, {MAX_HEAD_SCORE!r}]")
+        return scores
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {echo(strategy)}")
     if bank is None:
@@ -200,14 +215,24 @@ def build_report(records: Dataset, scores: np.ndarray,
     return report
 
 
+def default_strategy(head: Optional[BinaryHead]) -> str:
+    """The strategy a checkpoint scores with when none is asked for: its
+    binary head if it has one, else the ensemble of its bank. Only a WCE
+    loss trains a head, and it teaches only the head to separate the
+    classes (wce_quality's bank learns quality levels alone)."""
+    return "ensemble" if head is None else "head"
+
+
 def score_dataset(records: Dataset, encoder: Encoder,
-                  bank: Optional[CentroidBank], strategy: str, *,
+                  bank: Optional[CentroidBank],
+                  strategy: Optional[str] = None, *,
                   head: Optional[BinaryHead] = None,
                   embeddings: Optional[np.ndarray] = None) -> ScoreReport:
-    """Encode and score every record (see score_matrix and build_report);
-    `labeled` reads each record's own quality level, which every record
-    must have. `embeddings`, when given, are the rows of
-    embed(records, encoder)."""
+    """Encode and score every record (see score_matrix and build_report)
+    with `strategy`, or default_strategy(head) when it is None; `labeled`
+    reads each record's own quality level, which every record must have.
+    `embeddings`, when given, are the rows of embed(records, encoder)."""
+    strategy = strategy or default_strategy(head)
     E = embed(records, encoder) if embeddings is None else embeddings
     if strategy == "labeled":
         require_quality(records, True, "labeled strategy needs mos or quality")

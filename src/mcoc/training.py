@@ -35,8 +35,8 @@ import numpy as np
 
 from .data import (BONAFIDE, Dataset, QualityPolicy, balance_augmentation,
                    require_quality)
-from .errors import (ConfigError, DivergenceDetected, ZeroNorm, echo,
-                     from_dict, is_int, is_real, require)
+from .errors import (ConfigError, DivergenceDetected, ScoreOutOfRange,
+                     ZeroNorm, echo, from_dict, is_int, is_real, require)
 from .losses import (
     Batch,
     LossHyper,
@@ -62,38 +62,30 @@ class Objective(NamedTuple):
     """One training arm. ``bank_size(policy)`` is its centroid count (None:
     no bank); ``needs_quality`` says whether its loss reads the quality
     level of every bona fide sample; ``loss(batch, bank, head, config)``
-    returns the LossOutput; ``strategy`` is the scoring strategy of the part
-    its loss teaches to separate the classes."""
+    returns the LossOutput."""
 
     bank_size: Optional[Callable[[QualityPolicy], int]]
     has_head: bool
     needs_quality: bool
     loss: Callable[..., LossOutput]
-    strategy: str
 
 
 # The losses are looked up by their module-level names at call time, so a
 # wrapper installed on those names (a tracer, a test) sees every call.
-# A WCE loss teaches only the head to separate the classes (wce_quality's
-# bank learns quality alone), so those arms score with the head.
 OBJECTIVES = {
     "multi_centroid": Objective(
         lambda policy: policy.num_levels, False, True,
-        lambda batch, bank, head, c: combined_loss(batch, bank, c.hyper),
-        "ensemble"),
+        lambda batch, bank, head, c: combined_loss(batch, bank, c.hyper)),
     "single_centroid": Objective(
         lambda policy: 1, False, False,
-        lambda batch, bank, head, c: oc_softmax_loss(batch, bank, c.hyper),
-        "ensemble"),
+        lambda batch, bank, head, c: oc_softmax_loss(batch, bank, c.hyper)),
     "wce": Objective(
         None, True, False,
-        lambda batch, bank, head, c: wce_loss(batch, head, c.class_weights),
-        "head"),
+        lambda batch, bank, head, c: wce_loss(batch, head, c.class_weights)),
     "wce_quality": Objective(
         lambda policy: policy.num_levels, True, True,
         lambda batch, bank, head, c: wce_quality_loss(
-            batch, bank, head, c.hyper, c.class_weights),
-        "head"),
+            batch, bank, head, c.hyper, c.class_weights)),
 }
 LOSS_KINDS = tuple(OBJECTIVES)
 OPTIMIZER_KINDS = ("adam", "sgd-momentum")
@@ -362,7 +354,8 @@ def train(records: Dataset, config: TrainConfig):
     before any training. A zero or non-finite vector from the encoder or a
     collapsed centroid, and a loss out of bounds, raise DivergenceDetected
     naming the epoch and the batch (both counted from 1), or the epoch when
-    the validation pass meets it."""
+    the validation pass meets it; so does a head score that scoring
+    refuses, which only the validation pass computes."""
     n_val = int(round(config.val_fraction * len(records)))
     if n_val == len(records):
         raise ConfigError(f"no training records: {n_val} of {n_val} go to "
@@ -452,7 +445,7 @@ def train(records: Dataset, config: TrainConfig):
         try:
             eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, val.X,
                                                    val_bona)
-        except ZeroNorm as exc:
+        except (ZeroNorm, ScoreOutOfRange) as exc:
             raise DivergenceDetected(f"epoch {epoch}, validation: {exc}") from exc
         cosines = bank.pairwise_cosines() if bank is not None else np.array([])
         report.epochs.append(EpochMetrics(

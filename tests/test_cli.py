@@ -16,7 +16,8 @@ from mcoc import cli, training
 from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec
 from mcoc.errors import (ECHO_MAX, ConfigError, DivergenceDetected, EmptyClass,
-                         MissingQuality, MosOutOfRange, ParseError, ZeroNorm)
+                         MissingQuality, MosOutOfRange, ParseError,
+                         ScoreOutOfRange, ZeroNorm)
 from mcoc.scoring import STRATEGIES, read_scores_csv
 from mcoc.training import EncoderConfig, OptimizerConfig, TrainConfig
 
@@ -77,6 +78,13 @@ def rewrite_jsonl(src, dst, change):
     dst.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
+def _strict_json(text):
+    """json.loads, with NaN and Infinity rejected."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_pipeline_smoke(workspace):
     tmp, spec, cfg = workspace
     assert run("gen", "--spec", spec, "--out", tmp / "data") == 0
@@ -86,7 +94,6 @@ def test_pipeline_smoke(workspace):
                "--out", tmp / "run") == 0
     ckpt = tmp / "run" / "checkpoint.json"
     assert ckpt.exists()
-    json.loads((tmp / "run" / "report.json").read_text())  # valid JSON
     assert (tmp / "run" / "manifest.json").exists()
 
     assert run("score", "--checkpoint", ckpt, "--data", data,
@@ -97,13 +104,19 @@ def test_pipeline_smoke(workspace):
     assert len(rows) == 90
 
     assert run("eval", "--scores", scores, "--out", tmp / "ev") == 0
-    summary = json.loads((tmp / "ev" / "summary.json").read_text())
+    summary = _strict_json((tmp / "ev" / "summary.json").read_text())
     assert 0.0 <= summary["eer"] <= 1.0
 
     assert run("export", "--checkpoint", ckpt, "--data", data,
                "--out", tmp / "ex", "--bins", "10") == 0
     assert (tmp / "ex" / "histogram.csv").exists()
     assert (tmp / "ex" / "embeddings.csv").exists()
+    # every JSON file each command wrote is strict JSON
+    written = sorted(tmp.glob("*/*.json"))
+    assert {p.parent.name for p in written} == {"data", "run", "sc", "ev",
+                                                "ex"}
+    for path in written:
+        _strict_json(path.read_text())
 
 
 def test_gen_deterministic(workspace):
@@ -390,20 +403,26 @@ def test_default_strategy_is_the_one_the_loss_trained(workspace, loss,
     assert manifest["resolved"]["strategy"] == strategy
 
 
-@pytest.mark.parametrize("loss", [None, "mystery", ["wce"]])
-def test_a_checkpoint_naming_no_known_loss_scores_ensemble(workspace, capsys,
-                                                            loss):
+@pytest.mark.parametrize("edit, strategy", [
+    pytest.param(lambda d: d["metadata"].pop("loss"), "head", id="no-loss"),
+    pytest.param(lambda d: d["metadata"].update(loss="mystery"), "head",
+                 id="unknown-loss"),
+    pytest.param(lambda d: d["metadata"].update(loss=["wce"]), "head",
+                 id="list-loss"),
+    pytest.param(lambda d: d["metadata"].update(loss="multi_centroid"), "head",
+                 id="centroid-loss"),
+    pytest.param(lambda d: d.update(head=None), "ensemble", id="no-head"),
+])
+def test_a_checkpoints_parts_pick_its_default_strategy(workspace, capsys,
+                                                        edit, strategy):
+    # the head if there is one, else the bank's ensemble, whatever loss
+    # the metadata names
     tmp, data, ckpt = trained(workspace, "loss=wce_quality")
-    doc = json.loads(ckpt.read_text())
-    if loss is None:
-        del doc["metadata"]["loss"]
-    else:
-        doc["metadata"]["loss"] = loss
-    ckpt.write_text(json.dumps(doc))
+    ckpt.write_text(_edit_json(edit)(ckpt.read_text()))
     capsys.readouterr()
     assert run("score", "--checkpoint", ckpt, "--data", data,
                "--out", tmp / "sc") == 0
-    assert "(strategy=ensemble, " in capsys.readouterr().out
+    assert f"(strategy={strategy}, " in capsys.readouterr().out
 
 
 def test_an_explicit_strategy_wins(workspace, capsys):
@@ -620,6 +639,11 @@ def _set_layer(d, **kw):
     d["encoder"]["layers"][0].update(kw)
 
 
+def _fill_head(d, weight, bias=0.0):
+    d["head"]["weight"] = [weight] * len(d["head"]["weight"])
+    d["head"]["bias"] = bias
+
+
 def _scale_row(d, factor):
     d["bank"]["weights"][0] = [x * factor for x in d["bank"]["weights"][0]]
 
@@ -813,6 +837,7 @@ def test_feature_count_mismatch_exits_2(workspace, capsys, command):
 
 
 ZERO_VECTOR = "encoder produced a zero vector before normalization"
+HEAD_OUT_OF_RANGE = r"binary head score \S+ is not in \[-1e\+100, 1e\+100\]"
 NON_FINITE = "encoder produced a vector of non-finite norm before normalization"
 
 
@@ -840,6 +865,11 @@ NON_FINITE = "encoder produced a vector of non-finite norm before normalization"
     # one step per epoch: the blow-up first shows in the validation pass
     pytest.param(["epochs=2", "optimizer.lr=1e308", "batch_size=1000"], None,
                  f"epoch 1, validation: {NON_FINITE}", id="lr-1e308-one-step"),
+    # one step makes a head of about 1e120, whose scores score would refuse
+    pytest.param(["loss=wce", "encoder.hidden=[]", "optimizer.lr=1e120",
+                  "epochs=1", "batch_size=10000"], None,
+                 rf"epoch 1, validation: {HEAD_OUT_OF_RANGE}",
+                 id="head-lr-1e120"),
 ])
 def test_training_failure_exits_4(workspace, capsys, overrides, data, failure):
     tmp, spec, cfg = workspace
@@ -1213,6 +1243,7 @@ def test_record_named_in_an_error_is_one_bounded_line(workspace, capsys,
                  id="DivergenceDetected"),
     pytest.param(ParseError(5, "p"), 1, "error", id="ParseError"),
     pytest.param(ZeroNorm("z"), 1, "error", id="ZeroNorm"),
+    pytest.param(ScoreOutOfRange("s"), 1, "error", id="ScoreOutOfRange"),
     pytest.param(MosOutOfRange("m"), 1, "error", id="MosOutOfRange"),
     pytest.param(EmptyClass("e"), 1, "error", id="EmptyClass"),
 ])
@@ -1267,6 +1298,38 @@ def test_feature_norm_overflow_is_not_scored_as_zero(workspace, capsys):
                         r"vector of non-finite norm before normalization\n", err)
 
 
+@pytest.mark.parametrize("command", ["score", "export"])
+@pytest.mark.parametrize("weight", [1e308, 1.7e308])
+def test_head_score_out_of_range_exits_1(workspace, capsys, command, weight):
+    # the scores overflow, or come near it; under pytest a numpy warning
+    # would be an error, so none is raised either
+    tmp, data, ckpt = trained(workspace, "loss=wce")
+    ckpt.write_text(_edit_json(lambda d: _fill_head(d, weight))(
+        ckpt.read_text()))
+    capsys.readouterr()
+    rc = run(command, "--checkpoint", ckpt, "--data", data, "--out", tmp / "o")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {HEAD_OUT_OF_RANGE}\n", err), err
+    assert not (tmp / "o").exists()
+
+
+@pytest.mark.parametrize("bias", [-1e100, 1e100])
+def test_head_scores_at_the_bound_are_reported_and_exported(workspace, bias):
+    tmp, data, ckpt = trained(workspace, "loss=wce")
+    ckpt.write_text(_edit_json(lambda d: _fill_head(d, 0.0, bias))(
+        ckpt.read_text()))
+    assert run("score", "--checkpoint", ckpt, "--data", data,
+               "--out", tmp / "sc") == 0
+    report = _strict_json((tmp / "sc" / "report.json").read_text())
+    assert report["class_stats"]["bonafide"]["mean"] == pytest.approx(-bias)
+    assert run("export", "--checkpoint", ckpt, "--data", data,
+               "--out", tmp / "ex") == 0
+    with open(tmp / "ex" / "histogram.csv", newline="") as fh:
+        assert sum(int(r["bona_count"]) + int(r["spoof_count"])
+                   for r in csv.DictReader(fh)) == 90
+
+
 def test_train_without_validation_has_no_val_eer(workspace, capsys):
     # no validation rows: training runs to the end and every validation EER
     # is missing, not 0
@@ -1285,12 +1348,6 @@ def test_train_without_validation_has_no_val_eer(workspace, capsys):
     report = json.loads((tmp / "run" / "report.json").read_text())
     assert all(e[f"val_eer_{s}"] is None for e in report["epochs"]
                for s in ("ensemble", "max", "head"))
-
-
-def _strict_json(text):
-    def reject(constant):
-        raise ValueError(f"not JSON: {constant}")
-    return json.loads(text, parse_constant=reject)
 
 
 @pytest.mark.parametrize("bona, spoof, eer, threshold", [

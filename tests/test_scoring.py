@@ -16,15 +16,19 @@ from mcoc.data import (
     make_dataset,
     quality_label,
 )
-from mcoc.errors import ConfigError, EmptyClass, MissingQuality
-from mcoc.model import CentroidBank, init_centroids, init_encoder, init_head
+from mcoc.errors import (ConfigError, EmptyClass, MissingQuality,
+                         ScoreOutOfRange)
+from mcoc.model import (BinaryHead, CentroidBank, init_centroids, init_encoder,
+                        init_head)
 from mcoc.numerics import make_rng
 from mcoc.scoring import (
     BLOCK_ROWS,
+    MAX_HEAD_SCORE,
     NO_LABEL,
     STRATEGIES,
     build_report,
     compute_eer,
+    default_strategy,
     embed,
     export_distributions,
     export_embeddings,
@@ -485,6 +489,28 @@ def test_head_score_is_the_head_row_of_score_matrix():
     e = rng.normal(size=4)
     e /= np.linalg.norm(e)
     assert head_score(e, head) == score_matrix(e[None], "head", head=head)[0]
+
+
+@pytest.mark.parametrize("weight", [np.nextafter(MAX_HEAD_SCORE, np.inf),
+                                    1e308, np.inf, np.nan])
+def test_head_scores_beyond_the_bound_raise(weight):
+    E = np.array([[1.0, 0.0], [0.0, 1.0]])
+    at = BinaryHead(np.array([0.0, MAX_HEAD_SCORE]), 0.0)
+    assert score_matrix(E, "head", head=at).tolist() == [0.0, -MAX_HEAD_SCORE]
+    beyond = BinaryHead(np.array([0.0, weight]), 0.0)
+    with pytest.raises(ScoreOutOfRange, match="binary head score"):
+        score_matrix(E, "head", head=beyond)
+
+
+def test_score_dataset_defaults_to_the_head_else_the_ensemble(wide):
+    records, encoder, bank, head, _ = wide
+    assert default_strategy(None) == "ensemble"
+    assert default_strategy(head) == "head"
+    for part, strategy in ((None, "ensemble"), (head, "head")):
+        report = score_dataset(records, encoder, bank, head=part)
+        given = score_dataset(records, encoder, bank, strategy, head=part)
+        assert report.strategy == strategy
+        assert report.scores.tobytes() == given.scores.tobytes()
 
 
 def test_histogram_of_no_scores(tmp_path):
