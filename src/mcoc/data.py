@@ -455,6 +455,9 @@ def save_jsonl(records: Dataset, path):
     such record, before the file is opened. No command reaches either: gen
     checks that its features are finite and names its records in ASCII, and
     make_dataset range-checks every MOS.
+
+    A file of parallel.SPLIT_VALUES feature values or more is written in
+    ranges on every usable CPU (parallel.fork_write), with the same bytes.
     """
     if not "".join(records.ids).isascii():
         for rid in records.ids:
@@ -466,12 +469,17 @@ def save_jsonl(records: Dataset, path):
     if np.any(bad):
         raise ValueError(f"record {echo(records.ids[np.argmax(bad)])}: a "
                          f"feature or MOS is not finite")
-    # json.dumps writes a finite float as its repr; features are converted
-    # row by row, so that the Python floats of only one row exist at a time
-    columns = zip(map(json.dumps, records.ids), records.X,
-                  map(_LABEL_NAMES.__getitem__, records.y.tolist()),
-                  mos.tolist(), records.augmented.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def write(fh, start, end):
+        # json.dumps writes a finite float as its repr. Features are
+        # converted row by row, so that the Python floats of only one row
+        # exist at a time; a fork_write child holds its whole range's text
+        columns = zip(map(json.dumps, records.ids[start:end]),
+                      records.X[start:end],
+                      map(_LABEL_NAMES.__getitem__,
+                          records.y[start:end].tolist()),
+                      mos[start:end].tolist(),
+                      records.augmented[start:end].tolist())
         for rid, x, label, m, aug in columns:
             tail = "" if math.isnan(m) else f', "mos": {m!r}'
             if aug:
@@ -479,6 +487,9 @@ def save_jsonl(records: Dataset, path):
             fh.write(f'{{"id": {rid}, "features": '
                      f'[{", ".join(map(repr, x.tolist()))}], '
                      f'"label": "{label}"{tail}}}\n')
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        parallel.fork_write(fh, write, len(records), records.X.size)
 
 
 # the most feature values a gen spec may draw (total count times dim): more

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import parallel
 from .data import (_LABEL_CODES, _LABEL_NAMES, BONAFIDE, QUALITY_ABSENT, SPOOF,
                    Dataset, require_quality, utf8_lines)
 from .errors import (ConfigError, EmptyClass, MissingQuality, ParseError,
@@ -314,15 +315,22 @@ def export_distributions(report: ScoreReport, path, bins: int = 30):
 def export_embeddings(records: Dataset, E: np.ndarray, path):
     """Embedding CSV for external projection tools: id, label, quality (empty
     where absent), then one column per embedding dimension. `E` holds the
-    rows of embed(records, encoder)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["id", "label", "quality"]
-                          + [f"e{k}" for k in range(E.shape[1])]) + "\n")
-        names = map(_LABEL_NAMES.__getitem__, records.y.tolist())
+    rows of embed(records, encoder). Embeddings of parallel.SPLIT_VALUES
+    values or more are written in ranges on every usable CPU
+    (parallel.fork_write), with the same bytes."""
+
+    def write(fh, start, end):
+        names = map(_LABEL_NAMES.__getitem__, records.y[start:end].tolist())
         # converted row by row, so that the Python floats of only one row
-        # exist at a time
-        for rid, name, q, emb in zip(records.ids, names,
-                                     records.quality.tolist(), E):
+        # exist at a time; a fork_write child holds its whole range's text
+        for rid, name, q, emb in zip(records.ids[start:end], names,
+                                     records.quality[start:end].tolist(),
+                                     E[start:end]):
             q = "" if q == QUALITY_ABSENT else q
             fh.write(f"{_csv_field(rid)},{name},{q},"
                      f"{','.join(map(repr, emb.tolist()))}\n")
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["id", "label", "quality"]
+                          + [f"e{k}" for k in range(E.shape[1])]) + "\n")
+        parallel.fork_write(fh, write, len(records), E.size)

@@ -55,7 +55,7 @@ from .model import (
     init_head,
 )
 from .numerics import make_rng
-from .scoring import compute_eer, score_matrix
+from .scoring import MAX_HEAD_SCORE, compute_eer, score_matrix
 
 
 class Objective(NamedTuple):
@@ -355,7 +355,9 @@ def train(records: Dataset, config: TrainConfig):
     collapsed centroid, and a loss out of bounds, raise DivergenceDetected
     naming the epoch and the batch (both counted from 1), or the epoch when
     the validation pass meets it; so does a head score that scoring
-    refuses, which only the validation pass computes."""
+    refuses, which only the validation pass computes, and a final head
+    whose weight norm plus |bias| is over MAX_HEAD_SCORE, which could give
+    one on other rows."""
     n_val = int(round(config.val_fraction * len(records)))
     if n_val == len(records):
         raise ConfigError(f"no training records: {n_val} of {n_val} go to "
@@ -460,6 +462,16 @@ def train(records: Dataset, config: TrainConfig):
             centroid_cosine=(float(np.add.reduce(cosines) / cosines.size)
                              if cosines.size else None),
         ))
+
+    if head is not None:
+        # a unit embedding scores within ||w|| + |b| of zero; the validation
+        # pass bounds only the scores of its rows, or none without them
+        bound = float(np.linalg.norm(head.weight)) + abs(float(head.bias))
+        if not bound <= MAX_HEAD_SCORE:
+            raise DivergenceDetected(
+                f"epoch {config.epochs}: binary head weight norm plus |bias| "
+                f"{bound!r} is over {MAX_HEAD_SCORE!r}, so its scores could "
+                f"leave [-{MAX_HEAD_SCORE!r}, {MAX_HEAD_SCORE!r}]")
 
     ckpt = Checkpoint(
         encoder=encoder,

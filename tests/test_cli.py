@@ -870,6 +870,12 @@ NON_FINITE = "encoder produced a vector of non-finite norm before normalization"
                   "epochs=1", "batch_size=10000"], None,
                  rf"epoch 1, validation: {HEAD_OUT_OF_RANGE}",
                  id="head-lr-1e120"),
+    # the same head with no validation pass: train bounds the head it writes
+    pytest.param(["loss=wce", "encoder.hidden=[]", "optimizer.lr=1e120",
+                  "epochs=1", "batch_size=10000", "val_fraction=0"], None,
+                 r"epoch 1: binary head weight norm plus \|bias\| \S+ is "
+                 r"over 1e\+100, so its scores could leave "
+                 r"\[-1e\+100, 1e\+100\]", id="head-lr-1e120-no-validation"),
 ])
 def test_training_failure_exits_4(workspace, capsys, overrides, data, failure):
     tmp, spec, cfg = workspace
