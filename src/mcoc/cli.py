@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, parallel
 from .data import (
     BONAFIDE,
     SPOOF,
@@ -216,9 +216,11 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     """Every arm's config and both inputs are checked before the first
     training; arms whose resolved configs are written the same share one
-    training. The manifest holds the config as given, after --set and
-    --seed (each arm patches it, so it is resolved per arm), and the seed
-    every arm trained with: the arms patch only the loss and hyper.lam."""
+    training, and the distinct configs train on every usable CPU with the
+    files, bytes and errors of one loop. The manifest holds the config as
+    given, after --set and --seed (each arm patches it, so it is resolved
+    per arm), and the seed every arm trained with: the arms patch only the
+    loss and hyper.lam."""
     base = _config_dict(args.config, args)
     configs = [TrainConfig.from_dict(_apply_overrides(copy.deepcopy(base), sets))
                for _, sets, _ in ABLATION_ARMS]
@@ -232,10 +234,10 @@ def _cmd_ablate(args):
     outdir = _outdir(args, "ablate")
     # keyed by the serialized config, not the config: lam 0 and 0.0 compare
     # equal but are written differently into report.json and the checkpoint
-    trained = {}
+    keys = [json.dumps(config.to_dict(), sort_keys=True) for config in configs]
+    trained = _train_split(records, dict(zip(keys, configs)))
     rows = []
-    for (arm, _, strategy), config in zip(ABLATION_ARMS, configs):
-        key = json.dumps(config.to_dict(), sort_keys=True)
+    for (arm, _, strategy), config, key in zip(ABLATION_ARMS, configs, keys):
         if key not in trained:
             trained[key] = train(records, config)
         report, ckpt = trained[key]
@@ -257,6 +259,32 @@ def _cmd_ablate(args):
                     {"config": base, "data": args.data, "test": args.test},
                     seed=configs[0].seed)
     return 0
+
+
+def _train_split(records, configs):
+    """{key: train(records, config)} for the {key: config} items `configs`,
+    trained in round-robin groups on up to usable_cpus() processes, the
+    first group here. Empty where nothing forks, a fork fails or the first
+    group raises a McocError; without the configs of a child that failed.
+    ablate's loop trains what is missing, in arm order, so a failing arm
+    raises there, after the arms before it were written."""
+    keys = list(configs)
+    groups = min(len(keys), parallel.usable_cpus())
+    if groups < 2:
+        return {}
+
+    def train_group(group):
+        # train by this module's name at call time: tests and tracers
+        # patch it
+        return [(key, train(records, configs[key])) for key in group]
+
+    try:
+        parts = parallel.fork_map(train_group, [keys[g::groups]
+                                                for g in range(groups)])
+    except (McocError, OSError):  # a failing arm, or no fork: train serially
+        return {}
+    return {key: result for part in parts if part is not None
+            for key, result in part}
 
 
 def _cmd_export(args):

@@ -3,7 +3,10 @@
 ``fork_map(fn, tasks)`` computes ``fn(task)`` for each task: the first in
 the calling process, each other in a child forked for it, which pickles
 its result back through a pipe. ``load_jsonl`` reads the ranges of a large
-file through it. A child that raises or dies gives ``None``.
+file through it, and ``ablate`` trains its distinct arm configs through it.
+A child that raises or dies gives ``None``. When the call raises, the
+children's results would be dropped, so each child is killed before it is
+reaped, through a pidfd where the platform has them.
 
 ``fork_write(fh, write, rows, values)`` writes rows [0, rows) of a text
 file in ranges: the caller streams the first range through ``fh``, and a
@@ -18,9 +21,10 @@ Every child leaves through ``os._exit``, so it runs no exit handler and
 flushes no buffer of the parent's, and every child is reaped before either
 function returns or raises, so no process outlives the call.
 
-Only ``io``, ``os``, ``pickle``, ``stat`` and ``warnings`` are used:
-``multiprocessing`` would cost every ``import mcoc.cli`` several
-milliseconds.
+Only ``io``, ``os``, ``pickle``, ``stat`` and ``warnings`` are imported
+with the module: ``multiprocessing`` would cost every ``import mcoc.cli``
+several milliseconds, and ``signal`` about one, so ``signal`` is imported
+only to kill a child.
 """
 
 from __future__ import annotations
@@ -56,28 +60,36 @@ def fork_map(fn, tasks):
     """[fn(task) for task in tasks], the first computed here and each other
     in a forked child; None for a child that fails. One process runs per
     task, so the caller keeps to usable_cpus() tasks; an exception of the
-    first task propagates, after the children are reaped. In a child, fn
-    must take no lock another thread may hold."""
+    first task propagates, after the children are killed and reaped. In a
+    child, fn must take no lock another thread may hold."""
     tasks = list(tasks)
-    children = []  # (pid, read end of its pipe)
+    children = []  # (pid, read end of its pipe, pidfd or None)
     try:
         for task in tasks[1:]:
-            earlier = [pipe.fileno() for _, pipe in children]
-            children.append(_fork_result(fn, task, earlier))
+            earlier = [pipe.fileno() for _, pipe, _ in children]
+            pid, pipe = _fork_result(fn, task, earlier)
+            children.append((pid, pipe, _pidfd(pid)))
         results = [fn(tasks[0])]
-        for _, pipe in children:
+        for _, pipe, _ in children:
             try:
                 results.append(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):  # it died first
                 results.append(None)
         return results
+    except BaseException:
+        # the children's results would be dropped: stop them, not wait
+        for _, _, pidfd in children:
+            _kill(pidfd)
+        raise
     finally:
         # every pipe first: a child still writing gets EPIPE and leaves,
         # whatever order the children end in
-        for _, pipe in children:
+        for _, pipe, _ in children:
             pipe.close()
-        for pid, _ in children:
+        for pid, _, pidfd in children:
             _reap(pid)
+            if pidfd is not None:
+                os.close(pidfd)
 
 
 def fork_write(fh, write, rows, values):
@@ -145,6 +157,39 @@ def _release(pid, go):
     return status
 
 
+def _pidfd(pid):
+    """A pidfd of the child `pid`; None where pidfds are missing or the
+    child was reaped already (SIGCHLD ignored), as its pid may then name
+    another process. A pidfd names one process for good, so signals sent
+    through it never reach another."""
+    # signal.pidfd_send_signal came with os.pidfd_open
+    if not (hasattr(os, "pidfd_open") and hasattr(os, "P_PIDFD")):
+        return None
+    try:
+        fd = os.pidfd_open(pid)
+    except OSError:  # reaped and gone, or no pidfds in this kernel
+        return None
+    try:
+        # a pid reused since the child was reaped names no child of ours
+        os.waitid(os.P_PIDFD, fd, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except OSError:
+        os.close(fd)
+        return None
+    return fd
+
+
+def _kill(pidfd):
+    """SIGKILL the process of `pidfd`, if there is one and it has not
+    ended."""
+    if pidfd is not None:
+        import signal
+
+        try:
+            signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+        except ProcessLookupError:  # it ended already
+            pass
+
+
 def _reap(pid):
     """The wait status of the child `pid`, once it has ended; None where it
     was reaped already (SIGCHLD ignored), which leaves its status unknown."""
@@ -209,11 +254,16 @@ def _fork(child, close):
     with warnings.catch_warnings():
         # Python 3.12+ warns that forking a process with other threads (an
         # OpenBLAS pool) may deadlock the child, if the child takes a lock
-        # such a thread held. The children here take none: load_jsonl's
-        # range readers run the JSON scanner, numpy element-wise calls and
-        # pickle, and the writers of save_jsonl and export_embeddings run
-        # repr, json.dumps, tolist, str.encode and os.write; neither runs a
-        # BLAS routine.
+        # such a thread held. load_jsonl's range readers run the JSON
+        # scanner, numpy element-wise calls and pickle, and the writers of
+        # save_jsonl and export_embeddings run repr, json.dumps, tolist,
+        # str.encode and os.write: no BLAS routine. ablate's children train,
+        # so they run BLAS. The scipy-openblas that numpy wheels bundle is
+        # built on pthreads, not OpenMP, and registers a fork handler
+        # (pthread_atfork(blas_thread_shutdown_)) that stops its thread pool
+        # before every fork, so no pool thread holds a lock across the fork
+        # and a child starts a pool of its own at its first threaded call.
+        # An OpenBLAS built on libgomp has no such handler.
         warnings.filterwarnings("ignore", category=DeprecationWarning,
                                 message=r".*use of fork\(\) may lead to "
                                         r"deadlocks in the child")

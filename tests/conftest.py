@@ -1,3 +1,4 @@
+import os
 import signal
 
 import pytest
@@ -14,3 +15,11 @@ def hang_guard():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def no_child_left():
+    """No child may outlive a test."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

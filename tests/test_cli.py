@@ -6,6 +6,9 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -55,18 +58,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def count_calls(monkeypatch, name):
-    """Patch mcoc.cli.<name> to count its calls; returns a list whose length
-    is the count so far."""
-    calls = []
+def count_calls(monkeypatch, tmp_path, name):
+    """Patch mcoc.cli.<name> to count its calls, in this process and in any
+    forked from it: each call appends a byte to a file under tmp_path.
+    Returns a function that gives the count so far."""
+    log = tmp_path / f"{name}.calls"
+    log.write_bytes(b"")
     fn = getattr(cli, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        with open(log, "ab") as fh:
+            fh.write(b".")
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, counted)
-    return calls
+    return lambda: len(log.read_bytes())
 
 
 def rewrite_jsonl(src, dst, change):
@@ -221,13 +227,13 @@ def test_ablate_writes_table(workspace, monkeypatch):
     tmp, spec, cfg = workspace
     run("gen", "--spec", spec, "--out", tmp / "tr")
     run("gen", "--spec", spec, "--seed", "2", "--out", tmp / "te")
-    trainings = count_calls(monkeypatch, "train")
-    loads = count_calls(monkeypatch, "load_jsonl")
+    trainings = count_calls(monkeypatch, tmp, "train")
+    loads = count_calls(monkeypatch, tmp, "load_jsonl")
     rc = run("ablate", "--config", cfg, "--data", tmp / "tr" / "data.jsonl",
              "--test", tmp / "te" / "data.jsonl", "--out", tmp / "ab")
     assert rc == 0
     # multi_centroid_max_score differs from multi_centroid only in scoring
-    assert (len(trainings), len(loads)) == (4, 2)
+    assert (trainings(), loads()) == (4, 2)
     with open(tmp / "ab" / "ablation.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["arm"] for r in rows] == [
@@ -259,10 +265,10 @@ def test_ablate_trains_each_written_config_once(workspace, monkeypatch, lam,
     tmp, spec, cfg = workspace
     run("gen", "--spec", spec, "--out", tmp / "tr")
     data = tmp / "tr" / "data.jsonl"
-    calls = count_calls(monkeypatch, "train")
+    calls = count_calls(monkeypatch, tmp, "train")
     assert run("ablate", "--config", cfg, "--data", data, "--test", data,
                "--set", f"hyper.lam={lam}", "--out", tmp / "ab") == 0
-    assert len(calls) == trainings
+    assert calls() == trainings
     written = {arm: json.loads((tmp / "ab" / arm / "report.json").read_text())
                ["config"]["hyper"]["lam"] for arm, _, _ in ABLATION_ARMS}
     assert repr(written["multi_centroid"]) == lam
@@ -311,6 +317,173 @@ def test_ablate_manifest_names_the_seed_its_arms_trained_with(
     # the config stays as given: {"loss": ...} is no config on its own
     assert manifest["resolved"]["config"] == {"epochs": 1, **(
         {"seed": seed} if seed_args else {})}
+
+
+# ablate trains its distinct arm configs on every usable CPU, in round-robin
+# groups: on 2 CPUs the caller trains wce and multi_centroid, a child
+# wce_quality and multi_centroid_no_quality; on 3 the caller trains wce and
+# multi_centroid_no_quality, and a child each of the other two
+
+def _ablate_outcome(tmp, monkeypatch, capfd, name, cpus, *argv):
+    """(exit code, stdout, stderr, {path: bytes, or None for a directory})
+    of `ablate *argv --out ab` run in the new directory tmp/name on `cpus`
+    usable CPUs. The relative --out keeps the paths report.json writes the
+    same across runs."""
+    with monkeypatch.context() as mp:
+        mp.setattr("mcoc.parallel.usable_cpus", lambda: cpus)
+        (tmp / name).mkdir()
+        mp.chdir(tmp / name)
+        capfd.readouterr()
+        rc = run("ablate", *argv, "--out", "ab")
+        out, err = capfd.readouterr()
+    files = {str(p.relative_to(tmp / name)):
+             None if p.is_dir() else p.read_bytes()
+             for p in sorted((tmp / name).rglob("*"))}
+    return rc, out, err, files
+
+
+def _trainer_pids(monkeypatch, tmp):
+    """Patch mcoc.cli.train to log the pid that runs each call; returns a
+    function that gives the pids logged so far."""
+    log = tmp / "train.pids"
+    log.write_text("")
+    fn = cli.train
+
+    def logged(records, config):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(records, config)
+
+    monkeypatch.setattr(cli, "train", logged)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("sets, distinct", [([], 4), (["hyper.lam=0.0"], 3)])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_split_ablate_gives_the_serial_bytes(workspace, monkeypatch, capfd,
+                                               sets, distinct, cpus):
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    run("gen", "--spec", spec, "--seed", "2", "--out", tmp / "te")
+    argv = ["--config", cfg, "--data", tmp / "tr" / "data.jsonl",
+            "--test", tmp / "te" / "data.jsonl",
+            *(a for s in sets for a in ("--set", s))]
+    serial = _ablate_outcome(tmp, monkeypatch, capfd, "serial", 1, *argv)
+    pids = _trainer_pids(monkeypatch, tmp)
+    split = _ablate_outcome(tmp, monkeypatch, capfd, "split", cpus, *argv)
+    # ab, ablation.csv, manifest.json and 5 arm directories of 4 files
+    assert serial[0] == 0 and len(serial[3]) == 28
+    assert split == serial
+    # each distinct config trained once, on min(distinct, cpus) processes
+    assert len(pids()) == distinct
+    assert len(set(pids())) == min(distinct, cpus)
+    assert os.getpid() in pids()
+
+
+def _diverging(arm):
+    """A wrapper of mcoc.cli.train that raises DivergenceDetected for the
+    config of `arm` and trains every other."""
+    fn = cli.train
+    sets = next(sets for name, sets, _ in ABLATION_ARMS if name == arm)
+    lam0 = "hyper.lam=0.0" in sets
+
+    def train(records, config):
+        if (config.loss, config.hyper.lam == 0.0) == (sets[0][5:], lam0):
+            raise DivergenceDetected(f"epoch 1: {arm} diverged")
+        return fn(records, config)
+
+    return train
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("arm", ["wce", "wce_quality", "multi_centroid",
+                                 "multi_centroid_no_quality"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_split_ablate_fails_as_the_serial_one(workspace, monkeypatch,
+                                                capfd, arm, cpus):
+    # the failing arm is trained here or in a child; either way the arms
+    # before it are written and printed, then its error is the one line
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    data = tmp / "tr" / "data.jsonl"
+    monkeypatch.setattr(cli, "train", _diverging(arm))
+    argv = ["--config", cfg, "--data", data, "--test", data]
+    serial = _ablate_outcome(tmp, monkeypatch, capfd, "serial", 1, *argv)
+    split = _ablate_outcome(tmp, monkeypatch, capfd, "split", cpus, *argv)
+    rc, out, err, _ = serial
+    assert (rc, err) == (4, f"divergence: epoch 1: {arm} diverged\n")
+    arms = [name for name, _, _ in ABLATION_ARMS]
+    assert len(out.splitlines()) == arms.index(arm)
+    assert split == serial
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("case", ["fork-fails", "sigchld-ignored"])
+def test_a_split_ablate_that_cannot_fork_or_reap_gives_the_serial_bytes(
+        workspace, monkeypatch, capfd, case):
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    data = tmp / "tr" / "data.jsonl"
+    argv = ["--config", cfg, "--data", data, "--test", data]
+    serial = _ablate_outcome(tmp, monkeypatch, capfd, "serial", 1, *argv)
+    pids = _trainer_pids(monkeypatch, tmp)
+    if case == "fork-fails":
+        def no_fork():
+            raise BlockingIOError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        split = _ablate_outcome(tmp, monkeypatch, capfd, "split", 2, *argv)
+        assert pids() == [os.getpid()] * 4
+    else:
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            split = _ablate_outcome(tmp, monkeypatch, capfd, "split", 2,
+                                    *argv)
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert len(set(pids())) == 2
+    assert split == serial
+
+
+ABLATE_AFTER_BLAS = """
+import sys
+
+import numpy as np
+
+from mcoc import cli, parallel
+
+# a threaded product starts the OpenBLAS pool before ablate forks
+a = np.random.default_rng(0).normal(size=(512, 512))
+a @ a
+cpus = int(sys.argv[1])
+parallel.usable_cpus = lambda: cpus
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_ablate_forks_after_a_threaded_blas_call(workspace):
+    # the children train, so they run BLAS after the parent's pool started
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    data = tmp / "tr" / "data.jsonl"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    outcomes = []
+    for cpus in (1, 2):
+        (tmp / str(cpus)).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", ABLATE_AFTER_BLAS, str(cpus), "ablate",
+             "--config", str(cfg), "--data", str(data), "--test", str(data),
+             "--out", "ab"],
+            cwd=tmp / str(cpus), env=env, capture_output=True, timeout=120)
+        files = {str(p.relative_to(tmp / str(cpus))): p.read_bytes()
+                 for p in sorted((tmp / str(cpus)).rglob("*")) if p.is_file()}
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr, files))
+    assert outcomes[0][0] == 0 and outcomes[0][2] == b""
+    assert outcomes[1] == outcomes[0]
 
 
 def _drop_first_mos(record):

@@ -1,5 +1,6 @@
 import os
 import signal
+import time
 import warnings
 
 import numpy as np
@@ -10,12 +11,7 @@ from mcoc.parallel import fork_map, fork_write, usable_cpus
 from mcoc.scoring import export_embeddings
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """No child may outlive a test."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 def test_results_come_back_in_task_order():
@@ -60,6 +56,44 @@ def test_the_first_task_raises_while_its_siblings_write_large_results(
 
     with pytest.raises(KeyError):
         fork_map(task, [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("sigchld", ["default", "ignored"])
+def test_the_first_task_raising_stops_its_siblings(hang_guard, sigchld):
+    # their results would be dropped, so fork_map does not wait for them;
+    # with SIGCHLD ignored the kernel reaps each child itself, and none is
+    # signalled by a pid that may have been reaped
+    def task(n):
+        if n == 0:
+            raise KeyError(n)
+        time.sleep(60)
+        return n
+
+    old = signal.signal(signal.SIGCHLD, {"default": signal.SIG_DFL,
+                                         "ignored": signal.SIG_IGN}[sigchld])
+    start = time.monotonic()
+    try:
+        with pytest.raises(KeyError):
+            fork_map(task, [0, 1, 2])
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert time.monotonic() - start < 10
+
+
+def test_without_pidfds_the_first_task_raises_after_its_siblings_end(
+        monkeypatch, hang_guard):
+    monkeypatch.delattr(os, "pidfd_open")
+
+    def task(n):
+        if n == 0:
+            raise KeyError(n)
+        time.sleep(0.5)
+        return n
+
+    start = time.monotonic()
+    with pytest.raises(KeyError):
+        fork_map(task, [0, 1])
+    assert time.monotonic() - start >= 0.5
 
 
 def test_a_large_result_crosses_the_pipe():
