@@ -59,20 +59,20 @@ def run(*argv):
 
 
 def count_calls(monkeypatch, tmp_path, name):
-    """Patch mcoc.cli.<name> to count its calls, in this process and in any
-    forked from it: each call appends a byte to a file under tmp_path.
-    Returns a function that gives the count so far."""
+    """Patch mcoc.cli.<name> to log the pid of each call, in this process
+    and in any forked from it, as a line of a file under tmp_path. Returns a
+    function that gives the pids logged so far, one per call."""
     log = tmp_path / f"{name}.calls"
-    log.write_bytes(b"")
+    log.write_text("")
     fn = getattr(cli, name)
 
     def counted(*args, **kwargs):
-        with open(log, "ab") as fh:
-            fh.write(b".")
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, counted)
-    return lambda: len(log.read_bytes())
+    return lambda: [int(pid) for pid in log.read_text().split()]
 
 
 def rewrite_jsonl(src, dst, change):
@@ -233,7 +233,7 @@ def test_ablate_writes_table(workspace, monkeypatch):
              "--test", tmp / "te" / "data.jsonl", "--out", tmp / "ab")
     assert rc == 0
     # multi_centroid_max_score differs from multi_centroid only in scoring
-    assert (trainings(), loads()) == (4, 2)
+    assert (len(trainings()), len(loads())) == (4, 2)
     with open(tmp / "ab" / "ablation.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["arm"] for r in rows] == [
@@ -268,7 +268,7 @@ def test_ablate_trains_each_written_config_once(workspace, monkeypatch, lam,
     calls = count_calls(monkeypatch, tmp, "train")
     assert run("ablate", "--config", cfg, "--data", data, "--test", data,
                "--set", f"hyper.lam={lam}", "--out", tmp / "ab") == 0
-    assert calls() == trainings
+    assert len(calls()) == trainings
     written = {arm: json.loads((tmp / "ab" / arm / "report.json").read_text())
                ["config"]["hyper"]["lam"] for arm, _, _ in ABLATION_ARMS}
     assert repr(written["multi_centroid"]) == lam
@@ -336,26 +336,13 @@ def _ablate_outcome(tmp, monkeypatch, capfd, name, cpus, *argv):
         capfd.readouterr()
         rc = run("ablate", *argv, "--out", "ab")
         out, err = capfd.readouterr()
-    files = {str(p.relative_to(tmp / name)):
-             None if p.is_dir() else p.read_bytes()
-             for p in sorted((tmp / name).rglob("*"))}
-    return rc, out, err, files
+    return rc, out, err, _tree(tmp / name)
 
 
-def _trainer_pids(monkeypatch, tmp):
-    """Patch mcoc.cli.train to log the pid that runs each call; returns a
-    function that gives the pids logged so far."""
-    log = tmp / "train.pids"
-    log.write_text("")
-    fn = cli.train
-
-    def logged(records, config):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return fn(records, config)
-
-    monkeypatch.setattr(cli, "train", logged)
-    return lambda: [int(pid) for pid in log.read_text().split()]
+def _tree(root):
+    """{path under root: its bytes, or None for a directory}."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
 
 
 @pytest.mark.usefixtures("no_child_left")
@@ -370,7 +357,7 @@ def test_a_split_ablate_gives_the_serial_bytes(workspace, monkeypatch, capfd,
             "--test", tmp / "te" / "data.jsonl",
             *(a for s in sets for a in ("--set", s))]
     serial = _ablate_outcome(tmp, monkeypatch, capfd, "serial", 1, *argv)
-    pids = _trainer_pids(monkeypatch, tmp)
+    pids = count_calls(monkeypatch, tmp, "train")
     split = _ablate_outcome(tmp, monkeypatch, capfd, "split", cpus, *argv)
     # ab, ablation.csv, manifest.json and 5 arm directories of 4 files
     assert serial[0] == 0 and len(serial[3]) == 28
@@ -427,7 +414,7 @@ def test_a_split_ablate_that_cannot_fork_or_reap_gives_the_serial_bytes(
     data = tmp / "tr" / "data.jsonl"
     argv = ["--config", cfg, "--data", data, "--test", data]
     serial = _ablate_outcome(tmp, monkeypatch, capfd, "serial", 1, *argv)
-    pids = _trainer_pids(monkeypatch, tmp)
+    pids = count_calls(monkeypatch, tmp, "train")
     if case == "fork-fails":
         def no_fork():
             raise BlockingIOError("no more processes")
@@ -479,9 +466,8 @@ def test_ablate_forks_after_a_threaded_blas_call(workspace):
              "--config", str(cfg), "--data", str(data), "--test", str(data),
              "--out", "ab"],
             cwd=tmp / str(cpus), env=env, capture_output=True, timeout=120)
-        files = {str(p.relative_to(tmp / str(cpus))): p.read_bytes()
-                 for p in sorted((tmp / str(cpus)).rglob("*")) if p.is_file()}
-        outcomes.append((proc.returncode, proc.stdout, proc.stderr, files))
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr,
+                         _tree(tmp / str(cpus))))
     assert outcomes[0][0] == 0 and outcomes[0][2] == b""
     assert outcomes[1] == outcomes[0]
 
