@@ -28,6 +28,7 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_jsonl,
+    load_jsonl_beside,
     save_jsonl,
 )
 from .errors import (
@@ -167,9 +168,10 @@ def _cmd_train(args):
 
 def _scoring_inputs(args):
     """(checkpoint, records) of score and export; the records of --data
-    must have the checkpoint's feature count."""
-    ckpt = load_checkpoint(args.checkpoint)
-    records = load_jsonl(args.data, ckpt.policy)
+    must have the checkpoint's feature count. The checkpoint is loaded
+    first, or beside the forked readers of a large --data file."""
+    ckpt, records = load_jsonl_beside(args.data, load_checkpoint,
+                                      args.checkpoint)
     _require_features(records, ckpt.encoder.input_dim, args.data,
                       "the checkpoint")
     return ckpt, records

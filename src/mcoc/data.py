@@ -21,7 +21,7 @@ import stat
 from array import array
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, islice
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -183,11 +183,46 @@ def load_jsonl(path, policy: QualityPolicy = QualityPolicy()) -> Dataset:
     in a forked child. Their columns are joined in file order. When any
     range fails, two disagree on the feature count or an id repeats across
     them, the whole file is read again here, which raises the error a read
-    in one piece raises.
+    in one piece raises. load_jsonl_beside cuts the same ranges, but this
+    process first loads a checkpoint, and its range is shorter by as many
+    bytes as the checkpoint's file holds.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         columns = _read_split(fh.fileno()) or _read(fh)
     return columns.dataset(policy)
+
+
+def load_jsonl_beside(path, load, other):
+    """(x, load_jsonl(path, x.policy)) for x = load(other), with the outputs
+    and errors of that serial order: an error of load(other) comes before
+    any of the records'. score and export load their checkpoint this way.
+
+    Where load_jsonl splits `path`, load(other) runs here while the forked
+    children read their ranges, and then this process reads its own range,
+    which is shorter by the size of the file `other`: a byte of checkpoint
+    JSON parses about as fast as a byte of records. When the split read
+    fails after load(other) returned, the whole file is read again here;
+    when it fails before, load(other) and then load_jsonl run here.
+    """
+    loaded = []  # load(other), once it has returned
+    columns = None
+    # a path that is no regular file is not split, and opening a pipe
+    # before load(other) could wait for its writer
+    if os.path.isfile(path):
+        try:
+            with open(path, "r", encoding="utf-8",
+                      errors="surrogateescape") as fh:
+                columns = _read_split(
+                    fh.fileno(), lambda: loaded.append(load(other)),
+                    os.path.getsize(other) if os.path.isfile(other) else 0)
+                if loaded and columns is None:
+                    columns = _read(fh)
+        except OSError:  # raised again below, after load(other)'s error
+            pass
+    x = loaded[0] if loaded else load(other)
+    if columns is None:
+        return x, load_jsonl(path, x.policy)
+    return x, columns.dataset(x.policy)
 
 
 def _read(fh):
@@ -201,15 +236,24 @@ def _read(fh):
     return columns
 
 
-def _read_split(fd):
+def _read_split(fd, side=lambda: None, weight=0):
     """The columns of the file open at `fd`, read in ranges on every usable
-    CPU, or None where it is not split or a range fails."""
-    cuts = _cuts(fd)
+    CPU, or None where it is not split or a range fails. Where it is split,
+    side() runs here after the children are forked and before this process
+    reads its range, which is `weight` bytes shorter for it (_cuts); an
+    exception of side() is a failed range."""
+    cuts = _cuts(fd, weight)
     if cuts is None:
         return None
+    ranges = [(fd, start, end) for start, end in zip(cuts, cuts[1:])]
+
+    def read(k):
+        if k == 0:
+            side()
+        return _read_range(ranges[k])
+
     try:
-        parts = parallel.fork_map(_read_range, [(fd, start, end) for start, end
-                                                in zip(cuts, cuts[1:])])
+        parts = parallel.fork_map(read, range(len(ranges)))
     except (McocError, OSError):  # a bad range, or no fork: read it whole
         return None
     if None in parts or len({part.dim for part in parts if part.ids}) > 1:
@@ -224,13 +268,19 @@ def _read_split(fd):
     return columns
 
 
-def _cuts(fd):
+def _cuts(fd, weight=0):
     """Offsets [0, ..., size] that cut the file open at `fd` into up to one
     range per usable CPU and per half SPLIT_BYTES, each but the last
     ending just after a newline byte; None when fewer than two ranges come
     out (as when lines end in a bare carriage return, so that no newline
     byte follows a cut), or the file is not a regular file of at least
-    SPLIT_BYTES."""
+    SPLIT_BYTES.
+
+    The ranges share size + `weight` bytes evenly, the first range's share
+    holding the `weight` bytes of the task its reader runs first: that
+    range is `weight` bytes shorter, or empty where `weight` fills its
+    share. `weight` moves the cuts, not the number of ranges tried.
+    """
     info = os.fstat(fd)
     size = info.st_size
     ranges = min(parallel.usable_cpus(), 2 * size // SPLIT_BYTES)
@@ -238,10 +288,12 @@ def _cuts(fd):
         return None
     cuts = [0]
     for k in range(1, ranges):
-        cut = _line_end(fd, max(size * k // ranges, cuts[-1]), size)
+        at = (size + weight) * k // ranges - weight
+        cut = _line_end(fd, max(at, cuts[-1]), size) if at > 0 else 0
         if cut is None:
             break
-        if cuts[-1] < cut < size:
+        # [0, 0): the first range is empty
+        if cuts[-1] < cut < size or cuts == [cut]:
             cuts.append(cut)
     return cuts + [size] if len(cuts) > 1 else None
 
@@ -499,13 +551,15 @@ MAX_VALUES = 10**8
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """One Gaussian blob. quality_band: 'low' | 'high' for bona fide, None for spoof."""
+    """One Gaussian blob. quality_band: 'low' | 'high' | a level index for
+    bona fide (SyntheticSpec checks the index against its policy), None for
+    spoof."""
 
     count: int
     mean: tuple
     spread: float
     label: str = "bonafide"
-    quality_band: Optional[str] = None
+    quality_band: Optional[Union[str, int]] = None
 
     def __post_init__(self):
         require(is_int(self.count) and self.count >= 1,
@@ -519,8 +573,11 @@ class ClusterSpec:
         require(isinstance(self.label, str) and self.label in _LABEL_CODES,
                 "label", self.label, "'bonafide' or 'spoof'")
         if self.label == "bonafide":
-            require(self.quality_band in ("low", "high"), "quality_band",
-                    self.quality_band, "'low' or 'high' for a bonafide cluster")
+            require(self.quality_band in ("low", "high")
+                    or is_int(self.quality_band) and self.quality_band >= 0,
+                    "quality_band", self.quality_band,
+                    "'low', 'high' or a level index >= 0 for a bonafide "
+                    "cluster")
         else:
             require(self.quality_band is None, "quality_band",
                     self.quality_band, "null for a spoof cluster")
@@ -544,10 +601,14 @@ class SyntheticSpec:
                 "seed", self.seed, "an integer >= 0")
         require(len(self.clusters) >= 1, "clusters", self.clusters,
                 "a non-empty list")
+        levels = self.policy.num_levels
         for i, c in enumerate(self.clusters):
             if len(c.mean) != self.dim:
                 raise ConfigError(f"spec.clusters[{i}]: mean has "
                                   f"{len(c.mean)} values, dim is {self.dim}")
+            require(not (is_int(c.quality_band) and c.quality_band >= levels),
+                    f"spec.clusters[{i}]: quality_band", c.quality_band,
+                    f"'low', 'high' or a level index below {levels}")
         values = sum(c.count for c in self.clusters) * self.dim
         require(values <= MAX_VALUES, "spec: total count times dim", values,
                 f"at most {MAX_VALUES}")
@@ -562,10 +623,15 @@ class SyntheticSpec:
         return from_dict(cls, d, "spec")
 
 
-def _mos_band(band: str, policy: QualityPolicy):
-    lo, hi = 1.0, 5.0
+def _mos_band(band, policy: QualityPolicy):
+    """(lo, hi) of a bona fide cluster's MOS: level `band`'s cuts, 1 and 5
+    at the ends; "low" below the first cut and "high" above it, a cut of
+    2.5 where the policy has none."""
+    if is_int(band):
+        edges = (1.0, *policy.thresholds, 5.0)
+        return edges[band], edges[band + 1]
     cut = policy.thresholds[0] if policy.thresholds else 2.5
-    return (lo, cut) if band == "low" else (cut, hi)
+    return (1.0, cut) if band == "low" else (cut, 5.0)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -3,10 +3,9 @@
 ``fork_map(fn, tasks)`` computes ``fn(task)`` for each task: the first in
 the calling process, each other in a child forked for it, which pickles
 its result back through a pipe. ``load_jsonl`` reads the ranges of a large
-file through it, and ``ablate`` trains its distinct arm configs through it.
-A child that raises or dies gives ``None``. When the call raises, the
-children's results would be dropped, so each child is killed before it is
-reaped, through a pidfd where the platform has them.
+file through it (``score`` and ``export`` load their checkpoint in the
+caller's task), and ``ablate`` trains its distinct arm configs through it.
+A child that raises or dies gives ``None``.
 
 ``fork_write(fh, write, rows, values)`` writes rows [0, rows) of a text
 file in ranges: the caller streams the first range through ``fh``, and a
@@ -16,6 +15,10 @@ file order. ``save_jsonl`` and ``export_embeddings`` write large files
 through it. A child that fails is cut back out of the file and its rows
 are written by the caller, so the file holds the bytes of one serial write.
 Nothing is sent back, so the caller never holds a child's text.
+
+When either function raises, the children's work would be dropped, so each
+child is killed before it is reaped, through a pidfd where the platform has
+them.
 
 Every child leaves through ``os._exit``, so it runs no exit handler and
 flushes no buffer of the parent's, and every child is reaped before either
@@ -104,8 +107,8 @@ def fork_write(fh, write, rows, values):
     then append their bytes in file order. A child that fails is cut back
     out of the file, and the caller writes its range and the rest. An
     exception of the caller's range propagates after the children are
-    reaped, with nothing of theirs written. In a child, write must take no
-    lock another thread may hold.
+    killed and reaped, with nothing of theirs written. In a child, write
+    must take no lock another thread may hold.
     """
     ranges = min(usable_cpus(), rows, 2 * values // SPLIT_VALUES)
     if ranges < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -113,14 +116,16 @@ def fork_write(fh, write, rows, values):
         return
     cuts = [rows * k // ranges for k in range(ranges + 1)]
     fd = fh.fileno()
-    children = []  # (pid, write end of its go pipe), in file order
+    # (pid, write end of its go pipe, pidfd or None), in file order
+    children = []
     try:
         for start, end in zip(cuts[1:], cuts[2:]):
             try:
-                children.append(_fork_writer(fh, write, start, end,
-                                             [go for _, go in children]))
+                pid, go = _fork_writer(fh, write, start, end,
+                                       [go for _, go, _ in children])
             except OSError:  # no more processes: the caller writes the rest
                 break
+            children.append((pid, go, _pidfd(pid)))
         write(fh, 0, cuts[1])
         # what fh holds goes first; a child leaves its copy of it unwritten
         fh.flush()
@@ -136,17 +141,25 @@ def fork_write(fh, write, rows, values):
         fh.seek(0, os.SEEK_END)
         if rest < rows:
             write(fh, rest, rows)
+    except BaseException:
+        # none of the children left has been released, so none has written:
+        # stop them, not wait for their ranges
+        for _, _, pidfd in children:
+            _kill(pidfd)
+        raise
     finally:
         # a child that reads no go byte writes nothing and leaves
-        for _, go in children:
+        for _, go, _ in children:
             os.close(go)
-        for pid, _ in children:
+        for pid, _, pidfd in children:
             _reap(pid)
+            if pidfd is not None:
+                os.close(pidfd)
 
 
-def _release(pid, go):
+def _release(pid, go, pidfd):
     """The wait status of the writer child `pid`, sent its go byte on the
-    pipe `go`, which is closed."""
+    pipe `go`; `go` and the child's `pidfd` are closed."""
     try:
         os.write(go, b"\1")
     except BrokenPipeError:  # it died before the go
@@ -154,6 +167,8 @@ def _release(pid, go):
     finally:
         os.close(go)
         status = _reap(pid)
+        if pidfd is not None:
+            os.close(pidfd)
     return status
 
 

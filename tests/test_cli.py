@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mcoc.data
 from mcoc import cli, training
 from mcoc.cli import ABLATION_ARMS, main
 from mcoc.data import ClusterSpec, SyntheticSpec
@@ -470,6 +471,210 @@ def test_ablate_forks_after_a_threaded_blas_call(workspace):
                          _tree(tmp / str(cpus))))
     assert outcomes[0][0] == 0 and outcomes[0][2] == b""
     assert outcomes[1] == outcomes[0]
+
+
+# score and export load their checkpoint in the caller while forked children
+# read the later ranges of --data; the caller's range is shorter by the
+# checkpoint's bytes
+
+def _scoring_outcome(tmp, monkeypatch, capfd, name, cpus, ckpt, data):
+    """([score's exit code, export's], stdout, stderr, {path: bytes, or None
+    for a directory}) of score then export of `data` with `ckpt`, run in the
+    new directory tmp/name on `cpus` usable CPUs, with every file of 1 byte
+    or more split where more than one CPU is usable."""
+    with monkeypatch.context() as mp:
+        mp.setattr("mcoc.data.SPLIT_BYTES", 1)
+        mp.setattr("mcoc.parallel.usable_cpus", lambda: cpus)
+        (tmp / name).mkdir()
+        mp.chdir(tmp / name)
+        capfd.readouterr()
+        rcs = [run("score", "--checkpoint", ckpt, "--data", data,
+                   "--out", "sc"),
+               run("export", "--checkpoint", ckpt, "--data", data,
+                   "--out", "ex")]
+        out, err = capfd.readouterr()
+    return rcs, out, err, _tree(tmp / name)
+
+
+def log_ranges(monkeypatch, tmp_path):
+    """Patch mcoc.data._read_range to log the pid, start and end of each
+    range read, in this process and in any forked from it. Returns a
+    function that gives the (pid, start, end) logged so far, in the order
+    they were logged: a child may log before the caller."""
+    log = tmp_path / "ranges.log"
+    log.write_text("")
+    read_range = mcoc.data._read_range
+
+    def logged(task):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {task[1]} {task[2]}\n")
+        return read_range(task)
+
+    monkeypatch.setattr("mcoc.data._read_range", logged)
+    return lambda: [tuple(map(int, line.split()))
+                    for line in log.read_text().splitlines()]
+
+
+def _no_fork(monkeypatch):
+    """Make os.fork fail as past the process limit; returns the list of
+    forks tried."""
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError("no more processes")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    return forks
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_split_score_and_export_give_the_serial_bytes(workspace,
+                                                        monkeypatch, capfd,
+                                                        cpus):
+    tmp, data, ckpt = trained(workspace)
+    with monkeypatch.context() as mp:  # nothing forks on one usable CPU
+        forks = _no_fork(mp)
+        serial = _scoring_outcome(tmp, mp, capfd, "serial", 1, ckpt, data)
+    assert forks == []
+    assert serial[0] == [0, 0] and serial[2] == ""
+    loads = count_calls(monkeypatch, tmp, "load_checkpoint")
+    ranges = log_ranges(monkeypatch, tmp)
+    split = _scoring_outcome(tmp, monkeypatch, capfd, "split", cpus, ckpt,
+                             data)
+    assert split == serial
+    # each command loaded the checkpoint once, here, and read cpus ranges,
+    # the first here and shorter than the rest by about the checkpoint's
+    # bytes
+    assert loads() == [os.getpid()] * 2
+    read = ranges()
+    assert len(read) == 2 * cpus
+    size, weight = data.stat().st_size, ckpt.stat().st_size
+    for command in (read[:cpus], read[cpus:]):
+        first, *rest = sorted(command, key=lambda r: r[1:])
+        assert first[:2] == (os.getpid(), 0)
+        assert os.getpid() not in [pid for pid, _, _ in rest]
+        share = (size + weight) // cpus
+        # the cut moves to the end of the line it falls in, of < 400 bytes
+        assert share - weight <= first[2] < share - weight + 400
+        assert [start for _, start, _ in rest] == [first[2]] + [
+            end for _, _, end in rest[:-1]]
+
+
+@pytest.mark.usefixtures("no_child_left")
+def test_a_checkpoint_larger_than_its_share_leaves_the_caller_no_range(
+        workspace, monkeypatch, capfd):
+    tmp, data, ckpt = trained(workspace)
+    # trailing white space is valid JSON, and only the checkpoint's size
+    # moves the cut
+    padded = tmp / "padded.json"
+    padded.write_bytes(ckpt.read_bytes() + b" " * (2 * data.stat().st_size))
+    serial = _scoring_outcome(tmp, monkeypatch, capfd, "serial", 1, padded,
+                              data)
+    ranges = log_ranges(monkeypatch, tmp)
+    split = _scoring_outcome(tmp, monkeypatch, capfd, "split", 2, padded,
+                             data)
+    assert serial[0] == [0, 0] and split == serial
+    size = data.stat().st_size
+    read = [(pid == os.getpid(), start, end) for pid, start, end in ranges()]
+    assert sorted(read[:2]) == sorted(read[2:]) == [(False, 0, size),
+                                                    (True, 0, 0)]
+
+
+def _break_checkpoint(ckpt, case):
+    if case == "missing":
+        ckpt.unlink()
+    else:
+        ckpt.write_text(ckpt.read_text()[:-20])
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("checkpoint, code, prefix", [
+    ("missing", 3, "io error: "), ("malformed", 2, "config error: ")])
+@pytest.mark.parametrize("bad_data", ["missing", "bad-first-line",
+                                      "bad-last-line"])
+def test_a_bad_checkpoint_beside_bad_data_gives_the_checkpoints_error(
+        workspace, monkeypatch, capfd, checkpoint, code, prefix, bad_data):
+    tmp, data, ckpt = trained(workspace)
+    _break_checkpoint(ckpt, checkpoint)
+    if bad_data == "missing":
+        data = tmp / "no-such.jsonl"
+    else:
+        lines = data.read_text().splitlines(True)
+        lines[0 if bad_data == "bad-first-line" else -1] = "{oops\n"
+        data.write_text("".join(lines))
+    serial = _scoring_outcome(tmp, monkeypatch, capfd, "serial", 1, ckpt,
+                              data)
+    split = _scoring_outcome(tmp, monkeypatch, capfd, "split", 2, ckpt, data)
+    rcs, out, err, _ = serial
+    assert rcs == [code, code] and out == ""
+    assert err.startswith(prefix) and "checkpoint" in err
+    assert len(err.splitlines()) == 2
+    assert split == serial
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("where", ["caller", "child"])
+def test_a_bad_line_in_a_split_read_gives_the_serial_error(
+        workspace, monkeypatch, capfd, where):
+    tmp, data, ckpt = trained(workspace)
+    lines = data.read_bytes().splitlines(True)
+    line_no = 2 if where == "caller" else len(lines) - 1
+    lines[line_no - 1] = b"{oops\n"
+    data.write_bytes(b"".join(lines))
+    serial = _scoring_outcome(tmp, monkeypatch, capfd, "serial", 1, ckpt,
+                              data)
+    ranges = log_ranges(monkeypatch, tmp)
+    split = _scoring_outcome(tmp, monkeypatch, capfd, "split", 2, ckpt, data)
+    rcs, out, err, _ = serial
+    assert rcs == [1, 1] and out == ""
+    assert err.splitlines() == [err.splitlines()[0]] * 2
+    assert err.startswith(f"error: line {line_no}: invalid JSON: ")
+    assert split == serial
+    # the bad line is in the range named: the caller's first range ends
+    # after it or before it
+    offset = len(b"".join(lines[:line_no - 1]))
+    (_, _, caller_end), = [r for r in ranges()[:2] if r[0] == os.getpid()]
+    assert (offset < caller_end) == (where == "caller")
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("case", ["fork-fails", "child-killed"])
+def test_a_split_read_that_fails_falls_back_to_the_serial_path(
+        workspace, monkeypatch, capfd, case):
+    tmp, data, ckpt = trained(workspace)
+    serial = _scoring_outcome(tmp, monkeypatch, capfd, "serial", 1, ckpt,
+                              data)
+    loads = count_calls(monkeypatch, tmp, "load_checkpoint")
+    parent, reads, read = os.getpid(), [], mcoc.data._read
+
+    def counted(fh):
+        if os.getpid() == parent:
+            reads.append(1)
+        return read(fh)
+
+    monkeypatch.setattr("mcoc.data._read", counted)
+    if case == "fork-fails":
+        forks = _no_fork(monkeypatch)
+    else:
+        read_range = mcoc.data._read_range
+
+        def killed_in_the_child(task):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read_range(task)
+
+        monkeypatch.setattr("mcoc.data._read_range", killed_in_the_child)
+    split = _scoring_outcome(tmp, monkeypatch, capfd, "split", 2, ckpt, data)
+    assert serial[0] == [0, 0] and split == serial
+    # the checkpoint loads once per command, whether the caller's task ran
+    # or not
+    assert loads() == [parent] * 2
+    if case == "fork-fails":  # before the caller's task: read whole
+        assert forks and reads == [1] * 2
+    else:  # the caller read its range, then the whole file
+        assert reads == [1] * 4
 
 
 def _drop_first_mos(record):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from mcoc.data import (
     BONAFIDE,
     QUALITY_ABSENT,
     SPOOF,
+    ClusterSpec,
     QualityPolicy,
+    SyntheticSpec,
     balance_augmentation,
     benchmark_spec,
     generate_synthetic,
     load_jsonl,
+    load_jsonl_beside,
     make_dataset,
     quality_label,
     save_jsonl,
@@ -534,6 +538,103 @@ def test_no_fork_on_one_cpu_or_below_the_threshold(tmp_path, monkeypatch,
     assert forks == [1] * (ranges > 1)
 
 
+# load_jsonl_beside: score and export load their checkpoint in the caller's
+# task of the split read, and the caller's range is shorter by its bytes
+
+def _load_policy(path):
+    """A stand-in for load_checkpoint: the policy of the JSON file `path`,
+    and the pid of the process that loaded it."""
+    with open(path, encoding="utf-8") as fh:
+        thresholds = json.load(fh)["thresholds"]
+    return types.SimpleNamespace(policy=QualityPolicy(thresholds),
+                                 pid=os.getpid())
+
+
+def _policy_file(path, padding=0):
+    """A policy file for _load_policy, with `padding` trailing spaces."""
+    path.write_text(json.dumps({"thresholds": [3.0]}) + " " * padding)
+    return path
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("weight", [0, 300, "size"])
+def test_the_first_range_is_shorter_by_the_weight(tmp_path, monkeypatch,
+                                                  cpus, weight):
+    _force_split(monkeypatch, cpus)
+    path = _odd_file(tmp_path / "d.jsonl", [])
+    size = path.stat().st_size
+    weight = size if weight == "size" else weight
+    with open(path, "rb") as fh:
+        cuts = mcoc.data._cuts(fh.fileno(), weight)
+        # the caller's share of size + weight, less weight, or nothing
+        at = (size + weight) // cpus - weight
+        assert cuts[1] == (mcoc.data._line_end(fh.fileno(), at, size)
+                           if at > 0 else 0)
+        assert len(cuts) - 1 == cpus  # as many ranges as with no weight
+        if weight == 0:  # the even cuts
+            assert cuts[1:-1] == [
+                mcoc.data._line_end(fh.fileno(), size * k // cpus, size)
+                for k in range(1, cpus)]
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 2_000, 100_000],
+                         ids=["small", "shorter", "empty"])
+def test_load_jsonl_beside_reads_as_load_then_load_jsonl(tmp_path,
+                                                         monkeypatch, cpus,
+                                                         padding):
+    _force_split(monkeypatch, cpus)
+    path = _odd_file(tmp_path / "d.jsonl", [])
+    other = _policy_file(tmp_path / "policy.json", padding)
+    reads = _count_reads(monkeypatch)
+    x, records = load_jsonl_beside(path, _load_policy, other)
+    assert x.pid == os.getpid() and x.policy == QualityPolicy((3.0,))
+    assert_same(records, jsonl_reference.load_jsonl(path, x.policy))
+    assert len(reads) == 1  # one range here, or the whole file
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("line_no", [2, BLOCK_LINES + 7])
+def test_load_jsonl_beside_gives_the_serial_data_error(tmp_path, monkeypatch,
+                                                      cpus, line_no):
+    # a bad line in the caller's range or in the last child's
+    _force_split(monkeypatch, cpus)
+    path = _odd_file(tmp_path / "d.jsonl", [("bad0", line_no)])
+    other = _policy_file(tmp_path / "policy.json")
+    starts = _range_starts(path)
+    assert (line_no < starts[0]) == (line_no == 2)
+    with pytest.raises(ParseError) as serial:
+        jsonl_reference.load_jsonl(path, POLICY)
+    with pytest.raises(ParseError) as split:
+        load_jsonl_beside(path, _load_policy, other)
+    assert str(split.value) == str(serial.value)
+    assert str(split.value).startswith(f"line {line_no}: ")
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("data", ["bad-line", "missing", "directory"])
+@pytest.mark.parametrize("error", [ConfigError("bad checkpoint"),
+                                   FileNotFoundError("no checkpoint")],
+                         ids=["malformed", "missing"])
+def test_an_error_of_load_comes_before_any_of_the_records(tmp_path,
+                                                          monkeypatch, data,
+                                                          error):
+    _force_split(monkeypatch, 2)
+    path = {"bad-line": _odd_file(tmp_path / "d.jsonl", [("bad0", 2)]),
+            "missing": tmp_path / "none.jsonl", "directory": tmp_path}[data]
+    loads = []
+
+    def load(other):
+        loads.append(os.getpid())
+        raise error
+
+    with pytest.raises(type(error), match=str(error)):
+        load_jsonl_beside(path, load, tmp_path / "ckpt.json")
+    assert set(loads) == {os.getpid()}
+
+
 def test_jsonl_round_trip(tmp_path):
     recs = generate_synthetic(benchmark_spec(7))
     rng = make_rng(1)
@@ -619,6 +720,44 @@ def test_generate_counts_and_quality():
     assert np.sum(recs.quality == QUALITY_ABSENT) == 300
 
 
+@pytest.mark.parametrize("level, band", [(0, (1.0, 2.0)), (1, (2.0, 3.5)),
+                                         (2, (3.5, 5.0))])
+def test_a_level_band_draws_every_mos_inside_that_level(level, band):
+    spec = SyntheticSpec(dim=2, policy=QualityPolicy((2.0, 3.5)), clusters=(
+        ClusterSpec(500, (0.0, 0.0), 1.0, "bonafide", level),
+        ClusterSpec(10, (3.0, 0.0), 1.0, "spoof")))
+    recs = generate_synthetic(spec)
+    bona = recs.y == BONAFIDE
+    assert np.all(recs.quality[bona] == level)
+    assert band[0] < recs.mos[bona].min() < recs.mos[bona].max() < band[1]
+
+
+def test_low_and_high_bands_split_at_the_first_threshold():
+    # with three levels, "high" still spans the two upper ones
+    spec = SyntheticSpec(dim=1, policy=QualityPolicy((2.0, 3.5)), clusters=(
+        ClusterSpec(300, (0.0,), 1.0, "bonafide", "low"),
+        ClusterSpec(300, (0.0,), 1.0, "bonafide", "high")))
+    quality = generate_synthetic(spec).quality
+    assert set(quality[:300]) == {0} and set(quality[300:]) == {1, 2}
+
+
+@pytest.mark.parametrize("band, message", [
+    (2, "spec.clusters[0]: quality_band must be 'low', 'high' or a level "
+        "index below 2, got 2"),
+    (-1, "spec.clusters[0]: quality_band must be 'low', 'high' or a level "
+         "index >= 0 for a bonafide cluster, got -1"),
+    (True, "spec.clusters[0]: quality_band must be 'low', 'high' or a level "
+           "index >= 0 for a bonafide cluster, got True"),
+    (1.0, "spec.clusters[0]: quality_band must be 'low', 'high' or a level "
+          "index >= 0 for a bonafide cluster, got 1.0"),
+])
+def test_a_band_that_is_no_level_of_the_policy_is_refused(band, message):
+    with pytest.raises(ConfigError) as exc:
+        SyntheticSpec.from_dict({"dim": 1, "clusters": [
+            {"count": 1, "mean": [0], "spread": 1, "quality_band": band}]})
+    assert str(exc.value) == message
+
+
 def test_generate_deterministic():
     a = generate_synthetic(benchmark_spec(5))
     b = generate_synthetic(benchmark_spec(5))
@@ -627,8 +766,6 @@ def test_generate_deterministic():
 
 def test_generate_tight_clusters_recoverable():
     # brute-force nearest-mean assignment recovers the generating cluster
-    from mcoc.data import ClusterSpec, SyntheticSpec
-
     means = [(0.0, 0.0, 5.0), (5.0, 0.0, 0.0), (0.0, 5.0, 0.0)]
     spec = SyntheticSpec(
         dim=3,

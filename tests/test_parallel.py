@@ -329,6 +329,29 @@ def test_an_error_in_the_callers_range_propagates_after_the_children(
     assert path.read_text() == "".join(f"row {i}\n" for i in range(3))
 
 
+def test_an_error_in_the_callers_range_stops_the_children(tmp_path,
+                                                         monkeypatch,
+                                                         hang_guard):
+    # their rows would be dropped, so fork_write does not wait for them
+    _force_split(monkeypatch, 2)
+    parent = os.getpid()
+
+    def caller_fails(fh, start, end):
+        if os.getpid() != parent:
+            time.sleep(3)
+        _rows(fh, start, end)
+        if os.getpid() == parent:
+            raise KeyError("caller")
+
+    path = tmp_path / "rows.txt"
+    start = time.monotonic()
+    with pytest.raises(KeyError):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fork_write(fh, caller_fails, 9, 9)
+    assert time.monotonic() - start < 1.5
+    assert path.read_text() == "".join(f"row {i}\n" for i in range(4))
+
+
 def test_a_fork_that_fails_leaves_the_rest_to_the_caller(tmp_path,
                                                          monkeypatch):
     _force_split(monkeypatch, 3)
