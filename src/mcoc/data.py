@@ -525,7 +525,7 @@ def save_jsonl(records: Dataset, path):
     def write(fh, start, end):
         # json.dumps writes a finite float as its repr. Features are
         # converted row by row, so that the Python floats of only one row
-        # exist at a time; a fork_write child holds its whole range's text
+        # exist at a time; a fork_write child streams its rows to a file too
         columns = zip(map(json.dumps, records.ids[start:end]),
                       records.X[start:end],
                       map(_LABEL_NAMES.__getitem__,

@@ -8,34 +8,37 @@ caller's task), and ``ablate`` trains its distinct arm configs through it.
 A child that raises or dies gives ``None``.
 
 ``fork_write(fh, write, rows, values)`` writes rows [0, rows) of a text
-file in ranges: the caller streams the first range through ``fh``, and a
-child forked for each later range formats it into one text of its own and
-appends its bytes to the shared descriptor when the caller releases it, in
-file order. ``save_jsonl`` and ``export_embeddings`` write large files
-through it. A child that fails is cut back out of the file and its rows
-are written by the caller, so the file holds the bytes of one serial write.
-Nothing is sent back, so the caller never holds a child's text.
+file in ranges through ``fork_map``: the caller streams the first range
+through ``fh``, and the child of each later range streams it into an
+unnamed temp file, which the caller then copies after its own range, in
+file order, so it never holds a child's text. ``save_jsonl`` and
+``export_embeddings`` write large files through it. When anything fails
+(a temp file, a fork, a child, the caller's own range or a copy), the file
+is cut back to where it stood and written here in one piece, which gives
+the bytes or the error of one serial write.
 
-When either function raises, the children's work would be dropped, so each
-child is killed before it is reaped, through a pidfd where the platform has
-them.
+When the first task raises (fork_write's own range included), the
+children's work would be dropped, so each child is killed before it is
+reaped, through a pidfd where the platform has them.
 
 Every child leaves through ``os._exit``, so it runs no exit handler and
 flushes no buffer of the parent's, and every child is reaped before either
 function returns or raises, so no process outlives the call.
 
-Only ``io``, ``os``, ``pickle``, ``stat`` and ``warnings`` are imported
-with the module: ``multiprocessing`` would cost every ``import mcoc.cli``
-several milliseconds, and ``signal`` about one, so ``signal`` is imported
-only to kill a child.
+Only ``os``, ``pickle``, ``shutil``, ``stat``, ``tempfile`` and
+``warnings`` are imported with the module (numpy imports ``shutil`` and
+``tempfile`` already): ``multiprocessing`` would cost every ``import
+mcoc.cli`` several milliseconds, and ``signal`` about one, so ``signal`` is
+imported only to kill a child.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
+import shutil
 import stat
+import tempfile
 import warnings
 
 # the fewest values (rows times columns) that fork_write splits across the
@@ -102,74 +105,48 @@ def fork_write(fh, write, rows, values):
 
     On one usable CPU, below SPLIT_VALUES values or when `fh` is not a
     regular file, this is write(fh, 0, rows). Otherwise the rows are cut
-    into up to one range per usable CPU: the caller writes the first to
-    `fh` while a child forked for each other range formats it; the children
-    then append their bytes in file order. A child that fails is cut back
-    out of the file, and the caller writes its range and the rest. An
-    exception of the caller's range propagates after the children are
-    killed and reaped, with nothing of theirs written. In a child, write
-    must take no lock another thread may hold.
+    into up to one range per usable CPU: fork_map writes the first to `fh`
+    here and each other to a temp file in a forked child, and the temp
+    files are then copied to `fh` in file order. When a child fails or an
+    Exception is raised here (by a temp file, a fork, the caller's range or
+    a copy), `fh` is cut back to where it stood and write(fh, 0, rows) runs
+    here, which gives the serial bytes or the serial error. In a child,
+    write must take no lock another thread may hold.
     """
     ranges = min(usable_cpus(), rows, 2 * values // SPLIT_VALUES)
     if ranges < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         write(fh, 0, rows)
         return
     cuts = [rows * k // ranges for k in range(ranges + 1)]
-    fd = fh.fileno()
-    # (pid, write end of its go pipe, pidfd or None), in file order
-    children = []
-    try:
-        for start, end in zip(cuts[1:], cuts[2:]):
-            try:
-                pid, go = _fork_writer(fh, write, start, end,
-                                       [go for _, go, _ in children])
-            except OSError:  # no more processes: the caller writes the rest
-                break
-            children.append((pid, go, _pidfd(pid)))
-        write(fh, 0, cuts[1])
-        # what fh holds goes first; a child leaves its copy of it unwritten
-        fh.flush()
-        rest = cuts[len(children) + 1]  # the first row no child formats
-        for start in cuts[1:len(children) + 1]:
-            at = os.lseek(fd, 0, os.SEEK_CUR)  # where this child's rows start
-            if _release(*children.pop(0)) != 0:  # None: it may have failed
-                os.ftruncate(fd, at)
-                rest = start
-                break
-        # the children moved the offset, which fh's buffer does not track,
-        # and a failed one has been cut back out
-        fh.seek(0, os.SEEK_END)
-        if rest < rows:
-            write(fh, rest, rows)
-    except BaseException:
-        # none of the children left has been released, so none has written:
-        # stop them, not wait for their ranges
-        for _, _, pidfd in children:
-            _kill(pidfd)
-        raise
-    finally:
-        # a child that reads no go byte writes nothing and leaves
-        for _, go, _ in children:
-            os.close(go)
-        for pid, _, pidfd in children:
-            _reap(pid)
-            if pidfd is not None:
-                os.close(pidfd)
+    at = fh.tell()  # flushes fh; a fallback cuts the file back to here
+    temps = []  # ranges 1, 2, ...; unnamed, so none is left on disk
 
+    def part(k):
+        if k == 0:
+            write(fh, 0, cuts[1])
+        else:  # in a child, which leaves through os._exit and flushes nothing
+            write(temps[k - 1], cuts[k], cuts[k + 1])
+            temps[k - 1].flush()
+        return True
 
-def _release(pid, go, pidfd):
-    """The wait status of the writer child `pid`, sent its go byte on the
-    pipe `go`; `go` and the child's `pidfd` are closed."""
     try:
-        os.write(go, b"\1")
-    except BrokenPipeError:  # it died before the go
+        for _ in cuts[2:]:
+            temps.append(tempfile.TemporaryFile(
+                "w+", encoding=fh.encoding, errors=fh.errors, newline=""))
+        if all(fork_map(part, range(ranges))):
+            fh.flush()  # the caller's rows go before the children's
+            for temp in temps:
+                temp.seek(0)
+                shutil.copyfileobj(temp.buffer, fh.buffer)
+            return
+    except Exception:  # a temp file, a fork, the caller's range or a copy
         pass
     finally:
-        os.close(go)
-        status = _reap(pid)
-        if pidfd is not None:
-            os.close(pidfd)
-    return status
+        for temp in temps:
+            temp.close()
+    fh.seek(at)
+    fh.truncate()
+    write(fh, 0, rows)
 
 
 def _pidfd(pid):
@@ -206,73 +183,27 @@ def _kill(pidfd):
 
 
 def _reap(pid):
-    """The wait status of the child `pid`, once it has ended; None where it
-    was reaped already (SIGCHLD ignored), which leaves its status unknown."""
+    """Wait for the child `pid` to end, unless it was reaped already
+    (SIGCHLD ignored)."""
     try:
-        return os.waitpid(pid, 0)[1]
+        os.waitpid(pid, 0)
     except ChildProcessError:
-        return None
+        pass
 
 
 def _fork_result(fn, task, earlier):
-    """(pid, pipe) of a child that writes pickle(fn(task)) to the pipe; the
-    child closes the descriptors `earlier` of its elder siblings' pipes, so
-    that each pipe's only reader is the caller."""
+    """(pid, pipe) of a forked child that closes the descriptors `earlier`
+    of its elder siblings' pipes, so that each pipe's only reader is the
+    caller, writes pickle(fn(task)) to the pipe and leaves through
+    os._exit: status 0 if that returned, 1 if it raised."""
     r, w = os.pipe()
-
-    def child():
-        with open(w, "wb") as pipe:
-            pickle.dump(fn(task), pipe, pickle.HIGHEST_PROTOCOL)
-
-    try:
-        pid = _fork(child, [r, *earlier])
-    except BaseException:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    return pid, open(r, "rb")
-
-
-def _fork_writer(fh, write, start, end, earlier):
-    """(pid, go) of a child that writes rows [start, end) to one text in its
-    memory and encodes it as `fh` encodes, then waits for a byte on the pipe
-    whose write end is `go` and writes the bytes at fh's descriptor; at the
-    end of the pipe it writes nothing. The child closes the go descriptors
-    `earlier` of its elder siblings, so that the caller's close of one ends
-    that child's wait."""
-    fd, encoding, errors = fh.fileno(), fh.encoding, fh.errors
-    r, go = os.pipe()
-
-    def child():
-        text = io.StringIO()  # as fh, it translates no newline
-        write(text, start, end)
-        data = memoryview(text.getvalue().encode(encoding, errors))
-        if os.read(r, 1):
-            while data:
-                data = data[os.write(fd, data):]
-
-    try:
-        pid = _fork(child, [go, *earlier])
-    except BaseException:
-        os.close(go)
-        raise
-    finally:
-        os.close(r)
-    return pid, go
-
-
-def _fork(child, close):
-    """The pid of a forked child that closes the descriptors `close`, runs
-    child() and leaves through os._exit: status 0 if child() returned, 1 if
-    it raised."""
     with warnings.catch_warnings():
         # Python 3.12+ warns that forking a process with other threads (an
         # OpenBLAS pool) may deadlock the child, if the child takes a lock
         # such a thread held. load_jsonl's range readers run the JSON
         # scanner, numpy element-wise calls and pickle, and the writers of
-        # save_jsonl and export_embeddings run repr, json.dumps, tolist,
-        # str.encode and os.write: no BLAS routine. ablate's children train,
+        # save_jsonl and export_embeddings run repr, json.dumps, tolist and
+        # a text file's write: no BLAS routine. ablate's children train,
         # so they run BLAS. The scipy-openblas that numpy wheels bundle is
         # built on pthreads, not OpenMP, and registers a fork handler
         # (pthread_atfork(blas_thread_shutdown_)) that stops its thread pool
@@ -282,14 +213,21 @@ def _fork(child, close):
         warnings.filterwarnings("ignore", category=DeprecationWarning,
                                 message=r".*use of fork\(\) may lead to "
                                         r"deadlocks in the child")
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(r)
+            os.close(w)
+            raise
     if pid == 0:
         code = 1
         try:
-            for fd in close:
+            for fd in [r, *earlier]:
                 os.close(fd)
-            child()
+            with open(w, "wb") as pipe:
+                pickle.dump(fn(task), pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
-    return pid
+    os.close(w)
+    return pid, open(r, "rb")

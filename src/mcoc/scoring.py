@@ -322,7 +322,7 @@ def export_embeddings(records: Dataset, E: np.ndarray, path):
     def write(fh, start, end):
         names = map(_LABEL_NAMES.__getitem__, records.y[start:end].tolist())
         # converted row by row, so that the Python floats of only one row
-        # exist at a time; a fork_write child holds its whole range's text
+        # exist at a time; a fork_write child streams its rows to a file too
         for rid, name, q, emb in zip(records.ids[start:end], names,
                                      records.quality[start:end].tolist(),
                                      E[start:end]):

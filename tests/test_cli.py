@@ -633,9 +633,10 @@ def test_a_bad_line_in_a_split_read_gives_the_serial_error(
     assert err.startswith(f"error: line {line_no}: invalid JSON: ")
     assert split == serial
     # the bad line is in the range named: the caller's first range ends
-    # after it or before it
+    # after it or before it. A child may be killed before it logs its range
+    # when the caller's range raises, so the caller's range is found by pid
     offset = len(b"".join(lines[:line_no - 1]))
-    (_, _, caller_end), = [r for r in ranges()[:2] if r[0] == os.getpid()]
+    caller_end = next(end for pid, _, end in ranges() if pid == os.getpid())
     assert (offset < caller_end) == (where == "caller")
 
 

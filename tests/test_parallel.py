@@ -1,13 +1,16 @@
+import errno
 import os
 import signal
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+import mcoc.parallel
 from mcoc.data import QualityPolicy, make_dataset, save_jsonl
-from mcoc.parallel import fork_map, fork_write, usable_cpus
+from mcoc.parallel import fork_map, usable_cpus
 from mcoc.scoring import export_embeddings
 
 
@@ -177,10 +180,20 @@ def _rows(fh, start, end):
         fh.write(f"row {i}\n")
 
 
+def _logged(writers):
+    """_rows, which also appends (start, end) to `writers` in the process
+    that writes the range."""
+    def rows(fh, start, end):
+        writers.append((start, end))
+        _rows(fh, start, end)
+
+    return rows
+
+
 def _rows_file(path, rows, write=_rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("header\n")
-        fork_write(fh, write, rows, rows)
+        mcoc.parallel.fork_write(fh, write, rows, rows)
         fh.write("tail\n")  # fh writes on at the file's end
     return path.read_text()
 
@@ -224,71 +237,121 @@ def test_more_ranges_than_rows(tmp_path, monkeypatch, write, rows):
     assert (tmp_path / "split").read_bytes() == serial
 
 
-def _in_children(monkeypatch, name, act):
-    """Patch os.<name> so that in a forked child act(original, *args) runs
-    in its place; the caller keeps the original."""
-    parent, original = os.getpid(), getattr(os, name)
+def _failing_children(monkeypatch, tmp_path, fail, last_only=False):
+    """Make every fork_write child, or only the one of the last range, run
+    fail(write, out, start, end) in place of its write(out, start, end),
+    after it leaves the mark tmp_path / f"failed-{start}"; the caller keeps
+    the write it was given."""
+    parent, fork_write = os.getpid(), mcoc.parallel.fork_write
 
-    def patched(*args):
-        if os.getpid() == parent:
-            return original(*args)
-        return act(original, *args)
+    def injecting(fh, write, rows, values):
+        def failing(out, start, end):
+            if os.getpid() == parent or (last_only and end < rows):
+                return write(out, start, end)
+            (tmp_path / f"failed-{start}").touch()
+            return fail(write, out, start, end)
 
-    monkeypatch.setattr(os, name, patched)
+        return fork_write(fh, failing, rows, values)
+
+    monkeypatch.setattr("mcoc.parallel.fork_write", injecting)
 
 
-def _die(original, fd, n):
+def _marks(tmp_path):
+    """The first rows of the ranges whose child failed, by their marks."""
+    return sorted(int(mark.name.split("-")[1])
+                  for mark in tmp_path.glob("failed-*"))
+
+
+def _die(write, out, start, end):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _exit_before_writing(original, fd, n):
+def _exit_before_writing(write, out, start, end):
     os._exit(3)
 
 
-def _exit_after_half(original, fd, data):
-    original(fd, data[:len(data) // 2])
+def _exit_after_half(write, out, start, end):
+    # the first half of its rows reaches its temp file
+    write(out, start, (start + end) // 2)
+    out.flush()
     os._exit(1)
 
 
-FAILURES = [pytest.param("read", _die, id="killed-before-writing"),
-            pytest.param("read", _exit_before_writing,
-                         id="exits-before-writing"),
-            pytest.param("write", _exit_after_half, id="exits-after-half")]
+FAILURES = [pytest.param(_die, id="killed-before-writing"),
+            pytest.param(_exit_before_writing, id="exits-before-writing"),
+            pytest.param(_exit_after_half, id="exits-after-half")]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("name, act", FAILURES)
+@pytest.mark.parametrize("fail", FAILURES)
 @pytest.mark.parametrize("write", WRITERS)
 def test_a_failed_child_leaves_its_rows_to_the_caller(
-        tmp_path, monkeypatch, hang_guard, write, name, act, cpus):
+        tmp_path, monkeypatch, hang_guard, write, fail, cpus):
     serial = _serial_bytes(write, tmp_path / "serial")
     _force_split(monkeypatch, cpus)
-    _in_children(monkeypatch, name, act)
+    _failing_children(monkeypatch, tmp_path, fail)
     write(tmp_path / "split")
     assert (tmp_path / "split").read_bytes() == serial
+    # each child's range failed: 7 records in `cpus` ranges
+    assert _marks(tmp_path) == [7 * k // cpus for k in range(1, cpus)]
 
 
 def test_a_failed_last_child_keeps_the_bytes_of_the_one_before(
         tmp_path, monkeypatch, hang_guard):
     # 9 rows in 3 ranges: the caller writes rows 0-2, a child rows 3-5, and
-    # the child of rows 6-8 dies after half of its bytes
+    # the child of rows 6-8 exits after half of its rows
     _force_split(monkeypatch, 3)
-
-    def last_fails(original, fd, data):
-        if bytes(data).startswith(b"row 6"):
-            _exit_after_half(original, fd, data)
-        return original(fd, data)
-
-    _in_children(monkeypatch, "write", last_fails)
+    _failing_children(monkeypatch, tmp_path, _exit_after_half,
+                      last_only=True)
     writers = []  # the ranges written here
+    text = _rows_file(tmp_path / "rows.txt", 9, _logged(writers))
+    assert text == _rows_text(9)
+    assert _marks(tmp_path) == [6]
+    # the caller wrote its own range, then the whole file again
+    assert writers == [(0, 3), (0, 9)]
 
-    def rows_by(fh, start, end):
-        writers.append((start, os.getpid()))
+
+def test_a_temp_file_that_cannot_be_opened_gives_the_serial_bytes(
+        tmp_path, monkeypatch):
+    _force_split(monkeypatch, 3)
+    opened, TemporaryFile = [], tempfile.TemporaryFile
+
+    def second_fails(*args, **kwargs):
+        if opened:
+            raise OSError(errno.ENOSPC, "no space left")
+        opened.append(TemporaryFile(*args, **kwargs))
+        return opened[-1]
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", second_fails)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _rows_file(tmp_path / "rows.txt", 9) == _rows_text(9)
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_the_fallback_cuts_the_callers_rows_back_out(tmp_path, monkeypatch,
+                                                     hang_guard):
+    # the caller's range is written, a child fails, and the serial write
+    # raises before its first row: the file holds what that write left
+    _force_split(monkeypatch, 2)
+    _failing_children(monkeypatch, tmp_path, _exit_before_writing)
+    calls = []
+
+    def second_call_fails(fh, start, end):
+        calls.append(start)
+        if len(calls) == 2:
+            raise KeyError("again")
         _rows(fh, start, end)
 
-    assert _rows_file(tmp_path / "rows.txt", 9, rows_by) == _rows_text(9)
-    # the caller wrote its own range, then the failed child's again
-    assert writers == [(0, os.getpid()), (6, os.getpid())]
+    path = tmp_path / "rows.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("header\n")
+        with pytest.raises(KeyError):
+            mcoc.parallel.fork_write(fh, second_call_fails, 9, 9)
+    assert calls == [0, 0]
+    assert path.read_text() == "header\n"
 
 
 def test_a_child_error_is_raised_by_the_caller_with_the_serial_bytes(
@@ -302,7 +365,7 @@ def test_a_child_error_is_raised_by_the_caller_with_the_serial_bytes(
     def write(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             with pytest.raises(ValueError, match="row 5"):
-                fork_write(fh, fails_at_row_5, 9, 9)
+                mcoc.parallel.fork_write(fh, fails_at_row_5, 9, 9)
 
     serial = _serial_bytes(write, tmp_path / "serial")
     _force_split(monkeypatch, 3)
@@ -313,7 +376,6 @@ def test_a_child_error_is_raised_by_the_caller_with_the_serial_bytes(
 
 def test_an_error_in_the_callers_range_propagates_after_the_children(
         tmp_path, monkeypatch, hang_guard):
-    _force_split(monkeypatch, 3)
     parent = os.getpid()
 
     def caller_fails(fh, start, end):
@@ -321,12 +383,17 @@ def test_an_error_in_the_callers_range_propagates_after_the_children(
         if os.getpid() == parent:
             raise KeyError("caller")
 
-    path = tmp_path / "rows.txt"
-    with pytest.raises(KeyError):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fork_write(fh, caller_fails, 9, 9)
-    # the caller's rows, and none of the children's
-    assert path.read_text() == "".join(f"row {i}\n" for i in range(3))
+    def write(path):
+        with pytest.raises(KeyError):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                mcoc.parallel.fork_write(fh, caller_fails, 9, 9)
+
+    serial = _serial_bytes(write, tmp_path / "serial")
+    _force_split(monkeypatch, 3)
+    write(tmp_path / "split")
+    # the serial write's 9 rows before its error, none of a child's range
+    assert (tmp_path / "split").read_bytes() == serial == (
+        "".join(f"row {i}\n" for i in range(9)).encode())
 
 
 def test_an_error_in_the_callers_range_stops_the_children(tmp_path,
@@ -347,9 +414,10 @@ def test_an_error_in_the_callers_range_stops_the_children(tmp_path,
     start = time.monotonic()
     with pytest.raises(KeyError):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fork_write(fh, caller_fails, 9, 9)
+            mcoc.parallel.fork_write(fh, caller_fails, 9, 9)
     assert time.monotonic() - start < 1.5
-    assert path.read_text() == "".join(f"row {i}\n" for i in range(4))
+    # the serial write's rows before its error
+    assert path.read_text() == "".join(f"row {i}\n" for i in range(9))
 
 
 def test_a_fork_that_fails_leaves_the_rest_to_the_caller(tmp_path,
@@ -364,8 +432,12 @@ def test_a_fork_that_fails_leaves_the_rest_to_the_caller(tmp_path,
         return fork()
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
-    assert _rows_file(tmp_path / "rows.txt", 9) == _rows_text(9)
+    writers = []  # the ranges written here
+    text = _rows_file(tmp_path / "rows.txt", 9, _logged(writers))
+    assert text == _rows_text(9)
     assert len(forks) == 2
+    # the first child is stopped, and the whole file written here
+    assert writers == [(0, 9)]
 
 
 def test_nothing_forks_on_one_cpu_below_the_threshold_or_to_a_pipe(
@@ -385,25 +457,21 @@ def test_nothing_forks_on_one_cpu_below_the_threshold_or_to_a_pipe(
     r, w = os.pipe()
     with open(r, "rb") as reader:
         with open(w, "w", encoding="utf-8", newline="") as fh:
-            fork_write(fh, _rows, 9, 9)
+            mcoc.parallel.fork_write(fh, _rows, 9, 9)
         assert reader.read().decode() == "".join(f"row {i}\n"
                                                  for i in range(9))
 
 
-def test_with_sigchld_ignored_the_caller_writes_the_childrens_rows(
+def test_with_sigchld_ignored_the_children_still_write_their_rows(
         tmp_path, monkeypatch):
-    # the kernel reaps each child itself, so its status is unknown and its
-    # rows are cut back out and written here
-    writers = []
-
-    def rows_by(fh, start, end):
-        writers.append(start)
-        _rows(fh, start, end)
-
+    # the kernel reaps each child itself, so its status is unknown; its
+    # result comes back through its pipe all the same
+    writers = []  # the ranges written here
     _force_split(monkeypatch, 3)
     old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        assert _rows_file(tmp_path / "rows.txt", 9, rows_by) == _rows_text(9)
+        text = _rows_file(tmp_path / "rows.txt", 9, _logged(writers))
     finally:
         signal.signal(signal.SIGCHLD, old)
-    assert writers == [0, 3]
+    assert text == _rows_text(9)
+    assert writers == [(0, 3)]
