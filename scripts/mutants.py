@@ -26,6 +26,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PARALLEL = "mcoc/parallel.py"
 DATA = "mcoc/data.py"
+CLI = "mcoc/cli.py"
 T_PAR = "tests/test_parallel.py::"
 
 # name: (file under src/, old text, new text, test ids that must fail)
@@ -39,27 +40,45 @@ MUTANTS = {
         PARALLEL, "for temp in temps:\n                temp.seek(0)",
         "for temp in reversed(temps):\n                temp.seek(0)",
         [T_PAR + "test_a_split_write_gives_the_serial_bytes"]),
-    "fork_write-a-childs-none-taken-as-success": (
-        PARALLEL, "if all(fork_map(part, range(ranges))):",
-        "if fork_map(part, range(ranges)):",
-        [T_PAR + "test_a_failed_child_leaves_its_rows_to_the_caller",
+    # a bad child result must fail the whole map, not leave a hole in it
+    "fork_map-returns-a-partial-list": (
+        PARALLEL, "            results.append(pickle.load(out))\n",
+        "            try:\n"
+        "                results.append(pickle.load(out))\n"
+        "            except Exception:\n"
+        "                results.append(None)\n",
+        [T_PAR + "test_a_child_that_fails_gives_none_and_prints_nothing",
+         T_PAR + "test_a_failed_child_leaves_its_rows_to_the_caller",
          T_PAR + "test_a_failed_last_child_keeps_the_bytes_of_the_one_"
          "before"]),
     "fork_write-no-flush-before-the-copy": (
         PARALLEL, "            fh.flush()  # the caller's rows go before the "
         "children's\n", "",
         [T_PAR + "test_a_split_write_gives_the_serial_bytes"]),
-    # fork_write's caller error stops its children through fork_map's kill
-    "fork_map-no-kill-on-raise": (
+    # a failed first task (fork_write's own range included) or a failed
+    # child stops the children still running through fork_map's kill
+    "fork_map-no-kill-on-failure": (
         PARALLEL, "            _kill(pidfd)\n", "            pass\n",
         [T_PAR + "test_an_error_in_the_callers_range_stops_the_children",
-         T_PAR + "test_the_first_task_raising_stops_its_siblings"]),
+         T_PAR + "test_the_first_task_raising_stops_its_siblings",
+         T_PAR + "test_a_failing_child_stops_its_running_siblings"]),
     "cuts-weight-dropped": (
         DATA, "at = (size + weight) * k // ranges - weight",
         "at = size * k // ranges",
         ["tests/test_data.py::test_the_first_range_is_shorter_by_the_weight",
          "tests/test_cli.py::"
          "test_a_split_score_and_export_give_the_serial_bytes"]),
+    "ablate-never-splits": (
+        CLI, "    groups = min(len(keys), parallel.usable_cpus())\n",
+        "    groups = 1\n",
+        ["tests/test_cli.py::test_a_split_ablate_gives_the_serial_bytes"]),
+    # an integer quality_band must draw inside that level, not "high"
+    "gen-without-level-bands": (
+        DATA, "    if is_int(band):\n"
+        "        edges = (1.0, *policy.thresholds, 5.0)\n"
+        "        return edges[band], edges[band + 1]\n", "",
+        ["tests/test_data.py::"
+         "test_a_level_band_draws_every_mos_inside_that_level"]),
     "load_jsonl_beside-no-whole-read-after-the-load-returned": (
         DATA,
         "                if loaded and columns is None:\n"

@@ -266,8 +266,7 @@ def _cmd_ablate(args):
 def _train_split(records, configs):
     """{key: train(records, config)} for the {key: config} items `configs`,
     trained in round-robin groups on up to usable_cpus() processes, the
-    first group here. Empty where nothing forks, a fork fails or the first
-    group raises a McocError; without the configs of a child that failed.
+    first group here; empty where nothing forks or fork_map gives None.
     ablate's loop trains what is missing, in arm order, so a failing arm
     raises there, after the arms before it were written."""
     keys = list(configs)
@@ -280,13 +279,9 @@ def _train_split(records, configs):
         # patch it
         return [(key, train(records, configs[key])) for key in group]
 
-    try:
-        parts = parallel.fork_map(train_group, [keys[g::groups]
-                                                for g in range(groups)])
-    except (McocError, OSError):  # a failing arm, or no fork: train serially
-        return {}
-    return {key: result for part in parts if part is not None
-            for key, result in part}
+    parts = parallel.fork_map(train_group, [keys[g::groups]
+                                            for g in range(groups)])
+    return {key: result for part in parts or [] for key, result in part}
 
 
 def _cmd_export(args):

@@ -29,7 +29,6 @@ from . import parallel
 from .errors import (
     UNDECODABLE,
     ConfigError,
-    McocError,
     MissingQuality,
     MosOutOfRange,
     ParseError,
@@ -238,10 +237,10 @@ def _read(fh):
 
 def _read_split(fd, side=lambda: None, weight=0):
     """The columns of the file open at `fd`, read in ranges on every usable
-    CPU, or None where it is not split or a range fails. Where it is split,
-    side() runs here after the children are forked and before this process
-    reads its range, which is `weight` bytes shorter for it (_cuts); an
-    exception of side() is a failed range."""
+    CPU, or None where it is not split or fork_map gives None. Where it is
+    split, side() runs here after the children are forked and before this
+    process reads its range, which is `weight` bytes shorter for it (_cuts);
+    an exception of side() fails this process's task."""
     cuts = _cuts(fd, weight)
     if cuts is None:
         return None
@@ -252,11 +251,8 @@ def _read_split(fd, side=lambda: None, weight=0):
             side()
         return _read_range(ranges[k])
 
-    try:
-        parts = parallel.fork_map(read, range(len(ranges)))
-    except (McocError, OSError):  # a bad range, or no fork: read it whole
-        return None
-    if None in parts or len({part.dim for part in parts if part.ids}) > 1:
+    parts = parallel.fork_map(read, range(len(ranges)))
+    if parts is None or len({part.dim for part in parts if part.ids}) > 1:
         return None
     columns = parts[0]
     for part in parts[1:]:

@@ -2,28 +2,26 @@
 
 ``fork_map(fn, tasks)`` computes ``fn(task)`` for each task: the first in
 the calling process, each other in a child forked for it, which pickles
-its result back through a pipe. ``load_jsonl`` reads the ranges of a large
-file through it (``score`` and ``export`` load their checkpoint in the
-caller's task), and ``ablate`` trains its distinct arm configs through it.
-A child that raises or dies gives ``None``.
+its result into an unnamed temp file that the caller reads once the child
+has ended. ``load_jsonl`` reads the ranges of a large file through it
+(``score`` and ``export`` load their checkpoint in the caller's task), and
+``ablate`` trains its distinct arm configs through it. It gives every
+result or ``None``: when any task fails, each caller does its whole job
+again serially here, which gives the serial output or the serial error.
 
 ``fork_write(fh, write, rows, values)`` writes rows [0, rows) of a text
 file in ranges through ``fork_map``: the caller streams the first range
 through ``fh``, and the child of each later range streams it into an
 unnamed temp file, which the caller then copies after its own range, in
 file order, so it never holds a child's text. ``save_jsonl`` and
-``export_embeddings`` write large files through it. When anything fails
-(a temp file, a fork, a child, the caller's own range or a copy), the file
-is cut back to where it stood and written here in one piece, which gives
-the bytes or the error of one serial write.
+``export_embeddings`` write large files through it.
 
-When the first task raises (fork_write's own range included), the
-children's work would be dropped, so each child is killed before it is
-reaped, through a pidfd where the platform has them.
-
-Every child leaves through ``os._exit``, so it runs no exit handler and
-flushes no buffer of the parent's, and every child is reaped before either
-function returns or raises, so no process outlives the call.
+When a task fails, the results of the children still running would be
+dropped, so each is killed before it is reaped, through a pidfd where the
+platform has them. Every child leaves through ``os._exit``, so it runs no
+exit handler and flushes no buffer of the parent's, and every child is
+reaped before either function returns or raises, so no process outlives
+the call.
 
 Only ``os``, ``pickle``, ``shutil``, ``stat``, ``tempfile`` and
 ``warnings`` are imported with the module (numpy imports ``shutil`` and
@@ -64,38 +62,43 @@ def usable_cpus():
 
 def fork_map(fn, tasks):
     """[fn(task) for task in tasks], the first computed here and each other
-    in a forked child; None for a child that fails. One process runs per
-    task, so the caller keeps to usable_cpus() tasks; an exception of the
-    first task propagates, after the children are killed and reaped. In a
-    child, fn must take no lock another thread may hold."""
+    in a forked child, or None when any task fails: opening a result file or
+    a fork raises OSError, the first task raises an Exception, or a child
+    raises, dies or leaves a result that does not unpickle. The Exception is
+    dropped on purpose: every caller then does its whole job serially, and
+    that redo raises and reports the error in serial order. Any other
+    BaseException propagates. Either way the children still running are
+    killed, and every child is reaped first. One process runs per task, so
+    the caller keeps to usable_cpus() tasks. In a child, fn must take no
+    lock another thread may hold."""
     tasks = list(tasks)
-    children = []  # (pid, read end of its pipe, pidfd or None)
+    outs, children = [], []  # each child's result file; (pid, pidfd or None)
+    reaped = 0
     try:
         for task in tasks[1:]:
-            earlier = [pipe.fileno() for _, pipe, _ in children]
-            pid, pipe = _fork_result(fn, task, earlier)
-            children.append((pid, pipe, _pidfd(pid)))
+            outs.append(tempfile.TemporaryFile())
+            pid = _fork_result(fn, task, outs[-1])
+            children.append((pid, _pidfd(pid)))
         results = [fn(tasks[0])]
-        for _, pipe, _ in children:
-            try:
-                results.append(pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):  # it died first
-                results.append(None)
+        for (pid, _), out in zip(children, outs):
+            _reap(pid)  # its result file is complete only once it has ended
+            reaped += 1
+            out.seek(0)
+            results.append(pickle.load(out))
         return results
-    except BaseException:
-        # the children's results would be dropped: stop them, not wait
-        for _, _, pidfd in children:
-            _kill(pidfd)
-        raise
+    except Exception:
+        return None
     finally:
-        # every pipe first: a child still writing gets EPIPE and leaves,
-        # whatever order the children end in
-        for _, pipe, _ in children:
-            pipe.close()
-        for pid, _, pidfd in children:
+        # on failure the later children's results would be dropped: stop
+        # them, not wait
+        for pid, pidfd in children[reaped:]:
+            _kill(pidfd)
             _reap(pid)
+        for _, pidfd in children:
             if pidfd is not None:
                 os.close(pidfd)
+        for out in outs:
+            out.close()
 
 
 def fork_write(fh, write, rows, values):
@@ -107,11 +110,11 @@ def fork_write(fh, write, rows, values):
     regular file, this is write(fh, 0, rows). Otherwise the rows are cut
     into up to one range per usable CPU: fork_map writes the first to `fh`
     here and each other to a temp file in a forked child, and the temp
-    files are then copied to `fh` in file order. When a child fails or an
-    Exception is raised here (by a temp file, a fork, the caller's range or
-    a copy), `fh` is cut back to where it stood and write(fh, 0, rows) runs
-    here, which gives the serial bytes or the serial error. In a child,
-    write must take no lock another thread may hold.
+    files are then copied to `fh` in file order. When fork_map gives None
+    or a temp file or a copy raises OSError, `fh` is cut back to where it
+    stood and write(fh, 0, rows) runs here, which gives the serial bytes or
+    the serial error. In a child, write must take no lock another thread
+    may hold.
     """
     ranges = min(usable_cpus(), rows, 2 * values // SPLIT_VALUES)
     if ranges < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -127,19 +130,18 @@ def fork_write(fh, write, rows, values):
         else:  # in a child, which leaves through os._exit and flushes nothing
             write(temps[k - 1], cuts[k], cuts[k + 1])
             temps[k - 1].flush()
-        return True
 
     try:
         for _ in cuts[2:]:
             temps.append(tempfile.TemporaryFile(
                 "w+", encoding=fh.encoding, errors=fh.errors, newline=""))
-        if all(fork_map(part, range(ranges))):
+        if fork_map(part, range(ranges)) is not None:
             fh.flush()  # the caller's rows go before the children's
             for temp in temps:
                 temp.seek(0)
                 shutil.copyfileobj(temp.buffer, fh.buffer)
             return
-    except Exception:  # a temp file, a fork, the caller's range or a copy
+    except OSError:  # a temp file or a copy
         pass
     finally:
         for temp in temps:
@@ -191,12 +193,10 @@ def _reap(pid):
         pass
 
 
-def _fork_result(fn, task, earlier):
-    """(pid, pipe) of a forked child that closes the descriptors `earlier`
-    of its elder siblings' pipes, so that each pipe's only reader is the
-    caller, writes pickle(fn(task)) to the pipe and leaves through
-    os._exit: status 0 if that returned, 1 if it raised."""
-    r, w = os.pipe()
+def _fork_result(fn, task, out):
+    """The pid of a forked child that pickles fn(task) into the binary file
+    `out` and leaves through os._exit; it leaves `out` empty or cut short if
+    fn or the pickling raises."""
     with warnings.catch_warnings():
         # Python 3.12+ warns that forking a process with other threads (an
         # OpenBLAS pool) may deadlock the child, if the child takes a lock
@@ -213,21 +213,11 @@ def _fork_result(fn, task, earlier):
         warnings.filterwarnings("ignore", category=DeprecationWarning,
                                 message=r".*use of fork\(\) may lead to "
                                         r"deadlocks in the child")
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(r)
-            os.close(w)
-            raise
+        pid = os.fork()
     if pid == 0:
-        code = 1
         try:
-            for fd in [r, *earlier]:
-                os.close(fd)
-            with open(w, "wb") as pipe:
-                pickle.dump(fn(task), pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
+            pickle.dump(fn(task), out, pickle.HIGHEST_PROTOCOL)
+            out.flush()
         finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
+            os._exit(0)
+    return pid

@@ -369,16 +369,16 @@ def test_a_split_ablate_gives_the_serial_bytes(workspace, monkeypatch, capfd,
     assert os.getpid() in pids()
 
 
-def _diverging(arm):
-    """A wrapper of mcoc.cli.train that raises DivergenceDetected for the
-    config of `arm` and trains every other."""
+def _diverging(arm, error=DivergenceDetected):
+    """A wrapper of mcoc.cli.train that raises `error` (DivergenceDetected
+    by default) for the config of `arm` and trains every other."""
     fn = cli.train
     sets = next(sets for name, sets, _ in ABLATION_ARMS if name == arm)
     lam0 = "hyper.lam=0.0" in sets
 
     def train(records, config):
         if (config.loss, config.hyper.lam == 0.0) == (sets[0][5:], lam0):
-            raise DivergenceDetected(f"epoch 1: {arm} diverged")
+            raise error(f"epoch 1: {arm} diverged")
         return fn(records, config)
 
     return train
@@ -404,6 +404,33 @@ def test_a_split_ablate_fails_as_the_serial_one(workspace, monkeypatch,
     arms = [name for name, _, _ in ABLATION_ARMS]
     assert len(out.splitlines()) == arms.index(arm)
     assert split == serial
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("arm", ["multi_centroid",
+                                 "multi_centroid_no_quality"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_split_ablate_fails_as_the_serial_one_for_any_exception(
+        workspace, monkeypatch, capfd, arm, cpus):
+    # an error that is no McocError leaves cli.main; the failing arm is
+    # trained here on 2 CPUs for multi_centroid and on 3 for
+    # multi_centroid_no_quality, else in a child
+    tmp, spec, cfg = workspace
+    run("gen", "--spec", spec, "--out", tmp / "tr")
+    data = tmp / "tr" / "data.jsonl"
+    monkeypatch.setattr(cli, "train", _diverging(arm, KeyError))
+    argv = ["--config", cfg, "--data", data, "--test", data]
+    outcomes = []
+    for name, n in [("serial", 1), ("split", cpus)]:
+        with pytest.raises(KeyError):
+            _ablate_outcome(tmp, monkeypatch, capfd, name, n, *argv)
+        outcomes.append((capfd.readouterr(), _tree(tmp / name)))
+    (out, err), tree = outcomes[0]
+    arms = [name for name, _, _ in ABLATION_ARMS]
+    # the arms before the failing one are written and printed
+    assert len(out.splitlines()) == arms.index(arm) and err == ""
+    assert len(tree) == 1 + 5 * arms.index(arm)
+    assert outcomes[1] == outcomes[0]
 
 
 @pytest.mark.usefixtures("no_child_left")
