@@ -27,6 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PARALLEL = "mcoc/parallel.py"
 DATA = "mcoc/data.py"
 CLI = "mcoc/cli.py"
+TRAINING = "mcoc/training.py"
 T_PAR = "tests/test_parallel.py::"
 
 # name: (file under src/, old text, new text, test ids that must fail)
@@ -62,6 +63,13 @@ MUTANTS = {
         [T_PAR + "test_an_error_in_the_callers_range_stops_the_children",
          T_PAR + "test_the_first_task_raising_stops_its_siblings",
          T_PAR + "test_a_failing_child_stops_its_running_siblings"]),
+    # an error that is no OSError in a task (a KeyError from train, say)
+    # must send the whole job to the serial path, not leave fork_map
+    "fork_map-catches-only-oserror": (
+        PARALLEL, "    except Exception:\n        return None\n",
+        "    except OSError:\n        return None\n",
+        ["tests/test_cli.py::"
+         "test_a_split_ablate_fails_as_the_serial_one_for_any_exception"]),
     "cuts-weight-dropped": (
         DATA, "at = (size + weight) * k // ranges - weight",
         "at = size * k // ranges",
@@ -79,6 +87,13 @@ MUTANTS = {
         "        return edges[band], edges[band + 1]\n", "",
         ["tests/test_data.py::"
          "test_a_level_band_draws_every_mos_inside_that_level"]),
+    # validation embeds in blocks of BLOCK_ROWS rows, not in one forward
+    # whose activations grow with the validation set
+    "validation-in-one-forward": (
+        TRAINING, "    emb = embed(val, encoder)\n",
+        "    emb = encoder.forward(val.X)[0]\n",
+        ["tests/test_training.py::"
+         "test_training_memory_is_bounded_by_the_batch_and_the_block"]),
     "load_jsonl_beside-no-whole-read-after-the-load-returned": (
         DATA,
         "                if loaded and columns is None:\n"

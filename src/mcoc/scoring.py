@@ -26,8 +26,8 @@ STRATEGIES = ("labeled", "max", "ensemble", "head")
 # written into every score report, manifest and eval summary
 POLARITY = "higher score = bona fide"
 # Rows per encoder forward pass. The forward's activations are held for one
-# block at a time, so scoring memory is bounded by the block size rather
-# than by the number of records.
+# block at a time, so scoring and validation memory is bounded by the block
+# size rather than by the number of records.
 BLOCK_ROWS = 256
 # the label code read_scores_csv gives an empty label cell
 NO_LABEL = -1

@@ -55,7 +55,7 @@ from .model import (
     init_head,
 )
 from .numerics import make_rng
-from .scoring import MAX_HEAD_SCORE, compute_eer, score_matrix
+from .scoring import MAX_HEAD_SCORE, compute_eer, embed, score_matrix
 
 
 class Objective(NamedTuple):
@@ -310,13 +310,14 @@ class TrainReport:
             w.writerows(astuple(e) for e in self.epochs)
 
 
-def _val_eers(encoder, bank, head, X_val, bona):
+def _val_eers(encoder, bank, head, val: Dataset, bona):
     """Validation EERs (ensemble, max, head; None where the arm has no bank
-    or head). `bona` is the bona fide mask of the validation rows, or None
-    when they cannot give an EER: no rows, or only one class."""
+    or head) of the rows `val`, embedded in blocks of BLOCK_ROWS rows. `bona`
+    is their bona fide mask, or None when they cannot give an EER (no rows,
+    or only one class); then no forward runs."""
     if bona is None:
         return None, None, None
-    emb, _ = encoder.forward(X_val)
+    emb = embed(val, encoder)
     out = []
     for strat, needed in (("ensemble", bank), ("max", bank), ("head", head)):
         if needed is None:
@@ -357,7 +358,9 @@ def train(records: Dataset, config: TrainConfig):
     the validation pass meets it; so does a head score that scoring
     refuses, which only the validation pass computes, and a final head
     whose weight norm plus |bias| is over MAX_HEAD_SCORE, which could give
-    one on other rows."""
+    one on other rows. Past its copies of the records, memory is bounded by
+    the batch and BLOCK_ROWS: each step gathers and frees its own rows,
+    activations and loss output; validation embeds in blocks."""
     n_val = int(round(config.val_fraction * len(records)))
     if n_val == len(records):
         raise ConfigError(f"no training records: {n_val} of {n_val} go to "
@@ -412,18 +415,15 @@ def train(records: Dataset, config: TrainConfig):
 
     report = TrainReport(config=config.to_dict())
     for epoch in range(1, config.epochs + 1):
-        total, total_oc, total_ql, seen = 0.0, 0.0, 0.0, 0
+        total, total_oc, total_ql = 0.0, 0.0, 0.0
         batches = make_batches(len(tr), config.batch_size, rng)
-        # one gather per epoch, in batch order; each batch is a slice of it
-        order = np.concatenate(batches)
-        X, y, quality = tr.X[order], tr.y[order], tr.quality[order]
         for b, idx in enumerate(batches, start=1):
             nb = len(idx)
-            rows = slice(seen, seen + nb)
             try:
-                emb, cache = encoder.forward(X[rows])
-                batch = Batch(embeddings=emb, labels=y[rows],
-                              quality=quality[rows])
+                # gathered by its own indices: a step copies its rows only
+                emb, cache = encoder.forward(tr.X[idx])
+                batch = Batch(embeddings=emb, labels=tr.y[idx],
+                              quality=tr.quality[idx])
 
                 out = objective.loss(batch, bank, head, config)
                 if not math.isfinite(out.value) or abs(out.value) > DIVERGENCE_LIMIT:
@@ -442,19 +442,19 @@ def train(records: Dataset, config: TrainConfig):
             total += out.value * nb
             total_oc += out.diagnostics["one_class"] * nb
             total_ql += out.diagnostics.get("quality", 0.0) * nb
-            seen += nb
+            del emb, cache, batch, out  # freed before the next forward
 
         try:
-            eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, val.X,
+            eer_ens, eer_max, eer_head = _val_eers(encoder, bank, head, val,
                                                    val_bona)
         except (ZeroNorm, ScoreOutOfRange) as exc:
             raise DivergenceDetected(f"epoch {epoch}, validation: {exc}") from exc
         cosines = bank.pairwise_cosines() if bank is not None else np.array([])
         report.epochs.append(EpochMetrics(
             epoch=epoch,
-            train_loss=total / seen,
-            loss_one_class=total_oc / seen,
-            loss_quality=total_ql / seen,
+            train_loss=total / len(tr),
+            loss_one_class=total_oc / len(tr),
+            loss_quality=total_ql / len(tr),
             val_eer_ensemble=eer_ens,
             val_eer_max=eer_max,
             val_eer_head=eer_head,

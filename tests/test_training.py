@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import accumulate
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 
 from mcoc import training
-from mcoc.data import benchmark_spec, generate_synthetic
+from mcoc.data import (BONAFIDE, SyntheticSpec, benchmark_spec,
+                       generate_synthetic)
 from mcoc.errors import ConfigError, DivergenceDetected
-from mcoc.model import Checkpoint, save_checkpoint
+from mcoc.model import (Checkpoint, Encoder, init_centroids, init_encoder,
+                        init_head, save_checkpoint)
 from mcoc.numerics import make_rng
+from mcoc.scoring import BLOCK_ROWS, score_dataset
 from mcoc.training import (
     LOSS_KINDS,
     OBJECTIVES,
@@ -372,3 +376,47 @@ def test_report_csv_columns(tmp_path, small_records):
     header = path.read_text().splitlines()[0]
     assert header.split(",")[:3] == ["epoch", "train_loss", "loss_one_class"]
     assert len(path.read_text().splitlines()) == 4
+
+
+def test_training_memory_is_bounded_by_the_batch_and_the_block(monkeypatch):
+    # 1,500 records, 600 of them validation rows: every forward encodes one
+    # batch or one scoring block, so no call grows with the data
+    spec = benchmark_spec(4)
+    spec = SyntheticSpec(dim=spec.dim, seed=spec.seed, clusters=tuple(
+        dataclasses.replace(c, count=375) for c in spec.clusters))
+    records = generate_synthetic(spec)
+    rows, steps = [], []
+    forward, make_batches = Encoder.forward, training.make_batches
+
+    def counted_forward(self, X):
+        rows.append(len(X))
+        return forward(self, X)
+
+    def counted_batches(*args):
+        batches = make_batches(*args)
+        steps.extend(batches)
+        return batches
+
+    monkeypatch.setattr(Encoder, "forward", counted_forward)
+    monkeypatch.setattr(training, "make_batches", counted_batches)
+    cfg = quick_config(epochs=1, batch_size=32, val_fraction=0.4)
+    train(records, cfg)
+    assert len(records) == 1500
+    assert max(rows) <= max(cfg.batch_size, BLOCK_ROWS)
+    assert rows[:len(steps)] == [len(idx) for idx in steps]
+    assert rows[len(steps):] == [256, 256, 88]
+
+
+def test_validation_eers_are_the_eers_of_score_dataset():
+    # 260 rows: a full block and a short one at the wide shapes, where a
+    # short block's products may differ in the last bits from one larger
+    # product; validation embeds as scoring does, so the EERs are the same
+    val = generate_synthetic(benchmark_spec(9)).take(np.arange(0, 520, 2))
+    rng = make_rng(5)
+    encoder = init_encoder(val.X.shape[1], (256, 256), 16, rng)
+    bank, head = init_centroids(2, 16, "orthogonal", rng), init_head(16, rng)
+    assert len(val) == BLOCK_ROWS + 4
+    expected = tuple(score_dataset(val, encoder, bank, strategy, head=head).eer
+                     for strategy in ("ensemble", "max", "head"))
+    assert training._val_eers(encoder, bank, head, val,
+                              val.y == BONAFIDE) == expected
